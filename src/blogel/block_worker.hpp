@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -173,38 +172,21 @@ class BlockWorker : public core::EngineBase,
     env_.exchange->exchange(env_.rank);
     const auto s2 = Clock::now();
 
-    // Range-partitioned parallel delivery (DESIGN.md section 8): record
-    // the raw wire spans, then apply by contiguous lidx range, preserving
-    // the sequential (peer order, payload order) fold per vertex. Block
-    // wake-ups cross range boundaries, so they go through an atomic_ref.
-    if (wire_spans_.empty()) {
-      wire_spans_.resize(static_cast<std::size_t>(workers));
-    }
+    // Range-partitioned delivery (DESIGN.md section 8): record the raw
+    // wire spans, then apply by contiguous lidx range, preserving the
+    // one-slot (peer order, payload order) fold per vertex. Block wake-ups
+    // cross range boundaries, so they go through an atomic_ref.
     std::uint64_t total = 0;
     for (int from = 0; from < workers; ++from) {
-      auto& in = env_.exchange->inbox(env_.rank, from);
-      const auto n = in.read<std::uint32_t>();
-      wire_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(Wire));
-      total += n;
+      total += wire_spans_.read(env_.exchange->inbox(env_.rank, from), from);
     }
-    const auto apply = [this](std::uint32_t lo, std::uint32_t hi,
-                              int slot) {
-      for (const auto& [ptr, n] : wire_spans_) {
-        const std::byte* p = ptr;
-        for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-          Wire wire;
-          std::memcpy(&wire, p, sizeof(Wire));
-          if (wire.lidx < lo || wire.lidx >= hi) continue;
-          deliver(wire, slot);
-        }
-      }
-    };
-    if (!parallel_delivery()) {
-      apply(0, num_local(), 0);
-    } else {
-      run_comm_partitioned(total, num_local(), &recv_touched_, apply);
-    }
+    const std::uint32_t n = num_local();
+    run_comm_partitioned(
+        total, n, &recv_touched_,
+        [this, n](std::uint32_t lo, std::uint32_t hi, int slot) {
+          wire_spans_.for_each(lo, hi, n, "BlockWorker",
+                               [&](const Wire& wire) { deliver(wire, slot); });
+        });
     stats_.serialize_seconds += seconds_between(s0, s1);
     stats_.exchange_seconds += seconds_between(s1, s2);
     stats_.deliver_seconds += seconds_between(s2, Clock::now());
@@ -238,8 +220,8 @@ class BlockWorker : public core::EngineBase,
   std::vector<std::vector<Wire>> staged_;
   std::vector<std::vector<MsgT>> incoming_;
   std::vector<std::vector<std::uint32_t>> recv_touched_{1};  ///< per slot
-  /// Raw wire span per peer (round-scoped parallel-delivery scratch).
-  std::vector<std::pair<const std::byte*, std::uint32_t>> wire_spans_;
+  /// Raw wire span per peer (round-scoped delivery scratch).
+  core::detail::WireSpans<Wire> wire_spans_{num_workers()};
 };
 
 }  // namespace pregel::blogel

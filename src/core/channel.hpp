@@ -7,8 +7,10 @@
 // channels, so composing optimizations = allocating several channels.
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,11 +22,12 @@
 
 namespace pregel::core {
 
-/// Below this many staged/received items a channel's parallel
-/// serialize/delivery path runs its sequential code instead of forking
-/// the pool: both paths produce identical bytes and results, so the
-/// switch is free, and tiny rounds (late sparse supersteps, propagation
-/// tails) skip the fork/join cost that would otherwise dominate them.
+/// Below this many staged/received items a channel's serialize/delivery
+/// runs its one code path inline as a single slot instead of forking the
+/// comm pool: every slot count produces identical bytes and results, so
+/// the switch is free, and tiny rounds (late sparse supersteps,
+/// propagation tails) skip the fork/join cost that would otherwise
+/// dominate them.
 inline constexpr std::size_t kParallelCommMinItems = 4096;
 
 namespace detail {
@@ -41,6 +44,63 @@ inline std::pair<std::uint64_t, std::uint64_t> item_range(std::uint64_t n,
   const auto t = static_cast<std::uint64_t>(slot);
   return {n * t / s, n * (t + 1) / s};
 }
+
+/// Reject a peer-supplied local index outside [0, num_local): a corrupt or
+/// forged payload must fail loudly, never write out of bounds or vanish
+/// silently. `owner` names the channel (or engine) in the error.
+inline void check_local_index(std::uint64_t lidx, std::uint64_t num_local,
+                              std::string_view owner) {
+  if (lidx >= num_local) {
+    throw runtime::ProtocolError(
+        std::string(owner) + ": peer payload names local index " +
+        std::to_string(lidx) + ", outside the " + std::to_string(num_local) +
+        "-vertex slice");
+  }
+}
+
+/// One round's peer sections of raw (lidx, value) wire records — the
+/// single delivery loop of the per-message channels and the baseline
+/// engines. read() records a section (u32 count, then the records) and
+/// skips it; for_each(lo, hi, ...) visits every record whose lidx falls
+/// in [lo, hi), in peer order and then payload order. That is the
+/// range-partitioned shape run_comm_partitioned fans out, and with one
+/// slot ([0, num_local)) the plain sequential scan.
+template <typename Wire>
+class WireSpans {
+ public:
+  explicit WireSpans(int peers) : spans_(static_cast<std::size_t>(peers)) {}
+
+  /// Record peer `from`'s section of `in`; returns its record count.
+  std::uint32_t read(runtime::Buffer& in, int from) {
+    const auto n = in.read<std::uint32_t>();
+    spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
+    in.skip(std::size_t{n} * sizeof(Wire));
+    return n;
+  }
+
+  /// fn(wire) for every recorded wire with lidx in [lo, hi). Any lidx at
+  /// or past `num_local` throws a ProtocolError naming `owner` (the slot
+  /// whose range ends at num_local sees every such record).
+  template <typename Fn>
+  void for_each(std::uint32_t lo, std::uint32_t hi, std::uint32_t num_local,
+                std::string_view owner, Fn&& fn) const {
+    for (const auto& [ptr, n] : spans_) {
+      const std::byte* p = ptr;
+      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
+        Wire wire;
+        std::memcpy(&wire, p, sizeof(Wire));
+        if (wire.lidx < lo || wire.lidx >= hi) {
+          check_local_index(wire.lidx, num_local, owner);
+          continue;
+        }
+        fn(wire);
+      }
+    }
+  }
+
+ private:
+  std::vector<std::pair<const std::byte*, std::uint32_t>> spans_;
+};
 
 /// Everything a worker rank shares with its team for one run. Created by
 /// launch(); reached by Worker's constructor through a thread-local so the
@@ -139,27 +199,22 @@ class Channel {
   virtual void serialize() = 0;
   /// Read received data from the worker's inboxes.
   virtual void deserialize() = 0;
+
+  // Parallel communication phase (DESIGN.md section 8): serialize() and
+  // deserialize() are each ONE code path that fans over the worker's comm
+  // pool through EngineBase::run_comm_partitioned — serialize over
+  // contiguous destination-rank ranges writing into pre-sized buffer
+  // segments, delivery over contiguous local-vertex ranges with every slot
+  // scanning the peer inboxes in peer order and applying only its own
+  // range (the per-vertex application order — peer order, then in-payload
+  // order — is the one-slot order, so no atomics on values are needed).
+  // At comm_threads() == 1, or below kParallelCommMinItems, the same code
+  // runs inline as a single slot covering everything. Channels whose
+  // delivery order feeds later wire bytes (Propagation's BFS queue) keep
+  // a plain sequential deserialize().
+
   /// Return true to request another communication round this superstep.
   virtual bool again() { return false; }
-
-  // ---- parallel communication phase (DESIGN.md section 8) ---------------
-  // With comm_threads() > 1 the engine calls serialize_parallel() instead
-  // of serialize(), and — when parallel delivery is enabled —
-  // deliver_parallel() instead of deserialize(). Implementations fan the
-  // work over the worker's comm pool: serialize over contiguous
-  // destination-rank ranges writing into pre-sized buffer segments,
-  // delivery over contiguous local-vertex ranges with every slot scanning
-  // the peer inboxes in peer order and applying only its own range (the
-  // per-vertex application order — peer order, then in-payload order — is
-  // the sequential one, so no atomics on values are needed). Wire bytes
-  // and results MUST be identical to the sequential path; the defaults
-  // fall back to it, which is also the right answer for channels whose
-  // delivery order feeds later wire bytes (Propagation's BFS queue).
-
-  /// Parallel-capable serialize; defaults to the sequential serialize().
-  virtual void serialize_parallel() { serialize(); }
-  /// Parallel-capable delivery; defaults to the sequential deserialize().
-  virtual void deliver_parallel() { deserialize(); }
 
   // ---- ranged serialize (pipelined rounds, DESIGN.md section 10) --------
   // A channel whose per-destination payloads are independent can let the

@@ -62,7 +62,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -95,7 +94,7 @@ class CombinedMessage : public Channel {
         shards_(1),
         merge_(static_cast<std::size_t>(w->num_workers())),
         recv_touched_(1),
-        spans_(static_cast<std::size_t>(w->num_workers())) {
+        spans_(w->num_workers()) {
     init_shard(shards_[0]);
   }
 
@@ -207,20 +206,11 @@ class CombinedMessage : public Channel {
     return has_[w().current_local()] != 0;
   }
 
-  void serialize() override {
-    if (direction_ == Direction::kPull) {
-      reset_receive_slots();
-      emit_pull_ranks(0, w().num_workers());
-      return;
-    }
-    reset_receive_slots();
-    emit_ranks(0, w().num_workers());
-  }
-
   /// Fan the per-destination-rank merge + emit over the comm pool: each
-  /// thread owns a contiguous destination-rank range and writes into its
-  /// ranks' outboxes exclusively. Identical bytes to serialize().
-  void serialize_parallel() override {
+  /// slot owns a contiguous destination-rank range and writes into its
+  /// ranks' outboxes exclusively, so the bytes are independent of the
+  /// slot count.
+  void serialize() override {
     reset_receive_slots();
     if (direction_ == Direction::kPull) {
       // Boundary payloads are tiny (one pair per published boundary
@@ -258,31 +248,13 @@ class CombinedMessage : public Channel {
     }
   }
 
-  void deserialize() override {
-    if (direction_ == Direction::kPull) {
-      absorb_pull_payloads();
-      gather_range(0, num_local_limit(), 0);
-      ++cur_epoch_;
-      return;
-    }
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto wire = in.read<Wire>();
-        apply(wire, 0);
-      }
-    }
-  }
-
   /// Range-partitioned delivery: record each peer payload's raw span,
   /// then every pool slot scans all spans in peer order applying only the
   /// wires whose destination falls in its contiguous local-vertex range.
   /// In pull mode the gather itself is the range-partitioned work — each
   /// destination vertex's fold is independent, so the fan-out is bitwise
   /// free.
-  void deliver_parallel() override {
+  void deserialize() override {
     if (direction_ == Direction::kPull) {
       absorb_pull_payloads();
       w().run_comm_partitioned(
@@ -296,16 +268,13 @@ class CombinedMessage : public Channel {
     const int num_workers = w().num_workers();
     std::uint64_t total = 0;
     for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(Wire));
-      total += n;
+      total += spans_.read(w().inbox(from), from);
     }
     w().run_comm_partitioned(
         total, num_local_limit(), &recv_touched_,
         [this](std::uint32_t lo, std::uint32_t hi, int slot) {
-          apply_spans(lo, hi, slot);
+          spans_.for_each(lo, hi, num_local_limit(), name(),
+                          [&](const Wire& wire) { apply(wire, slot); });
         });
   }
 
@@ -452,7 +421,8 @@ class CombinedMessage : public Channel {
     }
   }
 
-  /// Receiver-side apply of one wire pair into the delivery slot's state.
+  /// Receiver-side apply of one in-range wire pair into the delivery
+  /// slot's state.
   void apply(const Wire& wire, int delivery_slot) {
     if (has_[wire.lidx]) {
       slot_[wire.lidx] = combiner_(slot_[wire.lidx], wire.value);
@@ -463,22 +433,6 @@ class CombinedMessage : public Channel {
           wire.lidx);
     }
     worker_->activate_local(wire.lidx);  // atomic frontier word-OR
-  }
-
-  /// Apply all recorded peer spans restricted to lidx in [lo, hi) — peer
-  /// order, then in-payload order, i.e. the sequential per-vertex order.
-  void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
-      const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-        Wire wire;
-        std::memcpy(&wire, p, sizeof(Wire));
-        if (wire.lidx < lo || wire.lidx >= hi) continue;
-        apply(wire, delivery_slot);
-      }
-    }
   }
 
   // ---- pull protocol (DESIGN.md section 9) --------------------------------
@@ -614,6 +568,12 @@ class CombinedMessage : public Channel {
       runtime::Buffer& in = w().inbox(from);
       if (!handshake_received_) {
         const auto edge_count = in.read<std::uint64_t>();
+        // Bound the peer's count by its payload before allocating for it.
+        if (edge_count > in.remaining() / sizeof(PullEdge)) {
+          throw runtime::ProtocolError(
+              name() + ": pull handshake edge count " +
+              std::to_string(edge_count) + " exceeds its payload");
+        }
         const std::uint32_t n_from = peer_local_count(from);
         const std::uint32_t rows = std::max(n_from, n);
         std::vector<std::uint64_t> offsets(rows + 1, 0);
@@ -622,6 +582,8 @@ class CombinedMessage : public Channel {
         std::uint32_t prev_src = 0;
         for (std::uint64_t i = 0; i < edge_count; ++i) {
           const auto e = in.read<PullEdge>();
+          detail::check_local_index(e.src_lidx, n_from, name());
+          detail::check_local_index(e.dst_lidx, n, name());
           // The sender emits in (src lidx, edge position) order, so the
           // CSR rows fill front to back.
           for (std::uint32_t s = prev_src; s < e.src_lidx; ++s) {
@@ -642,6 +604,7 @@ class CombinedMessage : public Channel {
       auto& epochs = peer_epoch_[peer];
       for (std::uint32_t i = 0; i < count; ++i) {
         const auto wire = in.read<Wire>();
+        detail::check_local_index(wire.lidx, vals.size(), name());
         vals[wire.lidx] = wire.value;
         epochs[wire.lidx] = cur_epoch_;
       }
@@ -708,7 +671,7 @@ class CombinedMessage : public Channel {
   // next serialize; order across slots is irrelevant) and the per-peer
   // payload spans of the round being delivered.
   std::vector<std::vector<std::uint32_t>> recv_touched_;
-  std::vector<std::pair<const std::byte*, std::uint32_t>> spans_;
+  detail::WireSpans<Wire> spans_;
 
   // Pull protocol state (edge_fn_ set by the pull-capable constructor;
   // the rest lazily built on the first pull superstep and kept for the

@@ -15,7 +15,6 @@
 // in-payload order), exactly the sequential one.
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -37,7 +36,7 @@ class DirectMessage : public Channel {
         shards_(1),
         incoming_(w->num_local()),
         recv_touched_(1),
-        spans_(static_cast<std::size_t>(w->num_workers())) {
+        spans_(w->num_workers()) {
     init_shard(shards_[0]);
   }
 
@@ -72,11 +71,6 @@ class DirectMessage : public Channel {
 
   void serialize() override {
     reset_receive_slots();
-    emit_ranks(0, w().num_workers());
-  }
-
-  void serialize_parallel() override {
-    reset_receive_slots();
     std::uint64_t total = 0;
     for (const Shard& s : shards_) {
       for (const auto& batch : s) total += batch.size();
@@ -88,32 +82,19 @@ class DirectMessage : public Channel {
         });
   }
 
+  /// Range-partitioned delivery (see CombinedMessage::deserialize).
   void deserialize() override {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        apply(in.read<Wire>(), 0);
-      }
-    }
-  }
-
-  /// Range-partitioned delivery (see CombinedMessage::deliver_parallel).
-  void deliver_parallel() override {
     const int num_workers = w().num_workers();
     std::uint64_t total = 0;
     for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(Wire));
-      total += n;
+      total += spans_.read(w().inbox(from), from);
     }
+    const std::uint32_t n = worker_->num_local();
     w().run_comm_partitioned(
-        total, worker_->num_local(), &recv_touched_,
-        [this](std::uint32_t lo, std::uint32_t hi, int slot) {
-          apply_spans(lo, hi, slot);
+        total, n, &recv_touched_,
+        [this, n](std::uint32_t lo, std::uint32_t hi, int slot) {
+          spans_.for_each(lo, hi, n, name(),
+                          [&](const Wire& wire) { apply(wire, slot); });
         });
   }
 
@@ -188,25 +169,11 @@ class DirectMessage : public Channel {
     worker_->activate_local(wire.lidx);  // atomic frontier word-OR
   }
 
-  void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
-      const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-        Wire wire;
-        std::memcpy(&wire, p, sizeof(Wire));
-        if (wire.lidx < lo || wire.lidx >= hi) continue;
-        apply(wire, delivery_slot);
-      }
-    }
-  }
-
   Worker<VertexT>* worker_;
   std::vector<Shard> shards_;                 ///< per compute chunk
   std::vector<std::vector<ValT>> incoming_;   ///< per local vertex
   std::vector<std::vector<std::uint32_t>> recv_touched_;  ///< per slot
-  std::vector<std::pair<const std::byte*, std::uint32_t>> spans_;
+  detail::WireSpans<Wire> spans_;
 };
 
 }  // namespace pregel::core

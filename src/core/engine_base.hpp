@@ -68,24 +68,16 @@ class EngineBase {
 
   // ---- parallel communication phase (DESIGN.md section 8) ---------------
 
-  /// Intra-rank parallelism of the communication phase: > 1 makes the
-  /// engine drive channels through serialize_parallel() (sharded outbox
-  /// staging over the rank's thread pool) and sizes the delivery fan-out.
-  /// Defaults to PGCH_COMM_THREADS (which itself defaults to
-  /// PGCH_COMPUTE_THREADS); 1 restores the exact sequential path. Must be
-  /// set before run().
+  /// Intra-rank parallelism of the communication phase: how many comm
+  /// pool slots run_comm_partitioned fans channel serialize and delivery
+  /// over. Defaults to PGCH_COMM_THREADS (which itself defaults to
+  /// PGCH_COMPUTE_THREADS); 1 runs every comm path inline as one slot.
+  /// Results and wire bytes are identical for any value. Must be set
+  /// before run().
   void set_comm_threads(int threads) {
     comm_threads_ = threads > 1 ? threads : 1;
   }
   [[nodiscard]] int comm_threads() const noexcept { return comm_threads_; }
-
-  /// Receiver-side range-partitioned parallel delivery (defaults to
-  /// PGCH_PARALLEL_DELIVERY). Takes effect only with comm_threads() > 1;
-  /// results and wire bytes are identical either way.
-  void set_parallel_delivery(bool on) { parallel_delivery_enabled_ = on; }
-  [[nodiscard]] bool parallel_delivery() const noexcept {
-    return parallel_delivery_enabled_ && comm_threads_ > 1;
-  }
 
   // ---- pipelined superstep communication (DESIGN.md section 10) ----------
 
@@ -396,7 +388,6 @@ class EngineBase {
   /// compute phases accumulate here; feeds rank_compute_seconds).
   double compute_cpu_seconds_ = 0.0;
   int comm_threads_ = runtime::comm_threads_from_env();
-  bool parallel_delivery_enabled_ = runtime::parallel_delivery_from_env();
   bool pipeline_enabled_ = runtime::pipeline_from_env();
   DirectionMode direction_mode_ = direction_mode_from_env();
   std::unique_ptr<runtime::ComputePool> pool_;

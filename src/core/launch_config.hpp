@@ -29,12 +29,15 @@
 //                   (graph::load_any consumes it; advisory here, like
 //                   PGCH_PARTITION)
 
-#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "graph/io.hpp"
+#include "graph/partition.hpp"
+#include "runtime/env.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "runtime/transport.hpp"
 
@@ -149,17 +152,16 @@ struct LaunchConfig {
   /// the transport down, re-runs the mesh handshake, and restores the
   /// last committed checkpoint epoch the surviving team agrees on.
   int recovery_attempts = 0;
-  /// Partitioner name ("range" | "degree" | "hash"; empty = the caller's
-  /// default). launch() consumes an already-partitioned DistributedGraph,
-  /// so this field is advisory: env-driven entry points pass it (via
-  /// graph::parse_partition_kind / make_partition) when building the
-  /// graph, which keeps every rank of a TCP team on the same partition.
-  std::string partition;
-  /// Snapshot-loader selection: -1 auto (mmap v3 snapshots), 0 heap, 1
-  /// mmap. Advisory like `partition`: launch() consumes an already-loaded
-  /// graph, so entry points that load snapshots pass this (as a
-  /// graph::MmapMode) to graph::load_any.
-  int mmap = -1;
+  /// Partitioner (PGCH_PARTITION; unset = the caller's default). launch()
+  /// consumes an already-partitioned DistributedGraph, so this field is
+  /// advisory: env-driven entry points pass it to graph::make_partition
+  /// when building the graph, which keeps every rank of a TCP team on the
+  /// same partition.
+  std::optional<graph::PartitionKind> partition;
+  /// Snapshot-loader selection (PGCH_MMAP). Advisory like `partition`:
+  /// launch() consumes an already-loaded graph, so entry points that load
+  /// snapshots pass this to graph::load_any.
+  graph::MmapMode mmap = graph::MmapMode::kAuto;
 
   /// The PGCH_* environment form above; unset variables leave defaults.
   static LaunchConfig from_env() {
@@ -174,34 +176,16 @@ struct LaunchConfig {
             "'");
       }
     }
-    if (const char* r = std::getenv("PGCH_RANK")) cfg.rank = std::atoi(r);
-    if (const char* w = std::getenv("PGCH_WORLD")) {
-      cfg.world_size = std::atoi(w);
+    cfg.rank = runtime::env_int("PGCH_RANK", cfg.rank);
+    cfg.world_size = runtime::env_int("PGCH_WORLD", cfg.world_size);
+    cfg.port_base = runtime::env_int("PGCH_PORT_BASE", cfg.port_base);
+    const int timeout_ms = runtime::env_int("PGCH_CONNECT_TIMEOUT_MS", 0);
+    if (timeout_ms > 0) cfg.connect_timeout_s = timeout_ms / 1000.0;
+    cfg.recovery_attempts = runtime::env_int("PGCH_RECOVERY_ATTEMPTS", 0, 0);
+    if (const char* part = std::getenv("PGCH_PARTITION"); part && *part) {
+      cfg.partition = graph::parse_partition_kind(part);
     }
-    if (const char* p = std::getenv("PGCH_PORT_BASE")) {
-      cfg.port_base = std::atoi(p);
-    }
-    if (const char* t = std::getenv("PGCH_CONNECT_TIMEOUT_MS")) {
-      const int ms = std::atoi(t);
-      if (ms > 0) cfg.connect_timeout_s = ms / 1000.0;
-    }
-    if (const char* a = std::getenv("PGCH_RECOVERY_ATTEMPTS")) {
-      cfg.recovery_attempts = std::max(0, std::atoi(a));
-    }
-    if (const char* part = std::getenv("PGCH_PARTITION")) {
-      cfg.partition = part;
-    }
-    if (const char* m = std::getenv("PGCH_MMAP")) {
-      const std::string mode(m);
-      if (mode == "1") {
-        cfg.mmap = 1;
-      } else if (mode == "0") {
-        cfg.mmap = 0;
-      } else if (!mode.empty()) {
-        throw std::invalid_argument("PGCH_MMAP must be '1' or '0', got '" +
-                                    mode + "'");
-      }
-    }
+    cfg.mmap = graph::mmap_mode_from_env();
     if (const char* h = std::getenv("PGCH_HOSTS")) {
       std::string entry;
       for (const char* c = h;; ++c) {

@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -52,17 +51,15 @@
 #include "core/channel.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
+#include "runtime/env.hpp"
 
 namespace pregel::core {
 
 /// The PGCH_MIRROR_DEGREE environment default of
 /// MirrorScatter::set_mirror_degree (0 / unset = mirror every sender).
 inline std::uint32_t mirror_degree_from_env() {
-  if (const char* env = std::getenv("PGCH_MIRROR_DEGREE")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::uint32_t>(v);
-  }
-  return 0;
+  return static_cast<std::uint32_t>(
+      runtime::env_int("PGCH_MIRROR_DEGREE", 0, 0));
 }
 
 template <typename VertexT, typename ValT>
@@ -129,53 +126,77 @@ class MirrorScatter : public Channel {
     return has_[w().current_local()] != 0;
   }
 
-  void serialize() override { serialize_impl(/*parallel=*/false); }
-
   /// Steady-state rounds ship one bare value per (source, worker) at a
   /// fixed position, so the payload segments are pre-sized and the comm
   /// pool fills contiguous destination-rank ranges concurrently
-  /// (DESIGN.md section 8). Bytes are identical to serialize().
-  void serialize_parallel() override { serialize_impl(/*parallel=*/true); }
-
-  void deserialize() override {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto tag = in.read<std::uint8_t>();
-      if (tag == kTagIdle) continue;
-      const bool mixed = tag == kTagHandshakeMixed || tag == kTagValuesMixed;
-      const auto n = in.read<std::uint32_t>();
-      const std::uint32_t nd = mixed ? in.read<std::uint32_t>() : 0;
-      auto& table = mirrors_[static_cast<std::size_t>(from)];
-      if (tag == kTagHandshake || tag == kTagHandshakeMixed) {
-        table.resize(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          table[i] = in.read_vector<std::uint32_t>();
-        }
+  /// (DESIGN.md section 8).
+  void serialize() override {
+    for (auto& touched : recv_touched_) {
+      for (const std::uint32_t lidx : touched) {
+        slot_[lidx] = combiner_.identity;
+        has_[lidx] = 0;
       }
-      // Bare values in the agreed source order: scatter positionally.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto val = in.read<ValT>();
-        for (const std::uint32_t lidx : table[i]) {
-          apply(lidx, val, 0);
-        }
-      }
-      // Threshold mode: the below-threshold senders' explicit pairs.
-      for (std::uint32_t j = 0; j < nd; ++j) {
-        const auto lidx = in.read<std::uint32_t>();
-        const auto val = in.read<ValT>();
-        apply(lidx, val, 0);
-      }
+      touched.clear();
     }
+
+    const int num_workers = w().num_workers();
+    if (!dirty_.load(std::memory_order_relaxed)) {
+      for (int to = 0; to < num_workers; ++to) {
+        w().outbox(to).write<std::uint8_t>(kTagIdle);
+      }
+      return;
+    }
+    dirty_.store(false, std::memory_order_relaxed);
+    if (!finalized_) finalize();
+
+    // Headers, one-time mirror-table handshakes, and payload segment
+    // reservation: one value per mirrored sender at a fixed position,
+    // then (threshold mode) one explicit pair per direct send — both
+    // sections are static, so segments stay pre-sized every round.
+    const bool mixed = mirror_degree_ > 0;
+    std::uint64_t total_sends = 0;
+    for (int to = 0; to < num_workers; ++to) {
+      runtime::Buffer& out = w().outbox(to);
+      auto& to_peer = senders_[static_cast<std::size_t>(to)];
+      const auto& to_direct = direct_[static_cast<std::size_t>(to)];
+      const bool first = handshake_sent_[static_cast<std::size_t>(to)] == 0;
+      if (mixed) {
+        out.write<std::uint8_t>(first ? kTagHandshakeMixed : kTagValuesMixed);
+      } else {
+        out.write<std::uint8_t>(first ? kTagHandshake : kTagValues);
+      }
+      out.write<std::uint32_t>(static_cast<std::uint32_t>(to_peer.size()));
+      if (mixed) {
+        out.write<std::uint32_t>(
+            static_cast<std::uint32_t>(to_direct.size()));
+      }
+      if (first) {
+        // Install the mirror tables: per sending vertex, the neighbor
+        // list it owns on that worker (positional from now on).
+        for (const auto& s : to_peer) {
+          out.write_vector(s.targets);
+        }
+        handshake_sent_[static_cast<std::size_t>(to)] = 1;
+      }
+      seg_[static_cast<std::size_t>(to)] = out.extend(
+          to_peer.size() * sizeof(ValT) + to_direct.size() * kDirectWireBytes);
+      total_sends += to_peer.size() + to_direct.size();
+    }
+
+    w().run_comm_partitioned(
+        total_sends, static_cast<std::uint32_t>(num_workers), nullptr,
+        [this](std::uint32_t begin, std::uint32_t end, int) {
+          fill_ranks(static_cast<int>(begin), static_cast<int>(end));
+        });
   }
 
-  /// Range-partitioned delivery: mirror tables are installed sequentially
-  /// (first round only), then every pool slot scans each peer's value
-  /// list (and, in threshold mode, its direct-pair section) and applies
-  /// only the targets inside its contiguous local-vertex range.
-  /// Per-vertex fold order stays (peer order, then mirrored source order,
-  /// then direct pair order) — the sequential one.
-  void deliver_parallel() override {
+  /// Range-partitioned delivery: mirror tables are installed (and
+  /// validated) in the first round, then every pool slot scans each
+  /// peer's value list (and, in threshold mode, its direct-pair section)
+  /// and applies only the targets inside its contiguous local-vertex
+  /// range. Per-vertex fold order stays (peer order, then mirrored source
+  /// order, then direct pair order) — the one-slot order.
+  void deserialize() override {
     const int num_workers = w().num_workers();
     std::uint64_t total_targets = 0;
     for (int from = 0; from < num_workers; ++from) {
@@ -194,7 +215,15 @@ class MirrorScatter : public Channel {
         table.resize(n);
         for (std::uint32_t i = 0; i < n; ++i) {
           table[i] = in.read_vector<std::uint32_t>();
+          for (const std::uint32_t lidx : table[i]) {
+            detail::check_local_index(lidx, worker_->num_local(), name());
+          }
         }
+      } else if (table.size() != n) {
+        throw runtime::ProtocolError(
+            name() + ": value count " + std::to_string(n) +
+            " does not match the installed mirror table (" +
+            std::to_string(table.size()) + ")");
       }
       spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
       in.skip(std::size_t{n} * sizeof(ValT));
@@ -267,70 +296,6 @@ class MirrorScatter : public Channel {
     finalized_ = true;
   }
 
-  void serialize_impl(bool parallel) {
-    for (auto& touched : recv_touched_) {
-      for (const std::uint32_t lidx : touched) {
-        slot_[lidx] = combiner_.identity;
-        has_[lidx] = 0;
-      }
-      touched.clear();
-    }
-
-    const int num_workers = w().num_workers();
-    if (!dirty_.load(std::memory_order_relaxed)) {
-      for (int to = 0; to < num_workers; ++to) {
-        w().outbox(to).write<std::uint8_t>(kTagIdle);
-      }
-      return;
-    }
-    dirty_.store(false, std::memory_order_relaxed);
-    if (!finalized_) finalize();
-
-    // Headers, one-time mirror-table handshakes, and payload segment
-    // reservation: one value per mirrored sender at a fixed position,
-    // then (threshold mode) one explicit pair per direct send — both
-    // sections are static, so segments stay pre-sized every round.
-    const bool mixed = mirror_degree_ > 0;
-    std::uint64_t total_sends = 0;
-    for (int to = 0; to < num_workers; ++to) {
-      runtime::Buffer& out = w().outbox(to);
-      auto& to_peer = senders_[static_cast<std::size_t>(to)];
-      const auto& to_direct = direct_[static_cast<std::size_t>(to)];
-      const bool first = handshake_sent_[static_cast<std::size_t>(to)] == 0;
-      if (mixed) {
-        out.write<std::uint8_t>(first ? kTagHandshakeMixed : kTagValuesMixed);
-      } else {
-        out.write<std::uint8_t>(first ? kTagHandshake : kTagValues);
-      }
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(to_peer.size()));
-      if (mixed) {
-        out.write<std::uint32_t>(
-            static_cast<std::uint32_t>(to_direct.size()));
-      }
-      if (first) {
-        // Install the mirror tables: per sending vertex, the neighbor
-        // list it owns on that worker (positional from now on).
-        for (const auto& s : to_peer) {
-          out.write_vector(s.targets);
-        }
-        handshake_sent_[static_cast<std::size_t>(to)] = 1;
-      }
-      seg_[static_cast<std::size_t>(to)] = out.extend(
-          to_peer.size() * sizeof(ValT) + to_direct.size() * kDirectWireBytes);
-      total_sends += to_peer.size() + to_direct.size();
-    }
-
-    if (!parallel) {
-      fill_ranks(0, num_workers);
-      return;
-    }
-    w().run_comm_partitioned(
-        total_sends, static_cast<std::uint32_t>(num_workers), nullptr,
-        [this](std::uint32_t begin, std::uint32_t end, int) {
-          fill_ranks(static_cast<int>(begin), static_cast<int>(end));
-        });
-  }
-
   /// Copy the broadcast values of destination ranks [begin, end) into
   /// their pre-sized segments: mirrored values in the agreed sender
   /// order, then the direct (dst lidx, value) pairs in the agreed pair
@@ -382,7 +347,10 @@ class MirrorScatter : public Channel {
       for (std::uint32_t j = 0; j < nd; ++j, q += kDirectWireBytes) {
         std::uint32_t lidx;
         std::memcpy(&lidx, q, sizeof(std::uint32_t));
-        if (lidx < lo || lidx >= hi) continue;
+        if (lidx < lo || lidx >= hi) {
+          detail::check_local_index(lidx, worker_->num_local(), name());
+          continue;
+        }
         ValT val;
         std::memcpy(&val, q + sizeof(std::uint32_t), sizeof(ValT));
         apply(lidx, val, delivery_slot);
@@ -411,7 +379,7 @@ class MirrorScatter : public Channel {
   std::vector<std::vector<std::vector<std::uint32_t>>> mirrors_;
   std::vector<std::uint8_t> handshake_sent_;
 
-  // Round-scoped scratch of the parallel paths.
+  // Round-scoped scratch of serialize / deserialize.
   std::vector<std::byte*> seg_;  ///< payload segment base per worker
   std::vector<std::pair<const std::byte*, std::uint32_t>> spans_;
   std::vector<std::pair<const std::byte*, std::uint32_t>> direct_spans_;

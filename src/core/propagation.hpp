@@ -17,10 +17,10 @@
 // BFS drain is inherently sequential (its FIFO order defines the staged
 // updates AND the next round's wire bytes), so only the payload write-out
 // fans over the comm pool — each thread owns a contiguous destination-rank
-// range and fills pre-sized buffer segments. Delivery keeps the
-// sequential fallback on purpose: received updates push into the BFS
-// queue, whose order feeds the following round's bytes, so a
-// range-partitioned delivery would change the wire (not the fixpoint).
+// range and fills pre-sized buffer segments. Delivery stays sequential on
+// purpose: received updates push into the BFS queue, whose order feeds the
+// following round's bytes, so a range-partitioned delivery would change
+// the wire (not the fixpoint).
 
 #include <cstdint>
 #include <cstring>
@@ -106,15 +106,11 @@ class Propagation : public Channel {
     return vals_[w().current_local()];
   }
 
+  /// Sequential drain, payload write-out fanned over the comm pool (see
+  /// header note).
   void serialize() override {
     drain();
-    emit(/*parallel=*/false);
-  }
-
-  /// Sequential BFS drain, parallel payload write-out (see header note).
-  void serialize_parallel() override {
-    drain();
-    emit(/*parallel=*/true);
+    emit();
   }
 
   void deserialize() override {
@@ -125,6 +121,7 @@ class Propagation : public Channel {
       for (std::uint32_t i = 0; i < n; ++i) {
         const auto lidx = in.read<std::uint32_t>();
         const auto val = in.read<ValT>();
+        detail::check_local_index(lidx, vals_.size(), name());
         const ValT nv = combiner_(vals_[lidx], val);
         if (nv != vals_[lidx]) {
           vals_[lidx] = nv;
@@ -185,10 +182,10 @@ class Propagation : public Channel {
   }
 
   /// Ship the staged remote updates: counts and pre-sized segments first,
-  /// then the (lidx, value) records — filled over the comm pool by
-  /// contiguous destination-rank range when `parallel`, in touched order
-  /// either way, so the bytes are identical.
-  void emit(bool parallel) {
+  /// then the (lidx, value) records in touched order — filled over the
+  /// comm pool by contiguous destination-rank range, so the bytes do not
+  /// depend on the slot count.
+  void emit() {
     const int num_workers = w().num_workers();
     if (seg_.empty()) {
       seg_.assign(static_cast<std::size_t>(num_workers), nullptr);
@@ -202,10 +199,6 @@ class Propagation : public Channel {
       seg_[static_cast<std::size_t>(to)] =
           out.extend(acc.touched.size() * kEntryBytes);
       total += acc.touched.size();
-    }
-    if (!parallel) {
-      fill_ranks(0, num_workers);
-      return;
     }
     w().run_comm_partitioned(
         total, static_cast<std::uint32_t>(num_workers), nullptr,
@@ -253,7 +246,7 @@ class Propagation : public Channel {
   std::vector<StagedPeer> staged_remote_;
 
   /// Payload segment base per destination rank (round-scoped scratch of
-  /// the parallel write-out).
+  /// the write-out).
   std::vector<std::byte*> seg_;
 
   // Parallel compute staging for the shared seed queue (see

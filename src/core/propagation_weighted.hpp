@@ -18,8 +18,8 @@
 
 // Parallel communication phase: like Propagation, the label-correcting
 // drain stays sequential (its order defines the next round's bytes) and
-// only the payload write-out fans over the comm pool; delivery keeps the
-// sequential fallback (received updates feed the BFS queue).
+// only the payload write-out fans over the comm pool; delivery stays
+// sequential (received updates feed the BFS queue).
 
 #include <cstdint>
 #include <cstring>
@@ -97,15 +97,11 @@ class PropagationW : public Channel {
     par_.replay([this](std::uint32_t lidx) { push(lidx); });
   }
 
+  /// Sequential drain, payload write-out fanned over the comm pool (see
+  /// header note).
   void serialize() override {
     drain();
-    emit(/*parallel=*/false);
-  }
-
-  /// Sequential drain, parallel payload write-out (see header note).
-  void serialize_parallel() override {
-    drain();
-    emit(/*parallel=*/true);
+    emit();
   }
 
   void deserialize() override {
@@ -116,6 +112,7 @@ class PropagationW : public Channel {
       for (std::uint32_t i = 0; i < n; ++i) {
         const auto lidx = in.read<std::uint32_t>();
         const auto val = in.read<ValT>();
+        detail::check_local_index(lidx, vals_.size(), name());
         const ValT nv = combiner_(vals_[lidx], val);
         if (nv != vals_[lidx]) {
           vals_[lidx] = nv;
@@ -185,8 +182,8 @@ class PropagationW : public Channel {
   }
 
   /// Counts + pre-sized segments, filled over the comm pool by contiguous
-  /// destination-rank range when `parallel` (identical bytes either way).
-  void emit(bool parallel) {
+  /// destination-rank range (identical bytes for any slot count).
+  void emit() {
     const int num_workers = w().num_workers();
     if (seg_.empty()) {
       seg_.assign(static_cast<std::size_t>(num_workers), nullptr);
@@ -200,10 +197,6 @@ class PropagationW : public Channel {
       seg_[static_cast<std::size_t>(to)] =
           out.extend(acc.touched.size() * kEntryBytes);
       total += acc.touched.size();
-    }
-    if (!parallel) {
-      fill_ranks(0, num_workers);
-      return;
     }
     w().run_comm_partitioned(
         total, static_cast<std::uint32_t>(num_workers), nullptr,
@@ -244,7 +237,7 @@ class PropagationW : public Channel {
   std::vector<StagedPeer> staged_remote_;
 
   /// Payload segment base per destination rank (round-scoped scratch of
-  /// the parallel write-out).
+  /// the write-out).
   std::vector<std::byte*> seg_;
 
   // Parallel compute staging for the shared seed queue (see

@@ -34,11 +34,13 @@ template <typename VertexT, typename RespT>
 class RequestRespond : public Channel {
  public:
   /// Produces the response for a requested vertex. CONTRACT: must only
-  /// READ vertex/worker state — with parallel delivery enabled
-  /// (PGCH_PARALLEL_DELIVERY=1) it is invoked concurrently from the comm
-  /// pool, so a respond function that mutates shared state (memoization
-  /// tables, counters) races. Keep such state out of respond functions,
-  /// or leave parallel delivery off for the run.
+  /// READ vertex/worker state — whenever the worker runs with more than
+  /// one comm thread (PGCH_COMM_THREADS, which defaults to
+  /// PGCH_COMPUTE_THREADS) it is invoked concurrently from the comm pool,
+  /// so a respond function that mutates shared state (memoization tables,
+  /// counters) races. Keep such state out of respond functions. The
+  /// respond functions in this repository (algorithms/sv.hpp,
+  /// algorithms/pointer_jumping.hpp) only read the requested vertex.
   using RespondFn = std::function<RespT(const VertexT&)>;
 
   RequestRespond(Worker<VertexT>* w, RespondFn f,
@@ -108,27 +110,18 @@ class RequestRespond : public Channel {
     }
   }
 
+  /// Delivery (DESIGN.md section 8). The request round's hot half is
+  /// producing the responses — one respond_fn_ call per deduplicated
+  /// request — so that fans over the comm pool by contiguous
+  /// request-index ranges per peer (each reply lands at its fixed
+  /// position; the wire order is the same for any slot count).
+  /// respond_fn_ is then invoked concurrently and must only READ vertex
+  /// state — true for the attribute lookups the paradigm is for. The
+  /// response round is bulk copies plus the requester wake-up scan and
+  /// stays sequential.
   void deserialize() override {
     if (phase_ == Phase::kRequest) {
       deserialize_requests();
-      phase_ = Phase::kRespond;
-    } else {
-      deserialize_responses();
-      phase_ = Phase::kRequest;
-    }
-  }
-
-  /// Parallel-comm delivery (DESIGN.md section 8). The request round's
-  /// hot half is producing the responses — one respond_fn_ call per
-  /// deduplicated request — so that fans over the comm pool by contiguous
-  /// request-index ranges per peer (each reply lands at its fixed
-  /// position; the wire order is unchanged). respond_fn_ is then invoked
-  /// concurrently and must only READ vertex state — true for the
-  /// attribute lookups the paradigm is for. The response round is bulk
-  /// copies plus the requester wake-up scan and stays sequential.
-  void deliver_parallel() override {
-    if (phase_ == Phase::kRequest) {
-      deserialize_requests_parallel();
       phase_ = Phase::kRespond;
     } else {
       deserialize_responses();
@@ -175,30 +168,13 @@ class RequestRespond : public Channel {
     }
   }
 
-  void deserialize_requests() {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      auto& replies = pending_replies_[static_cast<std::size_t>(from)];
-      replies.clear();
-      replies.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto lidx = in.read<std::uint32_t>();
-        // The requested vertex is "automatically involved": its response
-        // value is produced here, no compute() needed (Section IV-C2).
-        // local_vertex returns a handle by value; respond_fn_ takes it as
-        // const VertexT&, which binds to the temporary for this call.
-        replies.push_back(respond_fn_(worker_->local_vertex(lidx)));
-      }
-    }
-  }
-
   /// Produce the responses with the comm pool: each slot fills contiguous
   /// index ranges of every peer's (pre-sized) reply list from the raw
-  /// request-id spans. Reply order — and therefore the wire — is exactly
-  /// deserialize_requests()'s.
-  void deserialize_requests_parallel() {
+  /// request-id spans, so the reply order — and therefore the wire — is
+  /// the same for any slot count. The requested vertex is "automatically
+  /// involved": its response is produced here, no compute() needed
+  /// (Section IV-C2).
+  void deserialize_requests() {
     const int num_workers = w().num_workers();
     if (req_spans_.empty()) {
       req_spans_.resize(static_cast<std::size_t>(num_workers));
@@ -214,13 +190,12 @@ class RequestRespond : public Channel {
       replies.resize(n);
       total += n;
     }
-    if (total < kParallelCommMinItems) {
+    const int threads = w().comm_threads();
+    if (threads <= 1 || total < kParallelCommMinItems) {
       produce_replies(0, 1);
       return;
     }
-    runtime::ComputePool& pool = w().comm_pool();
-    const int threads = w().comm_threads();
-    pool.run([&](int slot) {
+    w().comm_pool().run([&](int slot) {
       if (slot >= threads) return;
       produce_replies(slot, threads);
     });
@@ -238,6 +213,9 @@ class RequestRespond : public Channel {
         std::uint32_t lidx;
         std::memcpy(&lidx, ptr + i * sizeof(std::uint32_t),
                     sizeof(std::uint32_t));
+        detail::check_local_index(lidx, worker_->num_local(), name());
+        // local_vertex returns a handle by value; respond_fn_ takes it as
+        // const VertexT&, which binds to the temporary for this call.
         replies[static_cast<std::size_t>(i)] =
             respond_fn_(worker_->local_vertex(lidx));
       }
@@ -295,7 +273,7 @@ class RequestRespond : public Channel {
   // Responder side.
   std::vector<std::vector<RespT>> pending_replies_;  ///< per requester worker
   /// Raw request-id span per requester worker (round-scoped scratch of
-  /// the parallel respond production).
+  /// the respond production).
   std::vector<std::pair<const std::byte*, std::uint32_t>> req_spans_;
 
   // Parallel compute staging for the shared request list (see

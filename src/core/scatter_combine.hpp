@@ -108,35 +108,73 @@ class ScatterCombine : public Channel {
     return has_[w().current_local()] != 0;
   }
 
-  void serialize() override { serialize_impl(/*parallel=*/false); }
-  void serialize_parallel() override { serialize_impl(/*parallel=*/true); }
-
-  void deserialize() override {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto tag = in.read<std::uint8_t>();
-      if (tag == kTagIdle) continue;
-      const auto n = in.read<std::uint32_t>();
-      auto& order = recv_order_[static_cast<std::size_t>(from)];
-      if (tag == kTagHandshake) {
-        order.resize(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          order[i] = in.read<std::uint32_t>();
-        }
+  void serialize() override {
+    // Reset the receive slots the previous superstep filled.
+    for (auto& touched : recv_touched_) {
+      for (const std::uint32_t lidx : touched) {
+        slot_[lidx] = combiner_.identity;
+        has_[lidx] = 0;
       }
-      // Values arrive in the agreed order; combine positionally.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        apply(order[i], in.read<ValT>(), 0);
-      }
+      touched.clear();
     }
+
+    const int num_workers = w().num_workers();
+    if (!dirty_.load(std::memory_order_relaxed)) {
+      for (int to = 0; to < num_workers; ++to) {
+        w().outbox(to).write<std::uint8_t>(kTagIdle);
+      }
+      return;
+    }
+    dirty_.store(false, std::memory_order_relaxed);
+    if (!finalized_) finalize();
+
+    // Headers, one-time handshakes, and payload segment reservation. The
+    // payload of worker `to` is exactly unique_dsts_[to] values, so the
+    // segment can be pre-sized and filled out of order.
+    for (int to = 0; to < num_workers; ++to) {
+      runtime::Buffer& out = w().outbox(to);
+      const bool first_time =
+          handshake_sent_[static_cast<std::size_t>(to)] == 0;
+      out.write<std::uint8_t>(first_time ? kTagHandshake : kTagValues);
+      const auto [begin, end] = owner_range_[static_cast<std::size_t>(to)];
+      out.write<std::uint32_t>(unique_dsts_[static_cast<std::size_t>(to)]);
+      if (first_time) {
+        // Ship the destination order once.
+        std::size_t i = begin;
+        while (i < end) {
+          const KeyT dst = edges_[i].dst;
+          out.write<std::uint32_t>(w().local_of(dst));
+          while (i < end && edges_[i].dst == dst) ++i;
+        }
+        handshake_sent_[static_cast<std::size_t>(to)] = 1;
+      }
+      seg_[static_cast<std::size_t>(to)] = out.extend(
+          std::size_t{unique_dsts_[static_cast<std::size_t>(to)]} *
+          sizeof(ValT));
+    }
+
+    // Split the run space on edge-count targets (runs vary wildly in size
+    // on skewed graphs), aligned down to run boundaries: the first run
+    // starting at or after each edge bound (one slot covers every run).
+    const auto edges = static_cast<std::uint32_t>(edges_.size());
+    w().run_comm_partitioned(
+        edges, edges, nullptr,
+        [this](std::uint32_t e_lo, std::uint32_t e_hi, int) {
+          const auto run_at = [this](std::uint32_t e) {
+            return static_cast<std::size_t>(
+                std::lower_bound(run_start_.begin(), run_start_.end(),
+                                 std::size_t{e}) -
+                run_start_.begin());
+          };
+          fill_runs(run_at(e_lo), run_at(e_hi));
+        });
   }
 
   /// Range-partitioned positional delivery: the handshake order lists are
-  /// installed sequentially (first round only), then every pool slot
+  /// installed (and validated) in the first round, then every pool slot
   /// scans each peer's bare value list and folds the positions whose
   /// destination falls in its contiguous local-vertex range.
-  void deliver_parallel() override {
+  void deserialize() override {
     const int num_workers = w().num_workers();
     std::uint64_t total = 0;
     for (int from = 0; from < num_workers; ++from) {
@@ -152,7 +190,13 @@ class ScatterCombine : public Channel {
         order.resize(n);
         for (std::uint32_t i = 0; i < n; ++i) {
           order[i] = in.read<std::uint32_t>();
+          detail::check_local_index(order[i], worker_->num_local(), name());
         }
+      } else if (order.size() != n) {
+        throw runtime::ProtocolError(
+            name() + ": value count " + std::to_string(n) +
+            " does not match the handshake order list (" +
+            std::to_string(order.size()) + ")");
       }
       spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
       in.skip(std::size_t{n} * sizeof(ValT));
@@ -211,74 +255,6 @@ class ScatterCombine : public Channel {
     }
     run_start_.push_back(edges_.size());
     finalized_ = true;
-  }
-
-  void serialize_impl(bool parallel) {
-    // Reset the receive slots the previous superstep filled.
-    for (auto& touched : recv_touched_) {
-      for (const std::uint32_t lidx : touched) {
-        slot_[lidx] = combiner_.identity;
-        has_[lidx] = 0;
-      }
-      touched.clear();
-    }
-
-    const int num_workers = w().num_workers();
-    if (!dirty_.load(std::memory_order_relaxed)) {
-      for (int to = 0; to < num_workers; ++to) {
-        w().outbox(to).write<std::uint8_t>(kTagIdle);
-      }
-      return;
-    }
-    dirty_.store(false, std::memory_order_relaxed);
-    if (!finalized_) finalize();
-
-    // Headers, one-time handshakes, and payload segment reservation. The
-    // payload of worker `to` is exactly unique_dsts_[to] values, so the
-    // segment can be pre-sized and filled out of order.
-    for (int to = 0; to < num_workers; ++to) {
-      runtime::Buffer& out = w().outbox(to);
-      const bool first_time =
-          handshake_sent_[static_cast<std::size_t>(to)] == 0;
-      out.write<std::uint8_t>(first_time ? kTagHandshake : kTagValues);
-      const auto [begin, end] = owner_range_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(unique_dsts_[static_cast<std::size_t>(to)]);
-      if (first_time) {
-        // Ship the destination order once.
-        std::size_t i = begin;
-        while (i < end) {
-          const KeyT dst = edges_[i].dst;
-          out.write<std::uint32_t>(w().local_of(dst));
-          while (i < end && edges_[i].dst == dst) ++i;
-        }
-        handshake_sent_[static_cast<std::size_t>(to)] = 1;
-      }
-      seg_[static_cast<std::size_t>(to)] = out.extend(
-          std::size_t{unique_dsts_[static_cast<std::size_t>(to)]} *
-          sizeof(ValT));
-    }
-
-    const std::size_t num_runs = run_start_.size() - 1;
-    if (!parallel || edges_.size() < kParallelCommMinItems) {
-      fill_runs(0, num_runs);
-      return;
-    }
-    runtime::ComputePool& pool = w().comm_pool();
-    const int threads = w().comm_threads();
-    pool.run([&](int slot) {
-      if (slot >= threads) return;
-      // Split the run space on edge-count targets (runs vary wildly in
-      // size on skewed graphs), aligned down to run boundaries.
-      const auto [e_lo, e_hi] =
-          detail::item_range(edges_.size(), threads, slot);
-      const std::size_t r_lo = static_cast<std::size_t>(
-          std::lower_bound(run_start_.begin(), run_start_.end(), e_lo) -
-          run_start_.begin());
-      const std::size_t r_hi = static_cast<std::size_t>(
-          std::lower_bound(run_start_.begin(), run_start_.end(), e_hi) -
-          run_start_.begin());
-      fill_runs(std::min(r_lo, num_runs), std::min(r_hi, num_runs));
-    });
   }
 
   /// Fold unique-destination runs [r_begin, r_end) into their workers'
@@ -355,7 +331,7 @@ class ScatterCombine : public Channel {
   std::vector<std::vector<std::uint32_t>> recv_order_;    ///< per sender
   std::vector<std::uint8_t> handshake_sent_;
 
-  // Round-scoped scratch of the parallel paths.
+  // Round-scoped scratch of serialize / deserialize.
   std::vector<std::byte*> seg_;  ///< payload segment base per worker
   std::vector<std::pair<const std::byte*, std::uint32_t>> spans_;
 };

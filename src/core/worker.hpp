@@ -131,8 +131,8 @@ class WorkerBase : public EngineBase {
   /// Re-activate a local vertex (message arrival). Channels call this from
   /// deserialize(); it is how voting-to-halt is simulated (Section IV-B).
   /// Implemented as an atomic word-OR into the frontier bitset, so it is
-  /// also safe from concurrent contexts (e.g. a future parallel
-  /// deserialize) and from compute threads touching neighbouring bits.
+  /// also safe from concurrent delivery slots and from compute threads
+  /// touching neighbouring bits.
   virtual void activate_local(std::uint32_t lidx) = 0;
 
  protected:
@@ -524,13 +524,10 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// channel's payloads ride in its own frame lane; the exchange accounts
   /// the payload bytes per channel and validates the reads.
   ///
-  /// With comm_threads() > 1 channels serialize through their parallel
-  /// protocol (sharded staging merged over the pool); with parallel
-  /// delivery enabled they also deliver range-partitioned. Both paths are
-  /// byte- and result-identical to the sequential one (DESIGN.md §8).
+  /// Channels fan their serialize and delivery over comm_threads() pool
+  /// slots themselves; the result is byte- and result-identical for any
+  /// slot count (DESIGN.md §8).
   void communicate() {
-    const bool par_serialize = comm_threads() > 1;
-    const bool par_deliver = parallel_delivery();
     const bool can_pipeline = pipeline() &&
                               env_.exchange->pipeline_capable() &&
                               num_workers() > 1;
@@ -559,27 +556,20 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
         pipelined = team_bytes >= kParallelCommMinItems;
       }
 
-      local_mask = pipelined
-                       ? pipelined_round(mask, par_serialize, par_deliver)
-                       : bulk_round(mask, par_serialize, par_deliver);
+      local_mask = pipelined ? pipelined_round(mask) : bulk_round(mask);
     }
   }
 
   /// One bulk communication round: the three-barrier schedule (all
   /// serialize, one collective exchange, all deliver). The parity oracle
   /// for the pipelined path.
-  std::uint64_t bulk_round(std::uint64_t mask, bool par_serialize,
-                           bool par_deliver) {
+  std::uint64_t bulk_round(std::uint64_t mask) {
     const auto t0 = Clock::now();
     std::uint64_t round_payload = 0;
     for (std::size_t i = 0; i < channels_.size(); ++i) {
       if ((mask >> i) & 1u) {
         env_.exchange->begin_frames(env_.rank, static_cast<int>(i));
-        if (par_serialize) {
-          channels_[i]->serialize_parallel();
-        } else {
-          channels_[i]->serialize();
-        }
+        channels_[i]->serialize();
         const std::uint64_t payload =
             env_.exchange->end_frames(env_.rank, static_cast<int>(i));
         stats_.bytes_by_channel[channels_[i]->name()] += payload;
@@ -596,11 +586,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       if ((mask >> i) & 1u) {
         env_.exchange->open_frames(env_.rank, static_cast<int>(i),
                                    channels_[i]->name());
-        if (par_deliver) {
-          channels_[i]->deliver_parallel();
-        } else {
-          channels_[i]->deserialize();
-        }
+        channels_[i]->deserialize();
         env_.exchange->close_frames(env_.rank, static_cast<int>(i),
                                     channels_[i]->name());
         if (channels_[i]->again()) next_mask |= (std::uint64_t{1} << i);
@@ -628,8 +614,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// work intervals; exchange_seconds accumulates the exchange's
   /// wire-active span, which overlaps them — that excess over the comm
   /// wall is what RunStats::overlap_seconds reports.
-  std::uint64_t pipelined_round(std::uint64_t mask, bool par_serialize,
-                                bool par_deliver) {
+  std::uint64_t pipelined_round(std::uint64_t mask) {
     int last_ch = 63;
     while (((mask >> last_ch) & 1u) == 0) --last_ch;
 
@@ -641,15 +626,14 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       if (((mask >> i) & 1u) == 0) continue;
       auto s0 = Clock::now();
       env_.exchange->begin_frames(env_.rank, static_cast<int>(i));
-      if (par_serialize) {
-        channels_[i]->serialize_parallel();
-      } else if (channels_[i]->serialize_prepare()) {
+      if (comm_threads() <= 1 && channels_[i]->serialize_prepare()) {
         // Ranged serialize: destinations emit one at a time — peers first
         // so the wire starts as early as possible, the self rank (usually
         // the bulk of the staged messages) last — with a stream call
         // after each, so completed destinations transfer while the
         // remaining ones are still serializing. Per-destination emits are
-        // order-independent and byte-identical to serialize().
+        // order-independent and byte-identical to serialize(). With comm
+        // threads the pool fan-out of serialize() wins instead.
         const int workers = num_workers();
         for (int k = 1; k <= workers; ++k) {
           const int to = (env_.rank + k) % workers;
@@ -681,11 +665,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       const auto d0 = Clock::now();
       env_.exchange->open_frames(env_.rank, static_cast<int>(i),
                                  channels_[i]->name());
-      if (par_deliver) {
-        channels_[i]->deliver_parallel();
-      } else {
-        channels_[i]->deserialize();
-      }
+      channels_[i]->deserialize();
       env_.exchange->close_frames(env_.rank, static_cast<int>(i),
                                   channels_[i]->name());
       if (channels_[i]->again()) next_mask |= (std::uint64_t{1} << i);

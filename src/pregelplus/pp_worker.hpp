@@ -23,18 +23,17 @@
 //   * ghost mode uses hash-table mirror lookup on the receiver for every
 //     incoming broadcast — the computational overhead the paper measures.
 //
-// Parallel communication phase (DESIGN.md section 8): with parallel
-// delivery enabled the plain message batch is applied range-partitioned
-// over the local vertex space (per-vertex arrival order — peer order,
-// then in-payload order — is preserved, so combined floats stay bitwise
-// identical). Ghost mode falls back to the sequential path: its mirror
-// scatter interleaves with the plain wires per peer, an order a
+// Parallel communication phase (DESIGN.md section 8): the plain message
+// batch is applied range-partitioned over the local vertex space, fanned
+// over comm_threads() pool slots (per-vertex arrival order — peer order,
+// then in-payload order — is the same for any slot count, so combined
+// floats stay bitwise identical). Ghost mode keeps a sequential loop: its
+// mirror scatter interleaves with the plain wires per peer, an order a
 // range-partition over two passes would not preserve.
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <span>
@@ -321,24 +320,20 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
 
     agg_result_.fill(0);
     dagg_result_ = 0.0;
-    // Range-partitioned parallel delivery of the plain message batches
-    // (DESIGN.md section 8). Ghost mode keeps the sequential path — its
-    // per-peer wire/ghost interleaving defines the per-vertex fold order.
-    const bool par_deliver = parallel_delivery() && !ghost_;
-    if (wire_spans_.empty()) {
-      wire_spans_.resize(static_cast<std::size_t>(workers));
-    }
+    // Range-partitioned delivery of the plain message batches (DESIGN.md
+    // section 8). Ghost mode keeps the sequential path — its per-peer
+    // wire/ghost interleaving defines the per-vertex fold order.
     std::uint64_t total_wires = 0;
     for (int from = 0; from < workers; ++from) {
       auto& in = env_.exchange->inbox(env_.rank, from);
-      const auto n = in.read<std::uint32_t>();
-      if (par_deliver) {
-        wire_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-        in.skip(std::size_t{n} * sizeof(Wire));
-        total_wires += n;
+      if (!ghost_) {
+        total_wires += wire_spans_.read(in, from);
       } else {
+        const auto n = in.read<std::uint32_t>();
         for (std::uint32_t i = 0; i < n; ++i) {
-          deliver(in.read<Wire>(), 0);
+          const auto wire = in.read<Wire>();
+          core::detail::check_local_index(wire.lidx, num_local(), "PPWorker");
+          deliver(wire, 0);
         }
       }
       const auto nreg = in.read<std::uint32_t>();
@@ -355,6 +350,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
           throw std::logic_error("PPWorker: ghost value before registration");
         }
         for (const std::uint32_t lidx : it->second) {
+          core::detail::check_local_index(lidx, num_local(), "PPWorker");
           deliver(Wire{lidx, gw.value}, 0);
         }
       }
@@ -363,7 +359,16 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       }
       dagg_result_ += in.read<double>();
     }
-    if (par_deliver) apply_wire_spans(total_wires);
+    if (!ghost_) {
+      const std::uint32_t n = num_local();
+      run_comm_partitioned(
+          total_wires, n, &recv_touched_,
+          [this, n](std::uint32_t lo, std::uint32_t hi, int slot) {
+            wire_spans_.for_each(
+                lo, hi, n, "PPWorker",
+                [&](const Wire& wire) { deliver(wire, slot); });
+          });
+    }
     stats_.serialize_seconds += seconds_between(s0, s1);
     stats_.exchange_seconds += seconds_between(s1, s2);
     stats_.deliver_seconds += seconds_between(s2, Clock::now());
@@ -381,26 +386,6 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       box.push_back(wire.value);
     }
     this->active_.set(wire.lidx);  // message arrival re-activates
-  }
-
-  /// Apply the recorded per-peer wire spans, range-partitioned over the
-  /// local vertex space: every pool slot scans the spans in peer order
-  /// and delivers only its own contiguous lidx range, so per-vertex
-  /// arrival order matches the sequential loop.
-  void apply_wire_spans(std::uint64_t total_wires) {
-    run_comm_partitioned(
-        total_wires, num_local(), &recv_touched_,
-        [this](std::uint32_t lo, std::uint32_t hi, int slot) {
-          for (const auto& [ptr, n] : wire_spans_) {
-            const std::byte* p = ptr;
-            for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-              Wire wire;
-              std::memcpy(&wire, p, sizeof(Wire));
-              if (wire.lidx < lo || wire.lidx >= hi) continue;
-              deliver(wire, slot);
-            }
-          }
-        });
   }
 
   // Round 2 (reqresp): deduplicated request id lists.
@@ -438,6 +423,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       replies.clear();
       for (std::uint32_t i = 0; i < n; ++i) {
         const auto lidx = in.read<std::uint32_t>();
+        core::detail::check_local_index(lidx, num_local(), "PPWorker");
         // Pregel+ ships the requested vertex's *id* back with each value.
         const VertexT v = this->local_vertex(lidx);
         replies.push_back(RespWire{v.id(), respond(v)});
@@ -499,8 +485,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
   std::vector<std::vector<Wire>> staged_;
   std::vector<std::vector<MsgT>> incoming_;
   std::vector<std::vector<std::uint32_t>> recv_touched_{1};  ///< per slot
-  /// Raw wire span per peer (round-scoped parallel-delivery scratch).
-  std::vector<std::pair<const std::byte*, std::uint32_t>> wire_spans_;
+  /// Raw wire span per peer (round-scoped delivery scratch).
+  core::detail::WireSpans<Wire> wire_spans_{num_workers()};
 
   // Ghost mode state.
   bool ghost_ = false;

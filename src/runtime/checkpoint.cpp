@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "runtime/env.hpp"
+
 #ifdef _WIN32
 #include <direct.h>
 #else
@@ -131,10 +133,7 @@ int parse_epoch_from_name(const char* name, int rank) {
 
 CheckpointConfig CheckpointConfig::from_env() {
   CheckpointConfig cfg;
-  if (const char* every = std::getenv("PGCH_CHECKPOINT_EVERY")) {
-    cfg.every = std::atoi(every);
-    if (cfg.every < 0) cfg.every = 0;
-  }
+  cfg.every = env_int("PGCH_CHECKPOINT_EVERY", 0, 0);
   if (const char* dir = std::getenv("PGCH_CHECKPOINT_DIR")) {
     if (dir[0] != '\0') cfg.dir = dir;
   }
@@ -142,7 +141,7 @@ CheckpointConfig CheckpointConfig::from_env() {
     if (resume[0] != '\0') {
       cfg.resume = true;
       cfg.resume_epoch =
-          std::strcmp(resume, "auto") == 0 ? -1 : std::atoi(resume);
+          std::strcmp(resume, "auto") == 0 ? -1 : env_int("PGCH_RESUME", -1);
     }
   }
   return cfg;

@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/env.hpp"
 #include "runtime/frame.hpp"
 
 namespace pregel::runtime {
@@ -72,12 +73,9 @@ inline constexpr std::size_t kDefaultChunkBytes = 256u << 10;
 /// [64, kMaxChunkPayload]. Tests set it tiny to force many chunks per
 /// region.
 inline std::size_t chunk_bytes_from_env() {
-  const char* env = std::getenv("PGCH_CHUNK_BYTES");
-  if (env == nullptr || *env == '\0') return kDefaultChunkBytes;
-  const long v = std::strtol(env, nullptr, 10);
-  if (v < 64) return 64;
-  if (static_cast<std::size_t>(v) > kMaxChunkPayload) return kMaxChunkPayload;
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(
+      env_int("PGCH_CHUNK_BYTES", static_cast<int>(kDefaultChunkBytes), 64,
+              static_cast<int>(kMaxChunkPayload)));
 }
 
 /// PGCH_PIPELINE=1: opt in to pipelined rounds on transports that support

@@ -22,45 +22,32 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/env.hpp"
+
 namespace pregel::runtime {
 
 /// Intra-rank compute parallelism requested via the PGCH_COMPUTE_THREADS
 /// environment variable (unset / <= 1 = sequential compute phase). Read
 /// per call so tests and launch-time configuration can override it.
 inline int compute_threads_from_env() {
-  if (const char* env = std::getenv("PGCH_COMPUTE_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 1) return n;
-  }
-  return 1;
+  return env_int("PGCH_COMPUTE_THREADS", 1, 1);
 }
 
 /// Intra-rank parallelism of the communication phase (sharded channel
-/// serialize and — when enabled — range-partitioned delivery), requested
-/// via PGCH_COMM_THREADS. Defaults to the compute parallelism, so setting
+/// serialize and range-partitioned delivery), requested via
+/// PGCH_COMM_THREADS. Defaults to the compute parallelism, so setting
 /// PGCH_COMPUTE_THREADS alone parallelizes both phases; PGCH_COMM_THREADS=1
-/// forces the sequential communication path for A/B comparison. On a
-/// single-core host the *default* stays sequential — comm fan-out there
+/// runs every comm path inline as one slot, for A/B comparison. On a
+/// single-core host the *default* stays one slot — comm fan-out there
 /// only buys fork/join and cache contention — while an explicit
 /// PGCH_COMM_THREADS is honored verbatim.
 inline int comm_threads_from_env() {
-  if (const char* env = std::getenv("PGCH_COMM_THREADS")) {
-    const int n = std::atoi(env);
-    return n > 1 ? n : 1;
-  }
   // hardware_concurrency() == 0 means "unknown", not "one core" — only a
   // definite single-core report forces the sequential default.
-  if (std::thread::hardware_concurrency() == 1) return 1;
-  return compute_threads_from_env();
-}
-
-/// Receiver-side range-partitioned parallel delivery, requested via
-/// PGCH_PARALLEL_DELIVERY=1 (off by default; needs comm threads > 1 to
-/// take effect). Wire bytes and results are identical either way — the
-/// switch only moves the deserialize work onto the pool.
-inline bool parallel_delivery_from_env() {
-  const char* env = std::getenv("PGCH_PARALLEL_DELIVERY");
-  return env != nullptr && std::atoi(env) != 0;
+  const int fallback = std::thread::hardware_concurrency() == 1
+                           ? 1
+                           : compute_threads_from_env();
+  return env_int("PGCH_COMM_THREADS", fallback, 1);
 }
 
 /// Work stealing between compute slots, requested via PGCH_STEAL=1 (off

@@ -12,6 +12,8 @@
 #include <string>
 #include <thread>
 
+#include "runtime/env.hpp"
+
 #ifndef _WIN32
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -32,16 +34,6 @@ constexpr std::uint8_t kMsgData = 1;     ///< one exchange-round outbox
 constexpr std::uint8_t kMsgControl = 2;  ///< one u64 of the control lane
 constexpr std::uint8_t kMsgBlob = 3;     ///< gather/broadcast payload
 constexpr std::uint8_t kMsgHeartbeat = 4;  ///< empty liveness beacon
-
-/// Non-negative integer knob from the environment; `fallback` when unset
-/// or unparsable. Parsed per transport so a recovery attempt (a fresh
-/// transport in the same process) picks up any changes.
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
 
 /// Connection handshake, sent by the connecting (higher-rank accepts /
 /// lower-rank listens is NOT the scheme — see connect_mesh: rank r
@@ -348,9 +340,11 @@ TcpTransport::TcpTransport(int rank, int world_size,
     throw std::invalid_argument("TcpTransport: rank out of range");
   }
 
-  io_timeout_ms_ = env_int("PGCH_IO_TIMEOUT_MS", 0);
-  heartbeat_ms_ = env_int("PGCH_HEARTBEAT_MS", 0);
-  connect_retries_ = env_int("PGCH_CONNECT_RETRIES", 0);
+  // Parsed per transport so a recovery attempt (a fresh transport in the
+  // same process) picks up any changes; <= 0 means off.
+  io_timeout_ms_ = env_int("PGCH_IO_TIMEOUT_MS", 0, 0);
+  heartbeat_ms_ = env_int("PGCH_HEARTBEAT_MS", 0, 0);
+  connect_retries_ = env_int("PGCH_CONNECT_RETRIES", 0, 0);
 
   if (world_ == 1) {
     connected_ = true;  // no sockets needed

@@ -41,17 +41,16 @@ struct Mode {
   DirectionMode direction;
   int compute;
   int comm;
-  bool delivery;
 };
 
 constexpr Mode kModes[] = {
-    {DirectionMode::kPush, 1, 1, false},  // the seed path (baseline)
-    {DirectionMode::kPush, 3, 3, true},
-    {DirectionMode::kPull, 1, 1, false},
-    {DirectionMode::kPull, 3, 1, false},
-    {DirectionMode::kPull, 1, 3, true},
-    {DirectionMode::kAdaptive, 1, 1, false},
-    {DirectionMode::kAdaptive, 3, 3, true},
+    {DirectionMode::kPush, 1, 1},  // the seed path (baseline)
+    {DirectionMode::kPush, 3, 3},
+    {DirectionMode::kPull, 1, 1},
+    {DirectionMode::kPull, 3, 1},
+    {DirectionMode::kPull, 1, 3},
+    {DirectionMode::kAdaptive, 1, 1},
+    {DirectionMode::kAdaptive, 3, 3},
 };
 
 std::string mode_name(const Mode& m) {
@@ -59,8 +58,7 @@ std::string mode_name(const Mode& m) {
                     : m.direction == DirectionMode::kPull   ? "pull"
                                                             : "adaptive";
   return std::string(dir) + " compute=" + std::to_string(m.compute) +
-         " comm=" + std::to_string(m.comm) +
-         " delivery=" + (m.delivery ? "on" : "off");
+         " comm=" + std::to_string(m.comm);
 }
 
 /// Pin every knob so the matrix is deterministic regardless of the PGCH_*
@@ -72,7 +70,6 @@ std::function<void(WorkerT&)> pin(const Mode& m,
     w.set_direction_mode(m.direction);
     w.set_compute_threads(m.compute);
     w.set_comm_threads(m.comm);
-    w.set_parallel_delivery(m.delivery);
     if (extra) extra(w);
   };
 }
@@ -153,11 +150,11 @@ TEST(Direction, PullShipsZeroChannelPayloadOnSingleRank) {
   std::vector<std::uint64_t> push_bits;
   const RunStats push = algo::run_collect<algo::PageRankCombined>(
       dg, push_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1, false}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1}, tune));
   std::vector<std::uint64_t> pull_bits;
   const RunStats pull = algo::run_collect<algo::PageRankCombined>(
       dg, pull_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPull, 1, 1, false}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPull, 1, 1}, tune));
 
   EXPECT_EQ(pull_bits, push_bits);
   EXPECT_GT(push.bytes_by_channel.at("pr"), 0u);
@@ -180,10 +177,10 @@ TEST(Direction, PullCutsChannelBytesAcrossRanks) {
   };
   const RunStats push = algo::run_collect<algo::PageRankCombined>(
       dg, push_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1, false}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1}, tune));
   const RunStats pull = algo::run_collect<algo::PageRankCombined>(
       dg, pull_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPull, 1, 1, false}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPull, 1, 1}, tune));
 
   EXPECT_EQ(pull_bits, push_bits);
   EXPECT_LT(pull.bytes_by_channel.at("pr"), push.bytes_by_channel.at("pr"));
@@ -192,7 +189,7 @@ TEST(Direction, PullCutsChannelBytesAcrossRanks) {
   std::vector<std::uint64_t> adaptive_bits;
   const RunStats adaptive = algo::run_collect<algo::PageRankCombined>(
       dg, adaptive_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kAdaptive, 1, 1, false},
+      pin<algo::PageRankCombined>({DirectionMode::kAdaptive, 1, 1},
                                   tune));
   EXPECT_EQ(adaptive_bits, push_bits);
   EXPECT_EQ(adaptive.bytes_by_channel.at("pr"),
@@ -232,13 +229,13 @@ TEST(Direction, AdaptiveSwitchesPushPullPush) {
   std::vector<std::uint64_t> want;
   algo::run_collect<algo::Sssp>(
       dg, want, extract,
-      pin<algo::Sssp>({DirectionMode::kPush, 1, 1, false},
+      pin<algo::Sssp>({DirectionMode::kPush, 1, 1},
                       [](algo::Sssp& w) { w.source = 0; }));
 
   std::vector<std::uint64_t> got;
   const RunStats stats = algo::run_collect<algo::Sssp>(
       dg, got, extract,
-      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1, false},
+      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1},
                       [](algo::Sssp& w) { w.source = 0; }));
 
   EXPECT_EQ(got, want);
@@ -314,12 +311,12 @@ TEST(Direction, TcpParityAcrossDirections) {
   std::vector<std::uint64_t> expect;
   const RunStats inproc = algo::run_collect<algo::PageRankCombined>(
       dg, expect, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1, false}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1}, tune));
 
-  for (const Mode m : {Mode{DirectionMode::kPull, 1, 1, false},
-                       Mode{DirectionMode::kPull, 3, 3, true},
-                       Mode{DirectionMode::kAdaptive, 1, 1, false},
-                       Mode{DirectionMode::kAdaptive, 3, 3, true}}) {
+  for (const Mode m : {Mode{DirectionMode::kPull, 1, 1},
+                       Mode{DirectionMode::kPull, 3, 3},
+                       Mode{DirectionMode::kAdaptive, 1, 1},
+                       Mode{DirectionMode::kAdaptive, 3, 3}}) {
     std::vector<std::uint64_t> got;
     const RunStats tcp = run_tcp<algo::PageRankCombined>(
         dg, 2, got, extract, pin<algo::PageRankCombined>(m, tune));
@@ -338,12 +335,12 @@ TEST(Direction, TcpAdaptiveSwitchMatchesInProcess) {
   std::vector<std::uint64_t> expect;
   const RunStats inproc = algo::run_collect<algo::Sssp>(
       dg, expect, extract,
-      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1, false}, tune));
+      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1}, tune));
 
   std::vector<std::uint64_t> got;
   const RunStats tcp = run_tcp<algo::Sssp>(
       dg, 2, got, extract,
-      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1, false}, tune));
+      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1}, tune));
 
   EXPECT_EQ(got, expect);
   EXPECT_EQ(tcp.direction_per_superstep, inproc.direction_per_superstep);

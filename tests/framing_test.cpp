@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "algorithms/pagerank.hpp"
+#include "core/combined_message.hpp"
 #include "algorithms/runner.hpp"
 #include "core/pregel_channel.hpp"
 #include "graph/generators.hpp"
@@ -219,6 +220,49 @@ TEST(FrameFaults, OverReadingChannelThrowsProtocolError) {
 TEST(FrameFaults, ShortReadingChannelThrowsFrameMismatch) {
   const auto dg = make_ring(8, 2);
   EXPECT_THROW(algo::run_only<ShortReadWorker>(dg), FrameMismatchError);
+}
+
+/// A CombinedMessage whose serialize() forges one well-framed wire per
+/// peer naming a local index past the receiver's slice. Every rank
+/// forges, so every rank's delivery throws.
+template <typename VertexT>
+class ForgedIndexChannel : public CombinedMessage<VertexT, std::uint32_t> {
+ public:
+  explicit ForgedIndexChannel(Worker<VertexT>* w)
+      : CombinedMessage<VertexT, std::uint32_t>(
+            w, make_combiner(c_min, std::uint32_t{~0u}), "forged") {}
+
+  void serialize() override {
+    struct Wire {  // CombinedMessage's (lidx, value) record layout
+      std::uint32_t lidx;
+      std::uint32_t value;
+    };
+    for (int to = 0; to < this->w().num_workers(); ++to) {
+      Buffer& out = this->w().outbox(to);
+      out.write<std::uint32_t>(1);
+      out.write(Wire{this->w().dgraph().num_local(to) + 5, 1});
+    }
+  }
+};
+
+class ForgedIndexWorker : public Worker<NopVertex> {
+ public:
+  void compute(NopVertex& v) override { v.vote_to_halt(); }
+
+ private:
+  ForgedIndexChannel<NopVertex> bad_{this};
+};
+
+TEST(FrameFaults, ForgedOutOfRangeIndexThrowsProtocolError) {
+  const auto dg = make_ring(8, 2);
+  try {
+    algo::run_only<ForgedIndexWorker>(dg);
+    FAIL() << "a forged out-of-range local index was accepted";
+  } catch (const ProtocolError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("forged"), std::string::npos) << what;
+    EXPECT_NE(what.find("local index"), std::string::npos) << what;
+  }
 }
 
 // -------------------------------------------------------- kMaxChannels ----

@@ -30,6 +30,7 @@
 #include "graph/partition.hpp"
 #include "runtime/mapped_file.hpp"
 #include "runtime/team.hpp"
+#include "scoped_env.hpp"
 #include "tcp_mesh.hpp"
 
 namespace {
@@ -89,29 +90,7 @@ void flip_byte(const std::string& path, std::size_t pos) {
   f.write(&c, 1);
 }
 
-/// RAII environment override restoring the prior value on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+using pregel::testing::ScopedEnv;
 
 // ------------------------------------------------ heap/mmap equivalence --
 

@@ -1,9 +1,10 @@
 // Tests for the parallel communication phase (DESIGN.md section 8):
 // sharded channel serialize, stage-time combining and range-partitioned
-// parallel delivery must be invisible in every observable — vertex
+// delivery must be invisible in every observable — vertex
 // results (bitwise, floats included), per-channel payload bytes,
 // superstep and communication-round counts — across compute/comm thread
-// counts, the delivery toggle, and both transports.
+// counts (comm = 1 runs every channel's one code path inline as a single
+// slot, comm > 1 fans it over the pool) and both transports.
 
 #include <gtest/gtest.h>
 
@@ -41,21 +42,19 @@ using pregel::runtime::WorkerTeam;
 struct Mode {
   int compute;
   int comm;
-  bool delivery;
 };
 
 constexpr Mode kModes[] = {
-    {1, 1, false},  // the exact sequential path (baseline)
-    {3, 1, false},  // parallel compute, sequential comm
-    {1, 3, false},  // sequential compute, sharded parallel serialize
-    {3, 3, true},   // everything parallel + range-partitioned delivery
-    {4, 2, true},   // mismatched pool sizes exercise the slot guards
+    {1, 1},  // one slot everywhere (baseline)
+    {3, 1},  // parallel compute, one-slot comm
+    {1, 3},  // one-slot compute, pool serialize + delivery
+    {3, 3},  // everything parallel
+    {4, 2},  // mismatched pool sizes exercise the slot guards
 };
 
 std::string mode_name(const Mode& m) {
   return "compute=" + std::to_string(m.compute) +
-         " comm=" + std::to_string(m.comm) +
-         " delivery=" + (m.delivery ? std::string("on") : std::string("off"));
+         " comm=" + std::to_string(m.comm);
 }
 
 /// Pin every knob so the matrix is deterministic regardless of the
@@ -68,7 +67,6 @@ std::function<void(WorkerT&)> pin(const Mode& m,
       w.set_compute_threads(m.compute);
     }
     w.set_comm_threads(m.comm);
-    w.set_parallel_delivery(m.delivery);
     if (extra) extra(w);
   };
 }
@@ -166,8 +164,8 @@ TEST(ParallelComm, MirrorScatterSegmentedSerialize) {
 }
 
 TEST(ParallelComm, PropagationSequentialDeliveryFallback) {
-  // Propagation overrides serialize_parallel only; delivery must fall
-  // back (its BFS queue order feeds the next round's bytes).
+  // Propagation fans only its payload write-out over the pool; delivery
+  // stays sequential (its BFS queue order feeds the next round's bytes).
   const auto dg = rmat_dg(4, /*symmetric=*/true);
   run_matrix<algo::WccPropagation, graph::VertexId>(
       dg, [](const algo::WccVertex& v) { return v.value().label; });
@@ -247,7 +245,7 @@ TEST(ParallelComm, RequestRespondParallelReplies) {
   std::vector<std::uint64_t> fetched;
   algo::run_collect<ParFetchWorker>(
       dg, fetched, [](const FetchVertex& v) { return v.value().fetched; },
-      pin<ParFetchWorker>(Mode{3, 3, true},
+      pin<ParFetchWorker>(Mode{3, 3},
                           [](ParFetchWorker& w) { w.n = kN; }));
   for (graph::VertexId v = 0; v < kN; ++v) {
     ASSERT_EQ(fetched[v], 5000u + (v + 7) % kN);
@@ -302,12 +300,12 @@ TEST(ParallelComm, TcpParityPageRankParallelEverything) {
   std::vector<std::uint64_t> expect;
   const RunStats inproc = algo::run_collect<algo::PageRankCombined>(
       dg, expect, extract,
-      pin<algo::PageRankCombined>(Mode{3, 3, true}, tune));
+      pin<algo::PageRankCombined>(Mode{3, 3}, tune));
 
   std::vector<std::uint64_t> got;
   const RunStats tcp = run_tcp<algo::PageRankCombined>(
       dg, 2, got, extract,
-      pin<algo::PageRankCombined>(Mode{3, 3, true}, tune));
+      pin<algo::PageRankCombined>(Mode{3, 3}, tune));
 
   EXPECT_EQ(got, expect);
   expect_identical_traffic(tcp, inproc, "tcp vs inprocess");
@@ -316,7 +314,7 @@ TEST(ParallelComm, TcpParityPageRankParallelEverything) {
   std::vector<std::uint64_t> seq;
   const RunStats tcp_seq = run_tcp<algo::PageRankCombined>(
       dg, 2, seq, extract,
-      pin<algo::PageRankCombined>(Mode{1, 1, false}, tune));
+      pin<algo::PageRankCombined>(Mode{1, 1}, tune));
   EXPECT_EQ(seq, got);
   expect_identical_traffic(tcp_seq, tcp, "tcp seq vs tcp parallel");
 }
@@ -329,11 +327,11 @@ TEST(ParallelComm, TcpParityWccExactCombiner) {
 
   std::vector<graph::VertexId> expect;
   const RunStats inproc = algo::run_collect<algo::WccBasic>(
-      dg, expect, extract, pin<algo::WccBasic>(Mode{1, 1, false}));
+      dg, expect, extract, pin<algo::WccBasic>(Mode{1, 1}));
 
   std::vector<graph::VertexId> got;
   const RunStats tcp = run_tcp<algo::WccBasic>(
-      dg, 2, got, extract, pin<algo::WccBasic>(Mode{3, 3, true}));
+      dg, 2, got, extract, pin<algo::WccBasic>(Mode{3, 3}));
 
   EXPECT_EQ(got, expect);
   expect_identical_traffic(tcp, inproc, "tcp parallel vs inprocess seq");

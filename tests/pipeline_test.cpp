@@ -436,22 +436,20 @@ struct PipeMode {
   bool pipelined;
   int compute;
   int comm;
-  bool delivery;
 };
 
 std::string mode_name(const PipeMode& m, int world) {
   return std::string(m.pipelined ? "pipelined" : "bulk") +
          " world=" + std::to_string(world) +
          " compute=" + std::to_string(m.compute) +
-         " comm=" + std::to_string(m.comm) +
-         " delivery=" + (m.delivery ? "on" : "off");
+         " comm=" + std::to_string(m.comm);
 }
 
 constexpr PipeMode kPipeModes[] = {
-    {false, 1, 1, false},  // bulk, exact sequential path (TCP oracle)
-    {true, 1, 1, false},   // pipelined, sequential serialize/deliver
-    {false, 3, 3, true},   // bulk, everything parallel
-    {true, 3, 3, true},    // pipelined + parallel serialize/delivery
+    {false, 1, 1},  // bulk, one-slot comm (TCP oracle)
+    {true, 1, 1},   // pipelined, ranged serialize + one-slot delivery
+    {false, 3, 3},  // bulk, everything parallel
+    {true, 3, 3},   // pipelined + pool serialize/delivery
 };
 
 /// Pin every knob so the matrix is deterministic regardless of the PGCH_*
@@ -465,7 +463,6 @@ std::function<void(WorkerT&)> pin(const PipeMode& m,
       w.set_compute_threads(m.compute);
     }
     w.set_comm_threads(m.comm);
-    w.set_parallel_delivery(m.delivery);
     w.set_pipeline(m.pipelined);
     w.set_chunk_bytes(512);
     if (extra) extra(w);
@@ -626,7 +623,7 @@ TEST(PipelineStats, PipelinedRoundsReportOverlapAndChunks) {
       [](const algo::PRVertex& v) {
         return std::bit_cast<std::uint64_t>(v.value().rank);
       },
-      pin<algo::PageRankCombined>(PipeMode{true, 1, 1, false},
+      pin<algo::PageRankCombined>(PipeMode{true, 1, 1},
                                   [](algo::PageRankCombined& w) {
                                     w.iterations = 8;
                                   }));

@@ -1,19 +1,31 @@
 // Unit tests for the message-passing substrate: Buffer serialization,
-// Barrier, AllReducer, BufferExchange and WorkerTeam.
+// Barrier, AllReducer, BufferExchange, WorkerTeam and the strict parsing
+// of the numeric PGCH_* knobs.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/launch_config.hpp"
+#include "core/mirror.hpp"
+#include "graph/io.hpp"
+#include "graph/partition.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/buffer.hpp"
+#include "runtime/checkpoint.hpp"
+#include "runtime/chunk.hpp"
+#include "runtime/compute_pool.hpp"
 #include "runtime/exchange.hpp"
+#include "runtime/tcp_transport.hpp"
 #include "runtime/team.hpp"
+#include "scoped_env.hpp"
 
 namespace {
 
@@ -22,6 +34,7 @@ using pregel::runtime::Barrier;
 using pregel::runtime::Buffer;
 using pregel::runtime::BufferExchange;
 using pregel::runtime::WorkerTeam;
+using pregel::testing::ScopedEnv;
 
 // ---------------------------------------------------------------- Buffer --
 
@@ -279,6 +292,129 @@ TEST(WorkerTeam, PropagatesExceptions) {
 
 TEST(WorkerTeam, RejectsBadWorkerCount) {
   EXPECT_THROW(WorkerTeam::run(0, [](int) {}), std::invalid_argument);
+}
+
+// ----------------------------------------------------- numeric PGCH knobs --
+
+/// One row of the knob table: set `var` to `value`, then `read` either
+/// returns `want` (defaults and clamps applied) or, when `throws`, raises
+/// std::invalid_argument naming the variable.
+struct KnobCase {
+  const char* var;
+  const char* value;
+  std::function<long long()> read;
+  long long want;
+  bool throws;
+};
+
+TEST(EnvKnobs, StrictNumericParsingTable) {
+  namespace rt = pregel::runtime;
+  namespace core = pregel::core;
+  namespace graph = pregel::graph;
+  const std::function<long long()> compute = [] {
+    return rt::compute_threads_from_env();
+  };
+  const std::function<long long()> comm = [] {
+    return rt::comm_threads_from_env();
+  };
+  const std::function<long long()> mirror = [] {
+    return core::mirror_degree_from_env();
+  };
+  const std::function<long long()> chunk = [] {
+    return static_cast<long long>(rt::chunk_bytes_from_env());
+  };
+  const std::function<long long()> every = [] {
+    return rt::CheckpointConfig::from_env().every;
+  };
+  const std::function<long long()> resume = [] {
+    return rt::CheckpointConfig::from_env().resume_epoch;
+  };
+  const auto launch = [](auto field) -> std::function<long long()> {
+    return [field] { return field(core::LaunchConfig::from_env()); };
+  };
+  const auto rank = launch([](const core::LaunchConfig& c) { return c.rank; });
+  const auto world =
+      launch([](const core::LaunchConfig& c) { return c.world_size; });
+  const auto port =
+      launch([](const core::LaunchConfig& c) { return c.port_base; });
+  const auto timeout_ms = launch([](const core::LaunchConfig& c) {
+    return static_cast<long long>(c.connect_timeout_s * 1000.0 + 0.5);
+  });
+  const auto attempts =
+      launch([](const core::LaunchConfig& c) { return c.recovery_attempts; });
+  const auto mmap = launch([](const core::LaunchConfig& c) {
+    return static_cast<long long>(c.mmap);
+  });
+  const auto partition = launch([](const core::LaunchConfig& c) {
+    return c.partition ? static_cast<long long>(*c.partition) : -1LL;
+  });
+  const std::function<long long()> io_timeout = [] {
+    // A one-rank transport parses its knobs and opens no socket.
+    const rt::TcpTransport t(0, 1, rt::TcpEndpoint{});
+    return 0LL;
+  };
+
+  const KnobCase cases[] = {
+      {"PGCH_COMPUTE_THREADS", "3", compute, 3, false},
+      {"PGCH_COMPUTE_THREADS", "0", compute, 1, false},
+      {"PGCH_COMPUTE_THREADS", "", compute, 1, false},
+      {"PGCH_COMPUTE_THREADS", "abc", compute, 0, true},
+      {"PGCH_COMPUTE_THREADS", "3x", compute, 0, true},
+      {"PGCH_COMM_THREADS", "2", comm, 2, false},
+      {"PGCH_COMM_THREADS", "-4", comm, 1, false},
+      {"PGCH_COMM_THREADS", "two", comm, 0, true},
+      {"PGCH_MIRROR_DEGREE", "16", mirror, 16, false},
+      {"PGCH_MIRROR_DEGREE", "-1", mirror, 0, false},
+      {"PGCH_MIRROR_DEGREE", "1e3", mirror, 0, true},
+      {"PGCH_CHUNK_BYTES", "1024", chunk, 1024, false},
+      {"PGCH_CHUNK_BYTES", "1", chunk, 64, false},
+      {"PGCH_CHUNK_BYTES", "99999999999", chunk,
+       static_cast<long long>(rt::kMaxChunkPayload), false},
+      {"PGCH_CHUNK_BYTES", "4k", chunk, 0, true},
+      {"PGCH_CHUNK_BYTES", "99999999999999999999", chunk, 0, true},
+      {"PGCH_CHECKPOINT_EVERY", "5", every, 5, false},
+      {"PGCH_CHECKPOINT_EVERY", "-2", every, 0, false},
+      {"PGCH_CHECKPOINT_EVERY", "x", every, 0, true},
+      {"PGCH_RESUME", "7", resume, 7, false},
+      {"PGCH_RESUME", "auto", resume, -1, false},
+      {"PGCH_RESUME", "latest", resume, 0, true},
+      {"PGCH_RANK", "2", rank, 2, false},
+      {"PGCH_RANK", "r2", rank, 0, true},
+      {"PGCH_WORLD", "4", world, 4, false},
+      {"PGCH_WORLD", "4 ", world, 0, true},
+      {"PGCH_PORT_BASE", "31000", port, 31000, false},
+      {"PGCH_PORT_BASE", "0x10", port, 0, true},
+      {"PGCH_CONNECT_TIMEOUT_MS", "2500", timeout_ms, 2500, false},
+      {"PGCH_CONNECT_TIMEOUT_MS", "-1", timeout_ms, 30000, false},
+      {"PGCH_CONNECT_TIMEOUT_MS", "soon", timeout_ms, 0, true},
+      {"PGCH_RECOVERY_ATTEMPTS", "3", attempts, 3, false},
+      {"PGCH_RECOVERY_ATTEMPTS", "-1", attempts, 0, false},
+      {"PGCH_RECOVERY_ATTEMPTS", "many", attempts, 0, true},
+      {"PGCH_IO_TIMEOUT_MS", "500", io_timeout, 0, false},
+      {"PGCH_IO_TIMEOUT_MS", "fast", io_timeout, 0, true},
+      {"PGCH_MMAP", "1", mmap, static_cast<long long>(graph::MmapMode::kOn),
+       false},
+      {"PGCH_MMAP", "2", mmap, 0, true},
+      {"PGCH_PARTITION", "degree", partition,
+       static_cast<long long>(graph::PartitionKind::kDegree), false},
+      {"PGCH_PARTITION", "", partition, -1, false},
+      {"PGCH_PARTITION", "voronoi", partition, 0, true},
+  };
+  for (const KnobCase& c : cases) {
+    const ScopedEnv env(c.var, c.value);
+    const std::string label = std::string(c.var) + "='" + c.value + "'";
+    if (!c.throws) {
+      EXPECT_EQ(c.read(), c.want) << label;
+      continue;
+    }
+    try {
+      (void)c.read();
+      ADD_FAILURE() << label << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.var), std::string::npos)
+          << label << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

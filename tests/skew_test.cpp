@@ -258,7 +258,6 @@ std::function<void(WorkerT&)> pin_sched(
     w.set_compute_threads(s.threads);
     w.set_steal(s.steal);
     w.set_comm_threads(1);
-    w.set_parallel_delivery(false);
     if (extra) extra(w);
   };
 }
