@@ -6,10 +6,12 @@
 //
 // Two optimizations over CombinedMessage, both enabled by the pattern
 // being static:
-//  1. No hashing/sorting per superstep. Edges are sorted by destination
-//     once (grouped by destination worker); each superstep a single linear
-//     scan of the sorted edge array produces the combined message per
-//     unique destination.
+//  1. No hashing/sorting per superstep. Edges are grouped by destination
+//     once, by one stable counting sort on the dense key (owner, local
+//     index) — O(E + V), no comparison sort — so each superstep a single
+//     linear scan of the grouped source array produces the combined
+//     message per unique destination, folding each destination's values
+//     in edge registration order.
 //  2. No identifier retransmission. Because the destination sequence never
 //     changes, the first communication round ships it once (a handshake);
 //     afterwards senders transmit bare values and the receiver re-combines
@@ -21,10 +23,11 @@
 // unique destination's value lands at a fixed offset of its worker's
 // payload, so serialize pre-sizes every outbox segment and the comm pool
 // folds disjoint run ranges (split on run boundaries by edge count)
-// directly into the segments. Per-run fold order is the edge order, the
-// same left fold as the sequential scan, so even float values are
-// bit-identical. Delivery range-partitions the receiver's vertex space
-// and applies positionally (peer order, then payload order).
+// directly into the segments. Per-run fold order is the registration
+// order, the same left fold on every thread count and schedule, so even
+// float values are bit-identical. Delivery range-partitions the
+// receiver's vertex space and applies positionally (peer order, then
+// payload order).
 //
 // Deliberately NOT pull-capable (DESIGN.md section 9): the channel's whole
 // value is already the pull win applied to the wire — after the handshake
@@ -39,8 +42,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,6 +54,23 @@
 #include "core/worker.hpp"
 
 namespace pregel::core {
+
+namespace detail {
+
+/// A ScatterCombine rank indexes its registered edges with 32-bit run
+/// starts and ships the count as a 32-bit field; refuse more edges than
+/// that by name rather than wrap.
+inline void check_scatter_edge_count(std::size_t edges,
+                                     std::string_view channel) {
+  if (edges > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        std::string(channel) + ": " + std::to_string(edges) +
+        " registered edges on one rank exceed the 2^32 - 1 a ScatterCombine "
+        "channel can index");
+  }
+}
+
+}  // namespace detail
 
 template <typename VertexT, typename ValT>
   requires runtime::TriviallySerializable<ValT>
@@ -129,41 +151,36 @@ class ScatterCombine : public Channel {
     if (!finalized_) finalize();
 
     // Headers, one-time handshakes, and payload segment reservation. The
-    // payload of worker `to` is exactly unique_dsts_[to] values, so the
-    // segment can be pre-sized and filled out of order.
+    // payload of worker `to` is exactly its unique-destination count of
+    // values, so the segment can be pre-sized and filled out of order.
     for (int to = 0; to < num_workers; ++to) {
+      const auto t = static_cast<std::size_t>(to);
       runtime::Buffer& out = w().outbox(to);
-      const bool first_time =
-          handshake_sent_[static_cast<std::size_t>(to)] == 0;
+      const bool first_time = handshake_sent_[t] == 0;
       out.write<std::uint8_t>(first_time ? kTagHandshake : kTagValues);
-      const auto [begin, end] = owner_range_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(unique_dsts_[static_cast<std::size_t>(to)]);
+      const std::size_t uniq = uniq_offset_[t + 1] - uniq_offset_[t];
+      out.write<std::uint32_t>(static_cast<std::uint32_t>(uniq));
       if (first_time) {
-        // Ship the destination order once.
-        std::size_t i = begin;
-        while (i < end) {
-          const KeyT dst = edges_[i].dst;
-          out.write<std::uint32_t>(w().local_of(dst));
-          while (i < end && edges_[i].dst == dst) ++i;
+        // Ship the destination order once, then drop it.
+        for (const std::uint32_t lidx : handshake_[t]) {
+          out.write<std::uint32_t>(lidx);
         }
-        handshake_sent_[static_cast<std::size_t>(to)] = 1;
+        std::vector<std::uint32_t>().swap(handshake_[t]);
+        handshake_sent_[t] = 1;
       }
-      seg_[static_cast<std::size_t>(to)] = out.extend(
-          std::size_t{unique_dsts_[static_cast<std::size_t>(to)]} *
-          sizeof(ValT));
+      seg_[t] = out.extend(uniq * sizeof(ValT));
     }
 
     // Split the run space on edge-count targets (runs vary wildly in size
     // on skewed graphs), aligned down to run boundaries: the first run
     // starting at or after each edge bound (one slot covers every run).
-    const auto edges = static_cast<std::uint32_t>(edges_.size());
+    const auto edges = static_cast<std::uint32_t>(src_.size());
     w().run_comm_partitioned(
         edges, edges, nullptr,
         [this](std::uint32_t e_lo, std::uint32_t e_hi, int) {
           const auto run_at = [this](std::uint32_t e) {
             return static_cast<std::size_t>(
-                std::lower_bound(run_start_.begin(), run_start_.end(),
-                                 std::size_t{e}) -
+                std::lower_bound(run_start_.begin(), run_start_.end(), e) -
                 run_start_.begin());
           };
           fill_runs(run_at(e_lo), run_at(e_hi));
@@ -216,51 +233,67 @@ class ScatterCombine : public Channel {
 
   struct EdgeRec {
     std::uint32_t src;  ///< local index of the sender
-    KeyT dst;           ///< global id of the receiver
+    KeyT dst;           ///< global id of the receiver, then its sort key
   };
 
-  /// Sort edges by (owner(dst), dst) and remember, per worker, the edge
-  /// range and the number of unique destinations — the whole point of the
-  /// channel is that this happens once, not every superstep. Also records
-  /// the run boundaries (one run per unique destination) and the global
-  /// unique-destination prefix per worker, the index structures the
-  /// parallel value scan splits on.
+  /// Group the registered edges by destination, once — the whole point
+  /// of the channel is that this does not happen every superstep. One
+  /// stable counting sort on the dense key base[owner(dst)] + local_of(dst)
+  /// (base = prefix sum of the ranks' vertex counts): local indices ascend
+  /// with global id within every rank, so key order is (owner, dst) order,
+  /// and equal keys keep registration order. The key histogram yields the
+  /// run starts (one run per unique destination), each worker's
+  /// unique-destination range and its handshake list; afterwards only the
+  /// sources survive, in key order, and the staged records are freed.
+  /// O(E + V) time plus a transient V-entry histogram.
   void finalize() {
-    const int num_workers = w().num_workers();
-    std::sort(edges_.begin(), edges_.end(),
-              [this](const EdgeRec& a, const EdgeRec& b) {
-                const int oa = w().owner_of(a.dst);
-                const int ob = w().owner_of(b.dst);
-                if (oa != ob) return oa < ob;
-                return a.dst < b.dst;
-              });
-    owner_range_.assign(static_cast<std::size_t>(num_workers), {0, 0});
-    unique_dsts_.assign(static_cast<std::size_t>(num_workers), 0);
-    uniq_offset_.assign(static_cast<std::size_t>(num_workers) + 1, 0);
-    run_start_.clear();
-    std::size_t i = 0;
-    for (int to = 0; to < num_workers; ++to) {
-      const std::size_t begin = i;
-      std::uint32_t uniq = 0;
-      while (i < edges_.size() && w().owner_of(edges_[i].dst) == to) {
-        const KeyT dst = edges_[i].dst;
-        run_start_.push_back(i);
-        ++uniq;
-        while (i < edges_.size() && edges_[i].dst == dst) ++i;
-      }
-      owner_range_[static_cast<std::size_t>(to)] = {begin, i};
-      unique_dsts_[static_cast<std::size_t>(to)] = uniq;
-      uniq_offset_[static_cast<std::size_t>(to) + 1] =
-          uniq_offset_[static_cast<std::size_t>(to)] + uniq;
+    detail::check_scatter_edge_count(edges_.size(), name());
+    const auto num_workers = static_cast<std::size_t>(w().num_workers());
+    const graph::DistributedGraph& dg = w().dgraph();
+    std::vector<std::uint32_t> base(num_workers + 1, 0);
+    for (std::size_t r = 0; r < num_workers; ++r) {
+      base[r + 1] = base[r] + dg.num_local(static_cast<int>(r));
     }
-    run_start_.push_back(edges_.size());
+
+    // Key each edge once (in place of its destination) and count per key.
+    std::vector<std::uint32_t> start(base[num_workers], 0);
+    for (EdgeRec& e : edges_) {
+      e.dst = base[static_cast<std::size_t>(w().owner_of(e.dst))] +
+              w().local_of(e.dst);
+      ++start[e.dst];
+    }
+
+    // Walk the keys in order: every non-empty key is one run. Turn counts
+    // into run starts in place.
+    handshake_.assign(num_workers, {});
+    uniq_offset_.assign(num_workers + 1, 0);
+    run_start_.clear();
+    std::uint32_t next = 0;
+    for (std::size_t to = 0; to < num_workers; ++to) {
+      auto& order = handshake_[to];
+      for (std::uint32_t k = base[to]; k < base[to + 1]; ++k) {
+        const std::uint32_t count = start[k];
+        if (count == 0) continue;
+        start[k] = next;
+        run_start_.push_back(next);
+        order.push_back(k - base[to]);
+        next += count;
+      }
+      uniq_offset_[to + 1] = uniq_offset_[to] + order.size();
+    }
+    run_start_.push_back(next);
+
+    // Stable scatter of the sources into key order.
+    src_.resize(edges_.size());
+    for (const EdgeRec& e : edges_) src_[start[e.dst]++] = e.src;
+    std::vector<EdgeRec>().swap(edges_);
     finalized_ = true;
   }
 
   /// Fold unique-destination runs [r_begin, r_end) into their workers'
   /// payload segments. Run u of worker `to` lands at position
-  /// u - uniq_offset_[to]; the fold over a run is the left fold in edge
-  /// order — byte-for-byte the sequential scan's value.
+  /// u - uniq_offset_[to]; the fold over a run is the left fold in
+  /// registration order, whichever slot scans it.
   void fill_runs(std::size_t r_begin, std::size_t r_end) {
     if (r_begin >= r_end) return;
     auto rank = static_cast<std::size_t>(
@@ -268,10 +301,10 @@ class ScatterCombine : public Channel {
         uniq_offset_.begin() - 1);
     for (std::size_t u = r_begin; u < r_end; ++u) {
       while (u >= uniq_offset_[rank + 1]) ++rank;
-      std::size_t i = run_start_[u];
-      const std::size_t i_end = run_start_[u + 1];
-      ValT acc = vals_[edges_[i].src];
-      for (++i; i < i_end; ++i) acc = combiner_(acc, vals_[edges_[i].src]);
+      std::uint32_t i = run_start_[u];
+      const std::uint32_t i_end = run_start_[u + 1];
+      ValT acc = vals_[src_[i]];
+      for (++i; i < i_end; ++i) acc = combiner_(acc, vals_[src_[i]]);
       std::memcpy(seg_[rank] + (u - uniq_offset_[rank]) * sizeof(ValT),
                   &acc, sizeof(ValT));
     }
@@ -308,14 +341,18 @@ class ScatterCombine : public Channel {
   Combiner<ValT> combiner_;
 
   // Sender side.
+  /// Edges registered so far; freed by finalize().
   std::vector<EdgeRec> edges_;
-  std::vector<std::pair<std::size_t, std::size_t>> owner_range_;
-  std::vector<std::uint32_t> unique_dsts_;
-  /// Edge index of each unique destination's first edge, in the global
-  /// sorted order, plus a trailing edges_.size() — size U + 1.
-  std::vector<std::size_t> run_start_;
+  /// Source local index of every edge, grouped by destination — size E.
+  std::vector<std::uint32_t> src_;
+  /// Index into src_ of each unique destination's first edge, plus a
+  /// trailing E — size U + 1.
+  std::vector<std::uint32_t> run_start_;
   /// Global unique-destination index range per worker — size W + 1.
   std::vector<std::size_t> uniq_offset_;
+  /// Per worker, the local indices of its unique destinations in run
+  /// order: the handshake list, dropped once shipped.
+  std::vector<std::vector<std::uint32_t>> handshake_;
   std::vector<ValT> vals_;
   std::atomic<bool> dirty_{false};
   bool finalized_ = false;

@@ -35,6 +35,7 @@
 // per-channel byte accounting.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -253,7 +254,10 @@ class Exchange {
   }
 
   /// Streaming chunk size (defaults to PGCH_CHUNK_BYTES). Must be
-  /// identical on every rank and set between rounds.
+  /// identical on every rank and set between rounds. The one field is
+  /// shared by every in-process rank, and each rank's setter may store it
+  /// while another rank reads it, so it is atomic; every store writes the
+  /// same value, so any load sees the agreed size.
   void set_chunk_bytes(std::size_t n) {
     chunk_bytes_ = std::clamp(n, std::size_t{64}, kMaxChunkPayload);
   }
@@ -512,6 +516,7 @@ class Exchange {
                      bool last_channel) {
     Lane& lane = lanes_[static_cast<std::size_t>(rank)];
     const int workers = num_workers();
+    const std::size_t chunk_bytes = this->chunk_bytes();
     for (int to = 0; to < workers; ++to) {
       if (to == rank) continue;
       const auto peer = static_cast<std::size_t>(to);
@@ -520,7 +525,7 @@ class Exchange {
       if (off == lane.pipe_header_at[peer]) off += sizeof(ChannelFrame);
       std::size_t avail = out.size() - off;
       if (!close_region) {
-        avail -= avail % chunk_bytes_;  // whole chunks only mid-region
+        avail -= avail % chunk_bytes;  // whole chunks only mid-region
         if (avail == 0) continue;
       }
       if (!lane.pipe_started) {
@@ -529,7 +534,7 @@ class Exchange {
         lane.pipe_last_recv = lane.pipe_wire_start;
       }
       for_each_chunk_partial(channel_id, out.data() + off, avail,
-                             chunk_bytes_, lane.pipe_seq[peer], close_region,
+                             chunk_bytes, lane.pipe_seq[peer], close_region,
                              last_channel,
                              [&](const ChunkHeader& h, const std::byte* p) {
                                transport_->pipeline_send(rank, to, h, p);
@@ -592,7 +597,7 @@ class Exchange {
   std::unique_ptr<InProcessTransport> owned_transport_;
   Transport* transport_;
   std::vector<Lane> lanes_;
-  std::size_t chunk_bytes_ = chunk_bytes_from_env();
+  std::atomic<std::size_t> chunk_bytes_{chunk_bytes_from_env()};
 };
 
 /// Historical name: the exchange used to own the W x W buffer matrix

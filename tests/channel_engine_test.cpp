@@ -4,13 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "algorithms/pagerank.hpp"
 #include "algorithms/runner.hpp"
+#include "algorithms/sv.hpp"
 #include "core/pregel_channel.hpp"
 #include "graph/generators.hpp"
+#include "ref/reference.hpp"
 
 namespace {
 
@@ -264,6 +271,191 @@ TEST(Engine, ScatterCombineAppliesCombinerAcrossWorkers) {
       dg, combined,
       [](const ScatterVertex& v) { return v.value().combined; });
   EXPECT_EQ(combined[0], 101u);  // min over ids 1..39 scattered as id+100
+}
+
+/// Fold-order contract: a sender folds each destination's in-edge values
+/// left in registration order, and the receiver folds the senders'
+/// partials left in rank order. a * K + b (mod 2^64) never rounds but is
+/// neither commutative nor associative, so any other order shows.
+constexpr std::uint64_t kFoldK = 1000003;
+
+std::uint64_t scattered_value(graph::VertexId v) {
+  return (std::uint64_t{v} + 1) * 0x9E3779B97F4A7C15ull;
+}
+
+struct FoldValue {
+  std::uint64_t combined = 0;
+  bool got = false;
+};
+using FoldVertex = Vertex<FoldValue>;
+
+class ScatterFoldOrderWorker : public Worker<FoldVertex> {
+ public:
+  void compute(FoldVertex& v) override {
+    if (step_num() == 1) {
+      for (const auto& e : v.edges()) msg_.add_edge(e.dst);
+      msg_.set_message(scattered_value(v.id()));
+      return;
+    }
+    v.value().got = msg_.has_message();
+    if (v.value().got) v.value().combined = msg_.get_message();
+    v.vote_to_halt();
+  }
+
+ private:
+  ScatterCombine<FoldVertex, std::uint64_t> msg_{
+      this,
+      make_combiner(
+          [](std::uint64_t a, std::uint64_t b) { return a * kFoldK + b; },
+          std::uint64_t{0}),
+      "fold"};
+};
+
+TEST(Engine, ScatterCombineFoldsInRegistrationOrder) {
+  graph::RmatOptions opts;
+  opts.num_vertices = 1u << 12;
+  opts.num_edges = 1u << 15;
+  opts.seed = 42;
+  const graph::Graph g = graph::rmat(opts);
+  for (const int workers : {1, 2, 4}) {
+    const graph::DistributedGraph dg(
+        g, graph::hash_partition(g.num_vertices(), workers));
+    // Sequential reference: per destination, each sender rank's left fold
+    // over its in-edges in registration order (local vertex order, then
+    // adjacency order), then the left fold of those partials by rank.
+    const graph::VertexId n = g.num_vertices();
+    std::vector<std::uint64_t> want(n, 0);
+    std::vector<std::uint8_t> want_got(n, 0);
+    std::size_t longest_run = 0;
+    for (int r = 0; r < workers; ++r) {
+      std::vector<std::uint64_t> partial(n, 0);
+      std::vector<std::size_t> run(n, 0);
+      for (std::uint32_t lidx = 0; lidx < dg.num_local(r); ++lidx) {
+        const graph::VertexId u = dg.global_id(r, lidx);
+        for (const graph::Edge e : dg.out(r, lidx)) {
+          partial[e.dst] = run[e.dst]++ == 0
+                               ? scattered_value(u)
+                               : partial[e.dst] * kFoldK + scattered_value(u);
+        }
+      }
+      for (graph::VertexId d = 0; d < n; ++d) {
+        if (run[d] == 0) continue;
+        longest_run = std::max(longest_run, run[d]);
+        want[d] = want_got[d] ? want[d] * kFoldK + partial[d] : partial[d];
+        want_got[d] = 1;
+      }
+    }
+    // Runs above 16 edges are where an unstable sort reorders equal keys.
+    ASSERT_GT(longest_run, 16u) << "workers=" << workers;
+    for (const int comm : {1, 3}) {
+      const auto pin = [comm](ScatterFoldOrderWorker& w) {
+        w.set_compute_threads(1);
+        w.set_comm_threads(comm);
+      };
+      std::vector<FoldValue> got;
+      algo::run_collect<ScatterFoldOrderWorker>(
+          dg, got, [](const FoldVertex& v) { return v.value(); }, pin);
+      for (graph::VertexId d = 0; d < n; ++d) {
+        ASSERT_EQ(got[d].got, want_got[d] != 0)
+            << "workers=" << workers << " comm=" << comm << " vertex " << d;
+        ASSERT_EQ(got[d].combined, want[d])
+            << "workers=" << workers << " comm=" << comm << " vertex " << d;
+      }
+    }
+  }
+}
+
+TEST(Engine, ScatterCombineRefusesEdgeCountsPast32Bits) {
+  const std::size_t limit = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW(detail::check_scatter_edge_count(limit, "nbr"));
+  try {
+    detail::check_scatter_edge_count(limit + 1, "nbr");
+    FAIL() << "2^32 edges accepted";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nbr"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Degenerate edge sets for the one-time destination grouping, each run
+/// through the scatter-composed S-V (min combiner) and PageRank (float
+/// sum) programs against the sequential references.
+struct DegenerateCase {
+  std::string name;
+  graph::Graph g;
+  int workers;
+  bool undirected = true;  ///< S-V runs on undirected inputs only
+};
+
+std::vector<DegenerateCase> degenerate_cases() {
+  std::vector<DegenerateCase> cases;
+  {  // more workers than vertices: rank 3 owns nothing
+    graph::Graph g(3);
+    g.add_undirected_edge(0, 1);
+    g.add_undirected_edge(1, 2);
+    cases.push_back({"more workers than vertices", std::move(g), 4});
+  }
+  {  // rank 2 (ids = 2 mod 3) owns only isolated vertices: S-V still
+     // calls set_message there, with no edge registered
+    graph::Graph g(30);
+    graph::VertexId prev = 0;
+    for (graph::VertexId v = 1; v < 30; ++v) {
+      if (v % 3 == 2) continue;
+      g.add_undirected_edge(prev, v);
+      prev = v;
+    }
+    cases.push_back({"rank with no edges", std::move(g), 3});
+  }
+  {  // self-loops and duplicate edges, registered as separate edges
+    graph::Graph g(12);
+    for (graph::VertexId v = 0; v < 12; ++v) {
+      g.add_undirected_edge(v, (v + 1) % 12);
+      if (v % 3 == 0) g.add_edge(v, v);
+      if (v % 4 == 0) {
+        g.add_undirected_edge(v, (v + 5) % 12);
+        g.add_undirected_edge(v, (v + 5) % 12);
+      }
+    }
+    cases.push_back({"self-loops and duplicates", std::move(g), 4});
+  }
+  for (const int workers : {1, 4}) {  // a star: one run per sender
+    graph::Graph g(40);
+    for (graph::VertexId v = 1; v < 40; ++v) g.add_undirected_edge(v, 0);
+    cases.push_back(
+        {"star on " + std::to_string(workers), std::move(g), workers});
+  }
+  // Leaves to hub only, on one worker: the whole edge set is one run.
+  cases.push_back({"directed star", graph::star(40), 1, false});
+  {  // every edge stays rank-local: ids v and v + 4 share a hash owner
+    graph::Graph g(40);
+    for (graph::VertexId v = 0; v + 4 < 40; ++v) {
+      g.add_undirected_edge(v, v + 4);
+    }
+    cases.push_back({"all edges rank-local", std::move(g), 4});
+  }
+  return cases;
+}
+
+TEST(Engine, ScatterCombineHandlesDegenerateEdgeSets) {
+  for (const DegenerateCase& c : degenerate_cases()) {
+    const graph::DistributedGraph dg(
+        c.g, graph::hash_partition(c.g.num_vertices(), c.workers));
+    if (c.undirected) {
+      std::vector<graph::VertexId> cc;
+      algo::run_collect<algo::SvBoth>(
+          dg, cc, [](const algo::SvVertex& v) { return v.value().d; });
+      EXPECT_EQ(cc, ref::connected_components(c.g)) << c.name;
+    }
+
+    const auto want_pr = ref::pagerank(c.g, 30);
+    std::vector<double> pr;
+    algo::run_collect<algo::PageRankScatter>(
+        dg, pr, [](const algo::PRVertex& v) { return v.value().rank; });
+    ASSERT_EQ(pr.size(), want_pr.size()) << c.name;
+    for (graph::VertexId v = 0; v < c.g.num_vertices(); ++v) {
+      EXPECT_NEAR(pr[v], want_pr[v], 1e-10) << c.name << " vertex " << v;
+    }
+  }
 }
 
 // ------------------------------------------------------- RequestRespond ---
