@@ -27,7 +27,6 @@
 
 #include "algorithms/runner.hpp"
 #include "algorithms/scc.hpp"
-#include "runtime/chunk.hpp"
 #include "graph/csr.hpp"
 #include "graph/distributed.hpp"
 #include "graph/generators.hpp"
@@ -376,12 +375,8 @@ inline DistributedGraph voronoi_dg(CsrGraph&& g) {
 //   {"bench": "PR", "dataset": "Wikipedia", "name": ..., "wall_s": ...,
 //    "msg_bytes": ..., "supersteps": ..., "comm_rounds": ...,
 //    "serialize_s": ..., "exchange_s": ..., "deliver_s": ...,
-//    "overlap_s": ..., "pipelined_rounds": ..., "chunks_sent": ...,
-//    "chunks_received": ..., "rank_imbalance": ..., "slot_imbalance": ...,
+//    "rank_imbalance": ..., "slot_imbalance": ...,
 //    "threads": ..., "comm_threads": ..., "transport": ...}
-// In pipelined runs (PGCH_PIPELINE=1) exchange_s is the wire-active span,
-// so serialize_s + exchange_s + deliver_s can exceed comm_s by up to
-// overlap_s — the time the stream hid behind the wire.
 // The path comes from --json=<path> (stripped before google-benchmark
 // sees the argv) or the PGCH_BENCH_JSON environment variable; records are
 // appended as JSON lines.
@@ -414,18 +409,13 @@ inline void init_json_sink(int* argc, char** argv) {
 /// Append one benchmark's record. Benchmark names follow the
 /// <Bench>_<Dataset>_<Variant> convention; the first two tokens become
 /// the bench/dataset fields (the full name ships too).
-inline void record_json(const std::string& raw_name,
+inline void record_json(const std::string& name,
                         const pregel::runtime::RunStats& stats) {
   const std::string& path = json_sink_path();
   if (path.empty()) return;
   // Multi-process runs inherit PGCH_BENCH_JSON on every rank; only rank 0
   // records, so a 2-rank run appends one row, not two near-duplicates.
   if (pregel::core::LaunchConfig::from_env().rank > 0) return;
-  // PGCH_PIPELINE=1 rows get their own name: the (bench, name) diff key
-  // must not collide with the bulk row of the same benchmark.
-  const std::string name =
-      pregel::runtime::pipeline_from_env() ? raw_name + "_Pipelined"
-                                           : raw_name;
   std::string bench = name, dataset;
   if (const auto cut = name.find('_'); cut != std::string::npos) {
     bench = name.substr(0, cut);
@@ -450,10 +440,6 @@ inline void record_json(const std::string& raw_name,
      << ", \"serialize_s\": " << stats.serialize_seconds
      << ", \"exchange_s\": " << stats.exchange_seconds
      << ", \"deliver_s\": " << stats.deliver_seconds
-     << ", \"overlap_s\": " << stats.overlap_seconds
-     << ", \"pipelined_rounds\": " << stats.pipelined_rounds
-     << ", \"chunks_sent\": " << stats.chunks_sent
-     << ", \"chunks_received\": " << stats.chunks_received
      << ", \"rank_imbalance\": " << stats.rank_imbalance()
      << ", \"slot_imbalance\": " << stats.slot_imbalance()
      << ", \"threads\": " << pregel::runtime::compute_threads_from_env()

@@ -216,24 +216,6 @@ class Channel {
   /// Return true to request another communication round this superstep.
   virtual bool again() { return false; }
 
-  // ---- ranged serialize (pipelined rounds, DESIGN.md section 10) --------
-  // A channel whose per-destination payloads are independent can let the
-  // engine drive serialization one destination rank at a time, streaming
-  // each destination's bytes onto the wire before the next one
-  // serializes. serialize_prepare() performs the serialize-wide setup and
-  // opts in by returning true; the engine then calls serialize_rank(to)
-  // exactly once per destination rank — in any order — instead of
-  // serialize(). The concatenation of the per-rank emits MUST be
-  // byte-identical to serialize() per destination outbox.
-
-  /// Opt into ranged serialization for this round (false = engine falls
-  /// back to serialize()). A true return may have done setup work, so the
-  /// engine always follows it with the serialize_rank() sweep.
-  virtual bool serialize_prepare() { return false; }
-  /// Emit destination rank `to`'s payload (only after serialize_prepare()
-  /// returned true).
-  virtual void serialize_rank(int /*to*/) {}
-
   // ---- parallel compute phase (DESIGN.md sections 3, 11) ----------------
   // The worker brackets a chunked multi-thread compute phase between
   // begin_compute(C) and end_compute(). In between, per-vertex channel

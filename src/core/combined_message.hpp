@@ -231,23 +231,6 @@ class CombinedMessage : public Channel {
         });
   }
 
-  /// Ranged-serialize opt-in (pipelined rounds): destinations are fully
-  /// independent here — emit_ranks/emit_pull_ranks touch only
-  /// per-destination merge state and the destination's own outbox — so
-  /// per-rank emits in any order are byte-identical to serialize().
-  bool serialize_prepare() override {
-    reset_receive_slots();
-    return true;
-  }
-
-  void serialize_rank(int to) override {
-    if (direction_ == Direction::kPull) {
-      emit_pull_ranks(to, to + 1);
-    } else {
-      emit_ranks(to, to + 1);
-    }
-  }
-
   /// Range-partitioned delivery: record each peer payload's raw span,
   /// then every pool slot scans all spans in peer order applying only the
   /// wires whose destination falls in its contiguous local-vertex range.

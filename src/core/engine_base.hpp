@@ -79,23 +79,6 @@ class EngineBase {
   }
   [[nodiscard]] int comm_threads() const noexcept { return comm_threads_; }
 
-  // ---- pipelined superstep communication (DESIGN.md section 10) ----------
-
-  /// Stream communication rounds as fixed-size chunks with per-peer
-  /// sender/receiver threads, so serialize/exchange/deliver overlap
-  /// instead of running as three barriers. Defaults to PGCH_PIPELINE.
-  /// Takes effect only on transports that support it (TCP, world > 1) and
-  /// only for rounds above the automatic fallback threshold; results and
-  /// wire accounting are bitwise-identical either way. Must be identical
-  /// on every rank (the per-round decision is collective) and set before
-  /// run().
-  void set_pipeline(bool on) { pipeline_enabled_ = on; }
-  [[nodiscard]] bool pipeline() const noexcept { return pipeline_enabled_; }
-
-  /// Streaming chunk size of pipelined rounds (defaults to
-  /// PGCH_CHUNK_BYTES). Must be identical on every rank.
-  void set_chunk_bytes(std::size_t n) { env_.exchange->set_chunk_bytes(n); }
-
   // ---- direction-optimizing compute (DESIGN.md section 9) ----------------
 
   /// How pull-capable channels choose their per-superstep direction:
@@ -388,7 +371,6 @@ class EngineBase {
   /// compute phases accumulate here; feeds rank_compute_seconds).
   double compute_cpu_seconds_ = 0.0;
   int comm_threads_ = runtime::comm_threads_from_env();
-  bool pipeline_enabled_ = runtime::pipeline_from_env();
   DirectionMode direction_mode_ = direction_mode_from_env();
   std::unique_ptr<runtime::ComputePool> pool_;
 

@@ -207,37 +207,14 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     stats_.note_active(this->active_.count());
     decide_direction();
     // The compute phase is the one window where this thread touches no
-    // socket and no pipelined round is armed, so the transport may emit
-    // control-lane heartbeats (keeping peers' silence deadlines fed
-    // through a long compute). Pipelined runs keep the window shut: a
-    // heartbeat landing between two rounds' raw chunk streams would
-    // corrupt the peer's ChunkDecoder (docs/fault_tolerance.md).
-    const bool hb_window = !(pipeline() && env_.exchange->pipeline_capable() &&
-                             num_workers() > 1);
-    if (hb_window) env_.transport->set_heartbeat_window(env_.rank, true);
+    // socket, so the transport may emit control-lane heartbeats there
+    // (keeping peers' silence deadlines fed through a long compute).
+    env_.transport->set_heartbeat_window(env_.rank, true);
     compute_phase();
-    if (hb_window) env_.transport->set_heartbeat_window(env_.rank, false);
+    env_.transport->set_heartbeat_window(env_.rank, false);
     const auto c1 = Clock::now();
-    const double phases_before = stats_.serialize_seconds +
-                                 stats_.exchange_seconds +
-                                 stats_.deliver_seconds;
-    const std::uint64_t chunks_before =
-        env_.exchange->chunks_sent(env_.rank) +
-        env_.exchange->chunks_received(env_.rank);
     communicate();
     const double comm_wall = seconds_between(c1, Clock::now());
-    // Hidden latency: how far the superstep's serialize + exchange +
-    // deliver sub-phases exceed the comm wall they ran in. Zero on the
-    // bulk path (the three are disjoint sub-intervals of the wall); in
-    // pipelined supersteps exchange_seconds is the wire-active span,
-    // which overlaps the other two.
-    const double phase_sum = stats_.serialize_seconds +
-                             stats_.exchange_seconds +
-                             stats_.deliver_seconds - phases_before;
-    stats_.overlap_seconds += std::max(0.0, phase_sum - comm_wall);
-    stats_.chunks_per_superstep.push_back(
-        env_.exchange->chunks_sent(env_.rank) +
-        env_.exchange->chunks_received(env_.rank) - chunks_before);
     stats_.compute_seconds += seconds_between(c0, c1);
     stats_.comm_seconds += comm_wall;
     return any_active_vertex();
@@ -245,19 +222,16 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
 
   void finish_stats() override {
     stats_.frame_bytes = env_.exchange->frame_overhead_bytes(env_.rank);
-    stats_.chunks_sent = env_.exchange->chunks_sent(env_.rank);
-    stats_.chunks_received = env_.exchange->chunks_received(env_.rank);
   }
 
   // ---- checkpoint/restore (DESIGN.md section 12) -------------------------
   // The superstep boundary carries forward: the value column, the
-  // frontier, the adaptive-direction hysteresis and the pipelined-round
-  // predictor (both inputs of collective decisions — restoring them on
-  // every rank keeps those decisions, and so the wire, bitwise identical
-  // to a failure-free run), the accumulated stats, and each channel's
-  // receive-side state. Everything else (staging shards, pull handshake
-  // epochs) is rebuilt from scratch by the fresh worker every rank
-  // constructs after recovery.
+  // frontier, the adaptive-direction hysteresis (an input of a collective
+  // decision — restoring it on every rank keeps that decision, and so the
+  // wire, bitwise identical to a failure-free run), the accumulated
+  // stats, and each channel's receive-side state. Everything else
+  // (staging shards, pull handshake epochs) is rebuilt from scratch by the
+  // fresh worker every rank constructs after recovery.
 
   void checkpoint_save(runtime::Buffer& out) override {
     if constexpr (runtime::TriviallySerializable<ValueT>) {
@@ -265,7 +239,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       out.write_vector(this->values_);
       this->active_.serialize(out);
       out.write<std::uint8_t>(static_cast<std::uint8_t>(direction_));
-      out.write<std::uint64_t>(last_round_payload_bytes_);
       stats_.serialize(out);
       out.write<std::uint32_t>(static_cast<std::uint32_t>(channels_.size()));
       for (Channel* c : channels_) {
@@ -294,7 +267,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       this->values_ = in.read_vector<ValueT>();
       this->active_.deserialize(in);
       direction_ = static_cast<Direction>(in.read<std::uint8_t>());
-      last_round_payload_bytes_ = in.read<std::uint64_t>();
       stats_ = runtime::RunStats::deserialize(in);
       const auto n_channels = in.read<std::uint32_t>();
       if (n_channels != channels_.size()) {
@@ -528,9 +500,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// slots themselves; the result is byte- and result-identical for any
   /// slot count (DESIGN.md §8).
   void communicate() {
-    const bool can_pipeline = pipeline() &&
-                              env_.exchange->pipeline_capable() &&
-                              num_workers() > 1;
     std::uint64_t local_mask = 0;
     for (std::size_t i = 0; i < channels_.size(); ++i) {
       local_mask |= (std::uint64_t{1} << i);
@@ -539,41 +508,20 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       const std::uint64_t mask =
           env_.transport->allreduce_or(env_.rank, local_mask);
       if (mask == 0) break;
-
-      // Collective bulk/pipelined decision (pipeline_capable() is a
-      // lifetime constant identical on every rank, so every rank enters
-      // this collective — or skips it — in lock-step): pipeline when the
-      // PREVIOUS round's team-wide payload met the parallel-comm
-      // threshold. The previous round's volume is the only observable
-      // every rank already agrees on before serializing, and steady-state
-      // rounds ship similar volumes, so it is a faithful predictor; tiny
-      // rounds (propagation tails, the very first round of a run) fall
-      // back to bulk and skip the chunking overhead.
-      bool pipelined = false;
-      if (can_pipeline) {
-        const std::uint64_t team_bytes = env_.transport->allreduce_sum(
-            env_.rank, last_round_payload_bytes_);
-        pipelined = team_bytes >= kParallelCommMinItems;
-      }
-
-      local_mask = pipelined ? pipelined_round(mask) : bulk_round(mask);
+      local_mask = bulk_round(mask);
     }
   }
 
   /// One bulk communication round: the three-barrier schedule (all
-  /// serialize, one collective exchange, all deliver). The parity oracle
-  /// for the pipelined path.
+  /// serialize, one collective exchange, all deliver).
   std::uint64_t bulk_round(std::uint64_t mask) {
     const auto t0 = Clock::now();
-    std::uint64_t round_payload = 0;
     for (std::size_t i = 0; i < channels_.size(); ++i) {
       if ((mask >> i) & 1u) {
         env_.exchange->begin_frames(env_.rank, static_cast<int>(i));
         channels_[i]->serialize();
-        const std::uint64_t payload =
+        stats_.bytes_by_channel[channels_[i]->name()] +=
             env_.exchange->end_frames(env_.rank, static_cast<int>(i));
-        stats_.bytes_by_channel[channels_[i]->name()] += payload;
-        round_payload += payload;
       }
     }
     const auto t1 = Clock::now();
@@ -595,88 +543,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     stats_.serialize_seconds += seconds_between(t0, t1);
     stats_.exchange_seconds += seconds_between(t1, t2);
     stats_.deliver_seconds += seconds_between(t2, Clock::now());
-    last_round_payload_bytes_ = round_payload;
-    return next_mask;
-  }
-
-  /// One pipelined communication round (DESIGN.md section 10): each
-  /// channel's outbox bytes stream as chunks while it is still
-  /// serializing (per-destination, for channels that support ranged
-  /// serialize) and at the latest when its serialize completes, and each
-  /// channel delivers as soon as its region has landed from every peer —
-  /// so the wire transfer overlaps the serialize of the same and later
-  /// channels and the delivery of earlier ones.
-  /// Serialize order, reassembled inbox bytes, frame validation and
-  /// delivery order are identical to bulk_round, so results, per-channel
-  /// bytes and supersteps stay bitwise-identical.
-  ///
-  /// Timing: serialize/deliver_seconds accumulate only the main-thread
-  /// work intervals; exchange_seconds accumulates the exchange's
-  /// wire-active span, which overlaps them — that excess over the comm
-  /// wall is what RunStats::overlap_seconds reports.
-  std::uint64_t pipelined_round(std::uint64_t mask) {
-    int last_ch = 63;
-    while (((mask >> last_ch) & 1u) == 0) --last_ch;
-
-    const double wire_before = env_.exchange->wire_seconds(env_.rank);
-    env_.exchange->pipeline_begin(env_.rank);
-    std::uint64_t round_payload = 0;
-    double serialize_s = 0.0;
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-      if (((mask >> i) & 1u) == 0) continue;
-      auto s0 = Clock::now();
-      env_.exchange->begin_frames(env_.rank, static_cast<int>(i));
-      if (comm_threads() <= 1 && channels_[i]->serialize_prepare()) {
-        // Ranged serialize: destinations emit one at a time — peers first
-        // so the wire starts as early as possible, the self rank (usually
-        // the bulk of the staged messages) last — with a stream call
-        // after each, so completed destinations transfer while the
-        // remaining ones are still serializing. Per-destination emits are
-        // order-independent and byte-identical to serialize(). With comm
-        // threads the pool fan-out of serialize() wins instead.
-        const int workers = num_workers();
-        for (int k = 1; k <= workers; ++k) {
-          const int to = (env_.rank + k) % workers;
-          channels_[i]->serialize_rank(to);
-          serialize_s += seconds_between(s0, Clock::now());
-          env_.exchange->pipeline_stream(env_.rank, static_cast<int>(i));
-          s0 = Clock::now();
-        }
-      } else {
-        channels_[i]->serialize();
-      }
-      const std::uint64_t payload =
-          env_.exchange->end_frames(env_.rank, static_cast<int>(i));
-      stats_.bytes_by_channel[channels_[i]->name()] += payload;
-      round_payload += payload;
-      serialize_s += seconds_between(s0, Clock::now());
-      env_.exchange->pipeline_flush(env_.rank, static_cast<int>(i),
-                                    static_cast<int>(i) == last_ch);
-    }
-    env_.exchange->pipeline_finish_sends(env_.rank);
-    ++stats_.comm_rounds;
-    ++stats_.pipelined_rounds;
-
-    std::uint64_t next_mask = 0;
-    double deliver_s = 0.0;
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-      if (((mask >> i) & 1u) == 0) continue;
-      env_.exchange->pipeline_wait_region(env_.rank, static_cast<int>(i));
-      const auto d0 = Clock::now();
-      env_.exchange->open_frames(env_.rank, static_cast<int>(i),
-                                 channels_[i]->name());
-      channels_[i]->deserialize();
-      env_.exchange->close_frames(env_.rank, static_cast<int>(i),
-                                  channels_[i]->name());
-      if (channels_[i]->again()) next_mask |= (std::uint64_t{1} << i);
-      deliver_s += seconds_between(d0, Clock::now());
-    }
-    env_.exchange->pipeline_end(env_.rank);
-    stats_.serialize_seconds += serialize_s;
-    stats_.deliver_seconds += deliver_s;
-    stats_.exchange_seconds +=
-        env_.exchange->wire_seconds(env_.rank) - wire_before;
-    last_round_payload_bytes_ = round_payload;
     return next_mask;
   }
 
@@ -685,12 +551,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// Work stealing between compute slots (PGCH_STEAL / set_steal()); only
   /// meaningful with compute_threads_ > 1.
   bool steal_enabled_ = runtime::steal_from_env();
-
-  /// This rank's payload bytes of the most recent communication round —
-  /// the local input of the collective bulk/pipelined fallback decision.
-  /// Persists across supersteps (round 1 of a superstep predicts from the
-  /// previous superstep's last round).
-  std::uint64_t last_round_payload_bytes_ = 0;
 
   /// Previous superstep's direction — the hysteresis state of the
   /// adaptive heuristic (collective inputs, so identical on every rank).

@@ -20,6 +20,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "runtime/env.hpp"
 #include "runtime/mapped_file.hpp"
 
 namespace pregel::graph {
@@ -293,8 +294,7 @@ verified_cache() {
 }
 
 bool mmap_verify_enabled() {
-  const char* v = std::getenv("PGCH_MMAP_VERIFY");
-  return v == nullptr || std::string_view(v) != "0";
+  return runtime::env_bool("PGCH_MMAP_VERIFY", true);
 }
 
 bool already_verified(const runtime::MappedFile& map, std::uint64_t checksum) {

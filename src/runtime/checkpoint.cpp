@@ -28,7 +28,9 @@ namespace {
 // "PGCP" little-endian, next to the snapshot's "PGCH": same family,
 // never confusable with a graph snapshot.
 constexpr std::uint32_t kCheckpointMagic = 0x50434750u;
-constexpr std::uint32_t kCheckpointVersion = 1;
+// Version 2: the embedded RunStats record lost its five pipelined-round
+// fields, so a version-1 payload would misparse.
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 // On-disk header, all fields little-endian (the repo targets
 // little-endian hosts; the byteswapped-magic check below catches a

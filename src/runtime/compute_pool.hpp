@@ -13,7 +13,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <ctime>
 #include <exception>
 #include <functional>
@@ -56,10 +55,7 @@ inline int comm_threads_from_env() {
 /// idle slots steal chunks from busy ones; channel staging is keyed by
 /// chunk index and replayed in chunk order, so results stay
 /// bitwise-identical to the pinned schedule (DESIGN.md section 11).
-inline bool steal_from_env() {
-  const char* env = std::getenv("PGCH_STEAL");
-  return env != nullptr && std::atoi(env) != 0;
-}
+inline bool steal_from_env() { return env_bool("PGCH_STEAL", false); }
 
 /// Over-decomposition factor of the stealing schedule: chunks per slot.
 /// 4x gives a thief useful grain to take without inflating the per-chunk

@@ -35,8 +35,6 @@
 // per-channel byte accounting.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,7 +42,6 @@
 
 #include "runtime/barrier.hpp"
 #include "runtime/buffer.hpp"
-#include "runtime/chunk.hpp"
 #include "runtime/frame.hpp"
 #include "runtime/transport.hpp"
 
@@ -109,9 +106,6 @@ class Exchange {
       // peers, where the header sits (the payload begins after it).
       lane.write_header_at[static_cast<std::size_t>(to)] = out.size();
       if (to != from) {
-        if (!lane.pipe_header_at.empty()) {
-          lane.pipe_header_at[static_cast<std::size_t>(to)] = out.size();
-        }
         out.write(ChannelFrame{static_cast<std::uint32_t>(channel_id), 0});
       }
       const std::size_t hint =
@@ -229,162 +223,18 @@ class Exchange {
   }
 
   /// Collective: all workers must call. Accounts this rank's outgoing
-  /// traffic, then lets the transport deliver every outbox.
+  /// traffic (the self outbox included: rank-local traffic is traffic),
+  /// then lets the transport deliver every outbox.
   void exchange(int rank) {
-    account_round(rank);
-    transport_->exchange(rank);
-  }
-
-  // ---- pipelined rounds (DESIGN.md section 10) --------------------------
-  // The streaming alternative to exchange(): the engine serializes
-  // channels one at a time and calls pipeline_flush() after each, which
-  // chops the newly written slice of every peer outbox into chunks
-  // (runtime/chunk.hpp) and hands them to the transport's per-peer sender
-  // threads. pipeline_wait_region() then reassembles one channel's region
-  // per peer into the inboxes as chunks land, so delivery of early
-  // channels overlaps both the serialize of later ones (sender side) and
-  // their wire transfer (receiver side). The reassembled inbox bytes are
-  // byte-identical to a bulk round's, so the frame protocol
-  // (open/close_frames) and every channel's deserialize run unchanged.
-
-  /// True when the transport can run pipelined rounds. A lifetime
-  /// constant, identical on every rank.
-  [[nodiscard]] bool pipeline_capable() const noexcept {
-    return transport_->supports_pipeline();
-  }
-
-  /// Streaming chunk size (defaults to PGCH_CHUNK_BYTES). Must be
-  /// identical on every rank and set between rounds. The one field is
-  /// shared by every in-process rank, and each rank's setter may store it
-  /// while another rank reads it, so it is atomic; every store writes the
-  /// same value, so any load sees the agreed size.
-  void set_chunk_bytes(std::size_t n) {
-    chunk_bytes_ = std::clamp(n, std::size_t{64}, kMaxChunkPayload);
-  }
-  [[nodiscard]] std::size_t chunk_bytes() const noexcept {
-    return chunk_bytes_;
-  }
-
-  /// Collective: open a pipelined round (arms the transport's per-peer
-  /// senders/receivers and recycles the peer inboxes for incremental
-  /// reassembly).
-  void pipeline_begin(int rank) {
     Lane& lane = lanes_[static_cast<std::size_t>(rank)];
-    transport_->pipeline_begin(rank);
-    const int workers = num_workers();
-    lane.pipe_flushed.assign(static_cast<std::size_t>(workers), 0);
-    lane.pipe_seq.assign(static_cast<std::size_t>(workers), 0);
-    lane.pipe_header_at.assign(static_cast<std::size_t>(workers), kNoHeader);
-    for (int from = 0; from < workers; ++from) {
-      if (from != rank) inbox(rank, from).clear();
-    }
-    lane.pipe_started = false;
-  }
-
-  /// Mid-serialize streaming: ship any *complete* chunks of channel
-  /// `channel_id`'s payload written so far (callable after each
-  /// destination's emit, while the frame is still open). Only whole
-  /// chunk_bytes_ chunks go out — the remainder waits for more bytes or
-  /// the closing pipeline_flush() — so chunk boundaries are the same as a
-  /// one-shot flush (plus, when a region's size is an exact chunk
-  /// multiple, a trailing zero-len channel-end chunk).
-  void pipeline_stream(int rank, int channel_id) {
-    stream_chunks(rank, channel_id, /*close_region=*/false,
-                  /*last_channel=*/false);
-  }
-
-  /// Close channel `channel_id`'s region: stream everything not yet
-  /// shipped and stamp the channel-end (and, for the round's last
-  /// channel, round-last) flag on each peer's final chunk.
-  void pipeline_flush(int rank, int channel_id, bool last_channel) {
-    stream_chunks(rank, channel_id, /*close_region=*/true, last_channel);
-  }
-
-  /// After the last flush: account the round exactly like exchange()
-  /// (outbox sizes are final), run the rank-local loop (self outbox and
-  /// inbox swap in place, as on the bulk TCP path), and recycle the peer
-  /// outboxes — every chunk holds its own copy, so the buffers are free.
-  void pipeline_finish_sends(int rank) {
-    account_round(rank);
-    Buffer& self_out = outbox(rank, rank);
-    Buffer& self_in = inbox(rank, rank);
-    self_out.swap(self_in);
-    self_out.clear();
-    self_in.rewind();
     const int workers = num_workers();
     for (int to = 0; to < workers; ++to) {
-      if (to != rank) outbox(rank, to).clear();
+      const Buffer& out = outbox(rank, to);
+      lane.sent_bytes += out.size();
+      if (!out.empty()) ++lane.sent_batches;
     }
-  }
-
-  /// Block until channel `channel_id`'s region has fully landed from
-  /// every peer (ascending peer order, matching the bulk inbox layout) and
-  /// append the payloads to the inboxes. Chunks carry pure payload — the
-  /// sender cannot ship the ChannelFrame header, whose byte_len is patched
-  /// only after the whole channel serialized — so the bulk-identical
-  /// header is reconstructed here: written as a placeholder up front and
-  /// patched when the region closes. Throws FrameMismatchError if a
-  /// peer's stream carries a different channel here (schedules diverged)
-  /// or ends early.
-  void pipeline_wait_region(int rank, int channel_id) {
-    Lane& lane = lanes_[static_cast<std::size_t>(rank)];
-    const int workers = num_workers();
-    DecodedChunk c;
-    for (int from = 0; from < workers; ++from) {
-      if (from == rank) continue;
-      Buffer& in = inbox(rank, from);
-      const std::size_t header_at = in.size();
-      in.write(ChannelFrame{static_cast<std::uint32_t>(channel_id), 0});
-      std::uint64_t region_len = 0;
-      while (true) {
-        if (!transport_->pipeline_recv(rank, from, &c)) {
-          throw FrameMismatchError(
-              "pipelined round: stream from rank " + std::to_string(from) +
-              " ended before channel " + std::to_string(channel_id) +
-              "'s region completed");
-        }
-        ++lane.chunks_received;
-        if (static_cast<int>(c.header.channel) != channel_id) {
-          throw FrameMismatchError(
-              "pipelined round: expected a chunk of channel " +
-              std::to_string(channel_id) + " from rank " +
-              std::to_string(from) + " but received channel " +
-              std::to_string(c.header.channel) +
-              " — serialize/deliver schedules diverged");
-        }
-        if (!c.payload.empty()) {
-          in.write_bytes(c.payload.data(), c.payload.size());
-          region_len += c.payload.size();
-        }
-        if ((c.header.flags & kChunkChannelEnd) != 0) break;
-      }
-      in.patch_u32(header_at + sizeof(std::uint32_t),
-                   static_cast<std::uint32_t>(region_len));
-    }
-    lane.pipe_last_recv = Clock::now();
-  }
-
-  /// Close the round: wait for the sender threads to drain (the socket
-  /// must be clean before control-lane traffic resumes), park the
-  /// transport machinery, and account the round's wire-active span — from
-  /// the first flush to the later of the last region landing or the sends
-  /// draining. That span overlaps the main thread's serialize and deliver
-  /// intervals, which is exactly the overlap RunStats reports.
-  void pipeline_end(int rank) {
-    Lane& lane = lanes_[static_cast<std::size_t>(rank)];
-    const auto drain0 = Clock::now();
-    transport_->pipeline_flush_sends(rank);
-    transport_->pipeline_end(rank);
-    if (lane.pipe_started) {
-      const double drain_wait =
-          std::chrono::duration<double>(Clock::now() - drain0).count();
-      lane.wire_seconds +=
-          std::chrono::duration<double>(lane.pipe_last_recv -
-                                        lane.pipe_wire_start)
-              .count() +
-          drain_wait;
-      lane.pipe_started = false;
-    }
+    ++lane.rounds;
+    transport_->exchange(rank);
   }
 
   // ---- statistics (read between rounds; not thread-safe mid-exchange) ---
@@ -434,23 +284,6 @@ class Exchange {
     return lanes_[static_cast<std::size_t>(from)].frame_overhead_bytes;
   }
 
-  /// Chunks rank `rank` streamed / reassembled in pipelined rounds
-  /// (cumulative; 0 on the bulk path).
-  [[nodiscard]] std::uint64_t chunks_sent(int rank) const {
-    return lanes_[static_cast<std::size_t>(rank)].chunks_sent;
-  }
-  [[nodiscard]] std::uint64_t chunks_received(int rank) const {
-    return lanes_[static_cast<std::size_t>(rank)].chunks_received;
-  }
-
-  /// Cumulative wire-active span of rank `rank`'s pipelined rounds (first
-  /// flush to last landing/drain per round). Unlike the bulk path's
-  /// exchange interval this overlaps serialize/deliver time — the engine
-  /// reports it as exchange_seconds in pipelined mode.
-  [[nodiscard]] double wire_seconds(int rank) const {
-    return lanes_[static_cast<std::size_t>(rank)].wire_seconds;
-  }
-
   void reset_stats() noexcept {
     for (auto& lane : lanes_) {
       std::fill(lane.channel_payload_bytes.begin(),
@@ -459,15 +292,10 @@ class Exchange {
       lane.sent_bytes = 0;
       lane.sent_batches = 0;
       lane.rounds = 0;
-      lane.chunks_sent = 0;
-      lane.chunks_received = 0;
-      lane.wire_seconds = 0.0;
     }
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// Per-rank frame bookkeeping. Each rank only ever touches its own lane,
   /// so the frame API needs no locking; padded to avoid false sharing.
   struct alignas(64) Lane {
@@ -487,78 +315,7 @@ class Exchange {
     std::uint64_t sent_batches = 0;
     std::uint64_t rounds = 0;
     int open_write_channel = -1;
-    // Pipelined-round state (DESIGN.md section 10).
-    std::vector<std::size_t> pipe_flushed;  ///< per peer: bytes chopped
-    std::vector<std::uint32_t> pipe_seq;    ///< per peer: open-region seq
-    /// Per peer: outbox offset of the open channel's ChannelFrame header.
-    /// The header is patched only at end_frames(), so the chunker skips
-    /// it and the receiver reconstructs it (kNoHeader = nothing to skip —
-    /// raw regions written without the frame bracket).
-    std::vector<std::size_t> pipe_header_at;
-    std::uint64_t chunks_sent = 0;
-    std::uint64_t chunks_received = 0;
-    double wire_seconds = 0.0;
-    bool pipe_started = false;  ///< this round's first flush happened
-    Clock::time_point pipe_wire_start{};
-    Clock::time_point pipe_last_recv{};
   };
-
-  /// Sentinel of Lane::pipe_header_at: no frame header to skip.
-  static constexpr std::size_t kNoHeader = static_cast<std::size_t>(-1);
-
-  /// Shared core of pipeline_stream() / pipeline_flush(): chop the bytes
-  /// every peer outbox gained since the previous call into chunks and
-  /// hand them to the transport's sender threads. Non-closing calls ship
-  /// whole chunks only; the closing call ships the remainder with the
-  /// region-end flag. The open frame's ChannelFrame header (unpatched
-  /// until end_frames) is skipped — the receiver reconstructs it.
-  void stream_chunks(int rank, int channel_id, bool close_region,
-                     bool last_channel) {
-    Lane& lane = lanes_[static_cast<std::size_t>(rank)];
-    const int workers = num_workers();
-    const std::size_t chunk_bytes = this->chunk_bytes();
-    for (int to = 0; to < workers; ++to) {
-      if (to == rank) continue;
-      const auto peer = static_cast<std::size_t>(to);
-      Buffer& out = outbox(rank, to);
-      std::size_t off = lane.pipe_flushed[peer];
-      if (off == lane.pipe_header_at[peer]) off += sizeof(ChannelFrame);
-      std::size_t avail = out.size() - off;
-      if (!close_region) {
-        avail -= avail % chunk_bytes;  // whole chunks only mid-region
-        if (avail == 0) continue;
-      }
-      if (!lane.pipe_started) {
-        lane.pipe_started = true;
-        lane.pipe_wire_start = Clock::now();
-        lane.pipe_last_recv = lane.pipe_wire_start;
-      }
-      for_each_chunk_partial(channel_id, out.data() + off, avail,
-                             chunk_bytes, lane.pipe_seq[peer], close_region,
-                             last_channel,
-                             [&](const ChunkHeader& h, const std::byte* p) {
-                               transport_->pipeline_send(rank, to, h, p);
-                               lane.pipe_seq[peer] = h.seq + 1;
-                               ++lane.chunks_sent;
-                             });
-      lane.pipe_flushed[peer] = off + avail;
-      if (close_region) lane.pipe_seq[peer] = 0;
-    }
-  }
-
-  /// The per-round traffic accounting shared by exchange() and
-  /// pipeline_finish_sends(): both run when the outbox sizes are final,
-  /// and both count the self outbox (rank-local traffic is traffic).
-  void account_round(int rank) {
-    Lane& lane = lanes_[static_cast<std::size_t>(rank)];
-    const int workers = num_workers();
-    for (int to = 0; to < workers; ++to) {
-      const Buffer& out = outbox(rank, to);
-      lane.sent_bytes += out.size();
-      if (!out.empty()) ++lane.sent_batches;
-    }
-    ++lane.rounds;
-  }
 
   void init_lanes() {
     const auto workers = static_cast<std::size_t>(num_workers());
@@ -568,7 +325,6 @@ class Exchange {
       lane.read_frame_end.assign(workers, 0);
       lane.channel_payload_bytes.assign(kMaxChannels, 0);
       lane.payload_hint.assign(kMaxChannels * workers, 0);
-      lane.pipe_header_at.assign(workers, kNoHeader);
     }
   }
 
@@ -597,7 +353,6 @@ class Exchange {
   std::unique_ptr<InProcessTransport> owned_transport_;
   Transport* transport_;
   std::vector<Lane> lanes_;
-  std::atomic<std::size_t> chunk_bytes_{chunk_bytes_from_env()};
 };
 
 /// Historical name: the exchange used to own the W x W buffer matrix

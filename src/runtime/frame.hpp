@@ -1,8 +1,7 @@
 #pragma once
 // Shared primitives of the framed wire protocol (DESIGN.md section 1),
-// split out of exchange.hpp so lower layers — the chunked streaming
-// format of pipelined rounds (runtime/chunk.hpp) and the transports —
-// can name them without a dependency cycle.
+// split out of exchange.hpp so lower layers can name them without a
+// dependency cycle.
 
 #include <cstdint>
 
@@ -24,8 +23,7 @@ static_assert(sizeof(ChannelFrame) == 8);
 
 /// A channel violated the framed wire protocol: wrong channel's frame at
 /// the read cursor, a deserialize() that consumed fewer/more bytes than
-/// the peer's serialize() produced, or a corrupt/truncated/reordered
-/// chunk header in a pipelined round's stream.
+/// the peer's serialize() produced.
 class FrameMismatchError : public ProtocolError {
  public:
   using ProtocolError::ProtocolError;

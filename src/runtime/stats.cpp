@@ -44,23 +44,17 @@ void RunStats::merge_from(const RunStats& other) {
   serialize_seconds = std::max(serialize_seconds, other.serialize_seconds);
   exchange_seconds = std::max(exchange_seconds, other.exchange_seconds);
   deliver_seconds = std::max(deliver_seconds, other.deliver_seconds);
-  overlap_seconds = std::max(overlap_seconds, other.overlap_seconds);
   // Supersteps and communication rounds are collective — the quiescence
   // vote and the round loop keep every rank in lock-step, so all ranks
   // report the same number. max() keeps the merge well-defined even if an
   // engine ever diverges.
   supersteps = std::max(supersteps, other.supersteps);
   comm_rounds = std::max(comm_rounds, other.comm_rounds);
-  // The bulk/pipelined round decision is collective, so like comm_rounds
-  // every rank reports the same pipelined count.
-  pipelined_rounds = std::max(pipelined_rounds, other.pipelined_rounds);
   // Traffic is accounted per rank (each rank counts what it handed to the
   // transport), so the team figure is the sum — identically under the
   // in-process and the TCP transport.
   message_bytes += other.message_bytes;
   message_batches += other.message_batches;
-  chunks_sent += other.chunks_sent;
-  chunks_received += other.chunks_received;
   // Frame overhead and per-channel payload bytes are accounted per rank
   // (each rank counts what it serialized), so the global figure is the
   // sum.
@@ -72,7 +66,6 @@ void RunStats::merge_from(const RunStats& other) {
   // global figure of a superstep is their element-wise sum.
   merge_per_superstep(active_per_superstep, other.active_per_superstep);
   merge_per_superstep(bytes_per_superstep, other.bytes_per_superstep);
-  merge_per_superstep(chunks_per_superstep, other.chunks_per_superstep);
   active_vertex_total += other.active_vertex_total;
   // The per-superstep direction is a collective decision broadcast over
   // the control lane: every rank must have recorded the identical
@@ -111,14 +104,10 @@ void RunStats::serialize(Buffer& out) const {
   out.write(serialize_seconds);
   out.write(exchange_seconds);
   out.write(deliver_seconds);
-  out.write(overlap_seconds);
   out.write<std::int32_t>(supersteps);
   out.write(comm_rounds);
-  out.write(pipelined_rounds);
   out.write(message_bytes);
   out.write(message_batches);
-  out.write(chunks_sent);
-  out.write(chunks_received);
   out.write(frame_bytes);
   out.write<std::uint32_t>(static_cast<std::uint32_t>(
       bytes_by_channel.size()));
@@ -129,7 +118,6 @@ void RunStats::serialize(Buffer& out) const {
   out.write_vector(active_per_superstep);
   out.write(active_vertex_total);
   out.write_vector(bytes_per_superstep);
-  out.write_vector(chunks_per_superstep);
   out.write_vector(direction_per_superstep);
   out.write_vector(compute_slot_seconds);
   out.write_vector(rank_compute_seconds);
@@ -143,14 +131,10 @@ RunStats RunStats::deserialize(Buffer& in) {
   s.serialize_seconds = in.read<double>();
   s.exchange_seconds = in.read<double>();
   s.deliver_seconds = in.read<double>();
-  s.overlap_seconds = in.read<double>();
   s.supersteps = in.read<std::int32_t>();
   s.comm_rounds = in.read<std::uint64_t>();
-  s.pipelined_rounds = in.read<std::uint64_t>();
   s.message_bytes = in.read<std::uint64_t>();
   s.message_batches = in.read<std::uint64_t>();
-  s.chunks_sent = in.read<std::uint64_t>();
-  s.chunks_received = in.read<std::uint64_t>();
   s.frame_bytes = in.read<std::uint64_t>();
   const auto channels = in.read<std::uint32_t>();
   for (std::uint32_t i = 0; i < channels; ++i) {
@@ -160,7 +144,6 @@ RunStats RunStats::deserialize(Buffer& in) {
   s.active_per_superstep = in.read_vector<std::uint64_t>();
   s.active_vertex_total = in.read<std::uint64_t>();
   s.bytes_per_superstep = in.read_vector<std::uint64_t>();
-  s.chunks_per_superstep = in.read_vector<std::uint64_t>();
   s.direction_per_superstep = in.read_vector<std::uint8_t>();
   s.compute_slot_seconds = in.read_vector<double>();
   s.rank_compute_seconds = in.read_vector<double>();
@@ -200,12 +183,6 @@ std::string RunStats::detailed() const {
          << "x over " << compute_slot_seconds.size();
     }
     os << "\n";
-  }
-  if (pipelined_rounds != 0) {
-    os << "  pipelined: " << pipelined_rounds << "/" << comm_rounds
-       << " rounds, " << chunks_sent << " chunks sent / " << chunks_received
-       << " received, overlap " << std::fixed << std::setprecision(3)
-       << overlap_seconds << " s\n";
   }
   for (const auto& [name, bytes] : bytes_by_channel) {
     os << "  channel " << name << ": " << std::fixed << std::setprecision(2)

@@ -27,28 +27,12 @@ struct RunStats {
   double serialize_seconds = 0.0;
   double exchange_seconds = 0.0;
   double deliver_seconds = 0.0;
-  /// Communication time hidden by pipelined rounds (DESIGN.md section 10):
-  /// per superstep, max(0, serialize + exchange + deliver − comm wall),
-  /// summed over the run. On the bulk path the three sub-phases are
-  /// disjoint main-thread intervals inside the comm wall, so this is 0;
-  /// in pipelined mode exchange_seconds is the wire-active span, which
-  /// overlaps serialize and deliver, so this measures the hidden latency.
-  double overlap_seconds = 0.0;
   int supersteps = 0;            ///< number of (global) supersteps executed
   std::uint64_t comm_rounds = 0; ///< buffer-exchange rounds (>= supersteps)
-  /// Rounds that ran the pipelined (chunk-streaming) path instead of bulk
-  /// exchange. The bulk/pipelined decision is collective, so every rank
-  /// reports the same count (<= comm_rounds).
-  std::uint64_t pipelined_rounds = 0;
   /// Bytes this rank shipped through the exchange (payload + frame
   /// headers). merge_from() sums the per-rank shares into the team total.
   std::uint64_t message_bytes = 0;
   std::uint64_t message_batches = 0; ///< non-empty (src,dst) buffers moved
-
-  /// Chunks this rank streamed / reassembled in pipelined rounds (0 on
-  /// the bulk path). Per-rank counters; merge_from() sums them.
-  std::uint64_t chunks_sent = 0;
-  std::uint64_t chunks_received = 0;
 
   /// Frame-header bytes of the framed wire protocol (channel-engine runs
   /// only; protocol overhead, not attributed to any channel). Invariant:
@@ -69,11 +53,6 @@ struct RunStats {
   /// superstep 1; a superstep with several communication rounds reports
   /// their sum). Merged element-wise across ranks.
   std::vector<std::uint64_t> bytes_per_superstep;
-
-  /// Chunks this rank moved (sent + received) during each superstep
-  /// (index 0 = superstep 1; all-zero on the bulk path). Merged
-  /// element-wise across ranks.
-  std::vector<std::uint64_t> chunks_per_superstep;
 
   /// Direction the engine chose for each superstep (channel engine only;
   /// index 0 = superstep 1): 0 = push, 1 = pull — the numeric values of

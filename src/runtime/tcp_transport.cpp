@@ -6,7 +6,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -93,7 +92,7 @@ double monotonic_seconds() {
 }
 
 /// Full-length EINTR-safe send; also usable off the main thread (the
-/// pipelined sender threads), unlike the member wrapper.
+/// heartbeat thread), unlike the member wrapper.
 void raw_send_all(int fd, const void* data, std::size_t n, int peer) {
   const auto* p = static_cast<const char*>(data);
   while (n > 0) {
@@ -144,21 +143,11 @@ void raw_recv_all(int fd, void* data, std::size_t n, int peer,
   }
 }
 
-/// Encoded chunks queued per peer before backpressure blocks the sender
-/// (pipeline_send copies header+payload, so this bounds the copy memory).
-constexpr std::size_t kSendQueueCapBytes = 4u << 20;
-
-/// Decoded chunks queued per peer before the receiver thread stops
-/// draining the socket (the main thread pops them region by region).
-constexpr std::size_t kRecvQueueCapChunks = 256;
-
 #endif  // !_WIN32
 
 }  // namespace
 
 #ifdef _WIN32
-
-struct TcpPeerPipe {};
 
 // The TCP backend is POSIX-only; Windows builds keep linking but refuse
 // to construct it (the in-process transport remains available).
@@ -178,153 +167,11 @@ std::vector<Buffer> TcpTransport::gather_to_root(int, const Buffer&) {
   return {};
 }
 void TcpTransport::broadcast_from_root(int, Buffer*) {}
-bool TcpTransport::supports_pipeline() const noexcept { return false; }
-void TcpTransport::pipeline_begin(int) {
-  throw TransportError("unsupported");
-}
-void TcpTransport::pipeline_send(int, int, const ChunkHeader&, const void*) {
-  throw TransportError("unsupported");
-}
-void TcpTransport::pipeline_flush_sends(int) {
-  throw TransportError("unsupported");
-}
-bool TcpTransport::pipeline_recv(int, int, DecodedChunk*) {
-  throw TransportError("unsupported");
-}
-void TcpTransport::pipeline_end(int) { throw TransportError("unsupported"); }
-void TcpTransport::ensure_pipes() {}
-void TcpTransport::stop_pipes() noexcept {}
-TcpPeerPipe& TcpTransport::pipe(int) { throw TransportError("unsupported"); }
-void TcpTransport::pace_wire(std::size_t) {}
 void TcpTransport::set_heartbeat_window(int, bool) {}
 void TcpTransport::heartbeat_main() {}
 void TcpTransport::stop_heartbeat() noexcept {}
 
 #else  // POSIX implementation
-
-/// Per-peer pipelined-round machinery. One sender thread drains a bounded
-/// queue of pre-encoded chunks into the socket; one receiver thread runs
-/// the ChunkDecoder over exact-size socket reads and fills a bounded queue
-/// of decoded chunks the main thread pops. Both threads park on cv_thread
-/// between rounds, so outside a pipelined round the socket is exclusively
-/// the main thread's (bulk exchange, control lane) — the round protocol
-/// guarantees the hand-over points: pipeline_begin() arms after the last
-/// control message of the previous round, and the round-last chunk is the
-/// final round byte written/read before control traffic resumes.
-///
-/// All flags and queues are guarded by mu; the socket calls run unlocked
-/// but are sequenced against the main thread's socket use through those
-/// flags (send_drained / recv_done), so every cross-thread access has a
-/// happens-before edge.
-struct TcpPeerPipe {
-  int fd = -1;
-  int peer = -1;
-  TcpTransport* owner = nullptr;  ///< pacing hook (simulated link)
-
-  std::mutex mu;
-  std::condition_variable cv_thread;  ///< wakes the sender/receiver threads
-  std::condition_variable cv_caller;  ///< wakes main-thread waits
-
-  // Send side.
-  std::deque<std::vector<std::byte>> sendq;  ///< encoded header+payload
-  std::size_t sendq_bytes = 0;
-  bool send_armed = false;    ///< round open: sender drains the queue
-  bool send_closing = false;  ///< flush requested: park once drained
-  bool send_drained = true;   ///< queue empty and last write completed
-  std::exception_ptr send_error;
-
-  // Receive side.
-  std::deque<DecodedChunk> recvq;
-  bool recv_armed = false;  ///< round open: receiver reads the socket
-  bool recv_done = true;    ///< round-last chunk decoded and queued
-  std::exception_ptr recv_error;
-  ChunkDecoder decoder;  ///< touched only by the receiver while armed
-
-  bool stop = false;
-  std::thread sender;
-  std::thread receiver;
-
-  void sender_main() {
-    std::unique_lock<std::mutex> lk(mu);
-    while (true) {
-      cv_thread.wait(lk, [&] {
-        return stop || (send_armed && (!sendq.empty() || send_closing));
-      });
-      if (stop) return;
-      if (!sendq.empty()) {
-        std::vector<std::byte> msg = std::move(sendq.front());
-        sendq.pop_front();
-        sendq_bytes -= msg.size();
-        cv_caller.notify_all();
-        lk.unlock();
-        try {
-          // On a simulated link the chunk's transmission "completes" only
-          // after size/bandwidth seconds; delaying the (loopback-fast)
-          // write until then makes the receiver observe link-paced
-          // arrival, which is what gives pipelined rounds a realistic
-          // wire span for serialize/deliver to hide behind.
-          owner->pace_wire(msg.size());
-          raw_send_all(fd, msg.data(), msg.size(), peer);
-          lk.lock();
-        } catch (...) {
-          lk.lock();
-          send_error = std::current_exception();
-          send_armed = false;
-          send_drained = true;  // nothing more will go out
-          cv_caller.notify_all();
-        }
-        continue;
-      }
-      // Armed, queue empty, flush requested: the round's sends are done.
-      send_armed = false;
-      send_closing = false;
-      send_drained = true;
-      cv_caller.notify_all();
-    }
-  }
-
-  void receiver_main() {
-    std::vector<std::byte> scratch;
-    std::unique_lock<std::mutex> lk(mu);
-    while (true) {
-      cv_thread.wait(lk, [&] { return stop || recv_armed; });
-      if (stop) return;
-      lk.unlock();
-      try {
-        while (true) {
-          // Exact-size reads driven by the decoder: never pull a byte past
-          // the round-last chunk (the next bytes are control-lane traffic).
-          const std::size_t need = decoder.bytes_needed();
-          if (need == 0) break;
-          scratch.resize(need);
-          raw_recv_all(fd, scratch.data(), need, peer,
-                       owner->io_timeout_ms_);
-          decoder.feed(scratch.data(), need);
-          DecodedChunk c;
-          while (decoder.next(&c)) {
-            lk.lock();
-            cv_thread.wait(
-                lk, [&] { return stop || recvq.size() < kRecvQueueCapChunks; });
-            if (stop) return;
-            recvq.push_back(std::move(c));
-            cv_caller.notify_all();
-            lk.unlock();
-          }
-        }
-        lk.lock();
-        recv_armed = false;
-        recv_done = true;
-        cv_caller.notify_all();
-      } catch (...) {
-        lk.lock();
-        recv_error = std::current_exception();
-        recv_armed = false;
-        recv_done = true;
-        cv_caller.notify_all();
-      }
-    }
-  }
-};
 
 TcpTransport::TcpTransport(int rank, int world_size,
                            const TcpEndpoint& listen)
@@ -402,7 +249,6 @@ TcpTransport::TcpTransport(int rank, int world_size,
 
 TcpTransport::~TcpTransport() {
   stop_heartbeat();
-  stop_pipes();
   for (const int fd : fds_) {
     if (fd >= 0) ::close(fd);
   }
@@ -759,189 +605,6 @@ void TcpTransport::stop_heartbeat() noexcept {
   }
   hb_cv_.notify_all();
   if (hb_thread_.joinable()) hb_thread_.join();
-}
-
-// ---- pipelined rounds -----------------------------------------------------
-
-bool TcpTransport::supports_pipeline() const noexcept { return world_ > 1; }
-
-TcpPeerPipe& TcpTransport::pipe(int peer) {
-  if (pipes_.empty() || peer < 0 || peer >= world_ || peer == rank_ ||
-      pipes_[static_cast<std::size_t>(peer)] == nullptr) {
-    throw std::logic_error("TcpTransport: no pipelined lane for peer " +
-                           std::to_string(peer));
-  }
-  return *pipes_[static_cast<std::size_t>(peer)];
-}
-
-void TcpTransport::ensure_pipes() {
-  if (!pipes_.empty()) return;
-  pipes_.resize(static_cast<std::size_t>(world_));
-  for (int peer = 0; peer < world_; ++peer) {
-    if (peer == rank_) continue;
-    auto p = std::make_unique<TcpPeerPipe>();
-    p->fd = fds_[static_cast<std::size_t>(peer)];
-    p->peer = peer;
-    p->owner = this;
-    p->sender = std::thread([pp = p.get()] { pp->sender_main(); });
-    p->receiver = std::thread([pp = p.get()] { pp->receiver_main(); });
-    pipes_[static_cast<std::size_t>(peer)] = std::move(p);
-  }
-}
-
-void TcpTransport::pace_wire(std::size_t bytes) {
-  const double bw = sim_bandwidth_.load(std::memory_order_relaxed);
-  if (bw <= 0.0 || bytes == 0) return;
-  std::chrono::steady_clock::time_point due;
-  {
-    // One shared transmission deadline: every sender thread appends its
-    // chunk's airtime to the same schedule, so a rank's aggregate egress
-    // never exceeds the simulated link no matter how many peers it is
-    // streaming to concurrently.
-    std::lock_guard<std::mutex> lk(pace_mu_);
-    const auto now = std::chrono::steady_clock::now();
-    if (pace_next_ < now) pace_next_ = now;
-    pace_next_ +=
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(static_cast<double>(bytes) / bw));
-    due = pace_next_;
-  }
-  std::this_thread::sleep_until(due);
-}
-
-void TcpTransport::stop_pipes() noexcept {
-  for (auto& p : pipes_) {
-    if (p == nullptr) continue;
-    {
-      std::lock_guard<std::mutex> lk(p->mu);
-      p->stop = true;
-    }
-    p->cv_thread.notify_all();
-    p->cv_caller.notify_all();
-    // Unblock a sender/receiver parked inside send()/recv(): after
-    // shutdown both return an error/EOF, the thread records it and exits
-    // via the stop flag.
-    ::shutdown(p->fd, SHUT_RDWR);
-    if (p->sender.joinable()) p->sender.join();
-    if (p->receiver.joinable()) p->receiver.join();
-  }
-  pipes_.clear();
-}
-
-void TcpTransport::pipeline_begin(int rank) {
-  check_local(rank, "pipeline_begin");
-  require_mesh();
-  if (!supports_pipeline()) {
-    throw TransportError("TcpTransport: pipelined rounds need world > 1");
-  }
-  ensure_pipes();
-  for (auto& up : pipes_) {
-    if (up == nullptr) continue;
-    TcpPeerPipe& p = *up;
-    std::lock_guard<std::mutex> lk(p.mu);
-    if (p.send_error) std::rethrow_exception(p.send_error);
-    if (p.recv_error) std::rethrow_exception(p.recv_error);
-    if (!p.send_drained || !p.recv_done) {
-      throw TransportError(
-          "TcpTransport: pipeline_begin while the previous round is still "
-          "in flight");
-    }
-    p.decoder.reset();
-    p.recvq.clear();
-    p.recv_done = false;
-    p.recv_armed = true;
-    p.send_drained = false;
-    p.send_closing = false;
-    p.send_armed = true;
-    p.cv_thread.notify_all();
-  }
-}
-
-void TcpTransport::pipeline_send(int rank, int peer,
-                                 const ChunkHeader& header,
-                                 const void* payload) {
-  check_local(rank, "pipeline_send");
-  TcpPeerPipe& p = pipe(peer);
-  std::vector<std::byte> msg(sizeof(ChunkHeader) + header.len);
-  std::memcpy(msg.data(), &header, sizeof(ChunkHeader));
-  if (header.len > 0) {
-    std::memcpy(msg.data() + sizeof(ChunkHeader), payload, header.len);
-  }
-  std::unique_lock<std::mutex> lk(p.mu);
-  // Bounded queue: admit when empty (a chunk larger than the cap must
-  // still go through), else only while under the cap.
-  p.cv_caller.wait(lk, [&] {
-    return p.send_error || p.sendq_bytes == 0 ||
-           p.sendq_bytes + msg.size() <= kSendQueueCapBytes;
-  });
-  if (p.send_error) std::rethrow_exception(p.send_error);
-  p.sendq_bytes += msg.size();
-  p.sendq.push_back(std::move(msg));
-  p.cv_thread.notify_all();
-}
-
-void TcpTransport::pipeline_flush_sends(int rank) {
-  check_local(rank, "pipeline_flush_sends");
-  for (auto& up : pipes_) {
-    if (up == nullptr) continue;
-    TcpPeerPipe& p = *up;
-    std::lock_guard<std::mutex> lk(p.mu);
-    if (p.send_error) std::rethrow_exception(p.send_error);
-    if (p.send_armed) {
-      p.send_closing = true;
-      p.cv_thread.notify_all();
-    }
-  }
-  for (auto& up : pipes_) {
-    if (up == nullptr) continue;
-    TcpPeerPipe& p = *up;
-    std::unique_lock<std::mutex> lk(p.mu);
-    p.cv_caller.wait(lk, [&] { return p.send_drained; });
-    if (p.send_error) std::rethrow_exception(p.send_error);
-  }
-}
-
-bool TcpTransport::pipeline_recv(int rank, int peer, DecodedChunk* out) {
-  check_local(rank, "pipeline_recv");
-  TcpPeerPipe& p = pipe(peer);
-  std::unique_lock<std::mutex> lk(p.mu);
-  p.cv_caller.wait(lk, [&] {
-    return !p.recvq.empty() || p.recv_error || p.recv_done;
-  });
-  if (!p.recvq.empty()) {
-    *out = std::move(p.recvq.front());
-    p.recvq.pop_front();
-    p.cv_thread.notify_all();  // queue space for the receiver thread
-    return true;
-  }
-  if (p.recv_error) std::rethrow_exception(p.recv_error);
-  return false;
-}
-
-void TcpTransport::pipeline_end(int rank) {
-  check_local(rank, "pipeline_end");
-  for (auto& up : pipes_) {
-    if (up == nullptr) continue;
-    TcpPeerPipe& p = *up;
-    std::unique_lock<std::mutex> lk(p.mu);
-    // The caller consumed the whole round, but the receiver thread may
-    // still be between handing over the round-last chunk and recording
-    // completion — wait for it to park instead of racing it (once the
-    // decoder has produced round-last, its next bytes_needed() is zero,
-    // so the receiver cannot block on the socket again). A chunk showing
-    // up in the queue here means the caller did NOT consume the whole
-    // round: that is a protocol error, reported without waiting.
-    p.cv_caller.wait(lk, [&] {
-      return p.send_error != nullptr || p.recv_error != nullptr ||
-             !p.recvq.empty() || (p.send_drained && p.recv_done);
-    });
-    if (p.send_error) std::rethrow_exception(p.send_error);
-    if (p.recv_error) std::rethrow_exception(p.recv_error);
-    if (!p.recvq.empty()) {
-      throw TransportError(
-          "TcpTransport: pipeline_end with undelivered chunks");
-    }
-  }
 }
 
 #endif  // _WIN32

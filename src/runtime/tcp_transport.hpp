@@ -22,11 +22,8 @@
 // Like the binary snapshot format, the wire encoding is little-endian by
 // definition (raw struct bytes); mixed-endian clusters are not supported.
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,8 +32,6 @@
 #include "runtime/transport.hpp"
 
 namespace pregel::runtime {
-
-struct TcpPeerPipe;  // per-peer pipelined-round machinery (tcp_transport.cpp)
 
 /// Where a rank listens: host (name or dotted quad) plus TCP port.
 struct TcpEndpoint {
@@ -75,25 +70,6 @@ class TcpTransport final : public Transport {
   std::vector<Buffer> gather_to_root(int rank, const Buffer& local) override;
   void broadcast_from_root(int rank, Buffer* data) override;
 
-  // ---- pipelined rounds (DESIGN.md section 10) --------------------------
-  // Per peer: a sender thread draining a bounded queue of encoded chunks
-  // into the socket, and a receiver thread running the ChunkDecoder over
-  // exact-size reads, parking both between rounds so the same sockets can
-  // carry bulk and control traffic. Threads are spawned lazily on the
-  // first pipeline_begin().
-
-  /// Simulated link bandwidth for pipelined sends (bytes/second; 0 = real
-  /// wire speed). Seeded from PGCH_SIM_NET_MBPS like the in-process
-  /// transport's exchange throttle, so pipelined and bulk benchmark rows
-  /// model the same link. The sender threads pace each chunk's write to
-  /// this rate through one shared budget (one NIC per rank, however many
-  /// peers). Bulk exchange() stays at real wire speed. Set between rounds.
-  void set_simulated_bandwidth(double bytes_per_sec) noexcept {
-    sim_bandwidth_.store(bytes_per_sec, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool supports_pipeline() const noexcept override;
-
   // ---- failure detection (docs/fault_tolerance.md) ----------------------
   // PGCH_IO_TIMEOUT_MS bounds the silence gap on every receive: if a peer
   // sends no byte for that long, the blocked receive throws TransportError
@@ -104,16 +80,8 @@ class TcpTransport final : public Transport {
   // the receive path skips — their only effect is resetting the peer's
   // silence deadline. Closing the window blocks until no heartbeat is in
   // flight, so the main thread never shares a socket with a half-written
-  // beat. The engine never opens the window in pipelined rounds (raw chunk
-  // streams tolerate no interleaved bytes).
+  // beat.
   void set_heartbeat_window(int rank, bool open) override;
-
-  void pipeline_begin(int rank) override;
-  void pipeline_send(int rank, int peer, const ChunkHeader& header,
-                     const void* payload) override;
-  void pipeline_flush_sends(int rank) override;
-  bool pipeline_recv(int rank, int peer, DecodedChunk* out) override;
-  void pipeline_end(int rank) override;
 
  private:
   enum class Op { kOr, kSum };
@@ -136,17 +104,8 @@ class TcpTransport final : public Transport {
   std::uint64_t recv_control(int peer);
   std::uint64_t allreduce(int rank, std::uint64_t local, Op op);
 
-  void ensure_pipes();
-  void stop_pipes() noexcept;
-  TcpPeerPipe& pipe(int peer);
-
   void heartbeat_main();
   void stop_heartbeat() noexcept;
-
-  /// Sender-thread hook: delay until `bytes` more wire bytes fit the
-  /// simulated link (no-op at bandwidth 0). Shared deadline across all of
-  /// this rank's sender threads — concurrent peers split one link.
-  void pace_wire(std::size_t bytes);
 
   const int rank_;
   const int world_;
@@ -156,7 +115,6 @@ class TcpTransport final : public Transport {
   std::vector<Buffer> out_;
   std::vector<Buffer> in_;
   bool connected_ = false;
-  std::vector<std::unique_ptr<TcpPeerPipe>> pipes_;  ///< per peer; lazy
 
   // Failure-detection knobs (parsed from the environment in the ctor).
   int io_timeout_ms_ = 0;    ///< PGCH_IO_TIMEOUT_MS; 0 = wait forever
@@ -169,13 +127,6 @@ class TcpTransport final : public Transport {
   std::condition_variable hb_cv_;
   bool hb_open_ = false;
   bool hb_stop_ = false;
-
-  // Simulated-link pacing of pipelined sends (see set_simulated_bandwidth).
-  std::atomic<double> sim_bandwidth_{simulated_bandwidth_bytes_per_sec()};
-  std::mutex pace_mu_;
-  std::chrono::steady_clock::time_point pace_next_{};
-
-  friend struct TcpPeerPipe;
 };
 
 }  // namespace pregel::runtime

@@ -113,12 +113,12 @@ class Transport {
   }
 
   /// Liveness window (DESIGN.md section 12): the engine opens it around
-  /// phases where the calling thread touches no socket and no pipelined
-  /// round is armed (the compute phase), so a transport with heartbeats
-  /// enabled (PGCH_HEARTBEAT_MS) may emit control-lane heartbeats that
-  /// keep peers' silence deadlines (PGCH_IO_TIMEOUT_MS) fed through a
-  /// long compute. Closing the window blocks until no heartbeat is in
-  /// flight. Default: no-op (in-process teams share a fate anyway).
+  /// phases where the calling thread touches no socket (the compute
+  /// phase), so a transport with heartbeats enabled (PGCH_HEARTBEAT_MS)
+  /// may emit control-lane heartbeats that keep peers' silence deadlines
+  /// (PGCH_IO_TIMEOUT_MS) fed through a long compute. Closing the window
+  /// blocks until no heartbeat is in flight. Default: no-op (in-process
+  /// teams share a fate anyway).
   virtual void set_heartbeat_window(int /*rank*/, bool /*open*/) {}
 
   /// Collective gather: rank 0 receives every rank's blob (indexed by
@@ -128,56 +128,30 @@ class Transport {
   /// Collective broadcast: rank 0's `*data` replaces every other rank's.
   virtual void broadcast_from_root(int rank, Buffer* data) = 0;
 
-  // ---- pipelined rounds (DESIGN.md section 10) --------------------------
-  // A pipelining transport streams fixed-size chunks (runtime/chunk.hpp)
-  // to every peer while the sender is still serializing later channels
-  // and the receiver is already delivering earlier ones. The Exchange
-  // drives the round: pipeline_begin() arms the per-peer machinery,
-  // pipeline_send() enqueues one chunk (non-blocking up to a bounded
-  // in-flight budget), pipeline_flush_sends() returns once every enqueued
-  // chunk is on the wire, pipeline_recv() pops the next chunk from a peer
-  // (blocking until one lands), and pipeline_end() parks the machinery
-  // until the next round. The default implementation declines — bulk
-  // exchange() is the portable path and the parity oracle.
+  // ---- retired pipelined-round interface ---------------------------------
+  // Communication rounds are bulk (DESIGN.md section 10): no engine calls
+  // these and no transport in this library overrides them. The "not
+  // supported" stubs stay only because the benchmark's tracing decorator
+  // (perfbench/trace.hpp) forwards them.
 
-  /// True when this transport can run pipelined rounds. Must be constant
-  /// for the transport's lifetime and identical on every rank (the
-  /// engine's collective bulk/pipelined decision keys off it).
   [[nodiscard]] virtual bool supports_pipeline() const noexcept {
     return false;
   }
-
-  /// Arm a pipelined round (wakes per-peer senders/receivers).
-  virtual void pipeline_begin(int /*rank*/) {
-    throw TransportError("transport: pipelined rounds are not supported");
-  }
-
-  /// Enqueue one chunk for `peer`. Copies header+payload; blocks only when
-  /// the peer's bounded in-flight budget is full (backpressure).
+  virtual void pipeline_begin(int /*rank*/) { unsupported(); }
   virtual void pipeline_send(int /*rank*/, int /*peer*/,
                              const ChunkHeader& /*header*/,
                              const void* /*payload*/) {
-    throw TransportError("transport: pipelined rounds are not supported");
+    unsupported();
   }
-
-  /// Block until every chunk enqueued this round has been written to the
-  /// wire (the socket is then free for control-lane traffic).
-  virtual void pipeline_flush_sends(int /*rank*/) {
-    throw TransportError("transport: pipelined rounds are not supported");
-  }
-
-  /// Pop the next decoded chunk from `peer`'s stream into *out, blocking
-  /// until one lands. Returns false once the peer's round-last chunk has
-  /// already been popped. Rethrows any decode/socket error the receiver
-  /// hit.
+  virtual void pipeline_flush_sends(int /*rank*/) { unsupported(); }
   virtual bool pipeline_recv(int /*rank*/, int /*peer*/,
                              DecodedChunk* /*out*/) {
-    throw TransportError("transport: pipelined rounds are not supported");
+    unsupported();
   }
+  virtual void pipeline_end(int /*rank*/) { unsupported(); }
 
-  /// Park the round's machinery; every rank must have drained its peers
-  /// (all pipeline_recv streams returned false) before calling.
-  virtual void pipeline_end(int /*rank*/) {
+ private:
+  [[noreturn]] static void unsupported() {
     throw TransportError("transport: pipelined rounds are not supported");
   }
 };

@@ -1,11 +1,12 @@
 // Checkpoint format and fault-spec tests (docs/fault_tolerance.md):
-// round-trip, atomic-commit marker semantics, rejection of corrupted or
-// truncated files, fall-back past a damaged newest epoch, retention
-// pruning, and the PGCH_FAULT parser (malformed specs must throw — a
-// spec that silently parses to "no fault" would make failure-injection
-// tests vacuously pass).
+// round-trip, atomic-commit marker semantics, rejection of corrupted,
+// truncated or older-version files, fall-back past a damaged newest
+// epoch, retention pruning, and the PGCH_FAULT parser (malformed specs
+// must throw — a spec that silently parses to "no fault" would make
+// failure-injection tests vacuously pass).
 
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -103,6 +104,33 @@ TEST(Checkpoint, LatestValidEpochWalksPastDamage) {
   // The at_most bound caps the walk (a resume hint below the newest).
   EXPECT_EQ(runtime::latest_valid_epoch(dir, 0, 2, 3), 2);
   EXPECT_EQ(runtime::latest_valid_epoch(dir, 0, 2, 1), -1);
+}
+
+TEST(Checkpoint, OlderFormatVersionIsRefusedByName) {
+  const std::string dir = scratch_dir("version");
+  runtime::write_checkpoint(dir, 0, 2, 2, payload_of("current"));
+  runtime::write_checkpoint(dir, 0, 2, 4, payload_of("from an old build"));
+
+  // Patch the epoch-4 header's version field (the u32 after the magic) to
+  // 1. The payload and its checksum are untouched, so only the version
+  // check can reject the file.
+  const std::string path = runtime::checkpoint_path(dir, 0, 4);
+  FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t old_version = 1;
+  ASSERT_EQ(std::fseek(f, sizeof(std::uint32_t), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&old_version, sizeof old_version, 1, f), 1u);
+  std::fclose(f);
+
+  try {
+    (void)runtime::load_checkpoint(dir, 0, 2, 4);
+    ADD_FAILURE() << "a version-1 checkpoint was accepted";
+  } catch (const runtime::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(runtime::latest_valid_epoch(dir, 0, 2, INT_MAX), 2);
 }
 
 TEST(Checkpoint, MarkerCommitsAnEpochPerWorldSize) {

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,28 @@ TEST(MmapLoad, VerifyOptOutLoadsWithoutChecksumming) {
   // With verification back on, the same corrupt file is rejected (the
   // in-place flip moved mtime, so no stale cache entry can match).
   EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(MmapLoad, VerifyKnobRejectsAnythingButZeroOrOne) {
+  const CsrGraph g = test_graph(129);
+  const auto path = temp_path("pgch_mmap_verify_junk.bin");
+  save_binary(g, path);
+  for (const char* junk : {"false", "off", "2"}) {
+    const ScopedEnv env("PGCH_MMAP_VERIFY", junk);
+    try {
+      (void)load_binary_mmap(path);
+      ADD_FAILURE() << "PGCH_MMAP_VERIFY='" << junk << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PGCH_MMAP_VERIFY"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    const ScopedEnv env("PGCH_MMAP_VERIFY", "1");
+    EXPECT_EQ(load_binary_mmap(path), g);
+  }
   std::remove(path.c_str());
 }
 

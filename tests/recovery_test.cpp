@@ -33,7 +33,6 @@
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "runtime/tcp_transport.hpp"
-#include "tcp_mesh.hpp"
 
 using namespace pregel;
 
@@ -311,18 +310,6 @@ TEST(Recovery, HungPeerSurfacesTimeoutOnSurvivorsWithinDeadline) {
   // point is "bounded", not "instant" (a blocked survivor would ride to
   // the ctest timeout instead).
   EXPECT_LT(r.seconds, 60.0) << r.log;
-}
-
-TEST(Recovery, MidPipelinePeerDeathThrowsInsteadOfHanging) {
-  // In-process variant of a peer dying mid-pipelined-round: rank 1's
-  // transport is destroyed (sockets closed) while rank 0 has a round
-  // armed; rank 0's receive must surface TransportError promptly.
-  auto transports = pregel::testing::make_mesh(2);
-  transports[0]->pipeline_begin(0);
-  transports[1].reset();  // rank 1 "crashes": fds close, EOF on rank 0
-  runtime::DecodedChunk chunk;
-  EXPECT_THROW(transports[0]->pipeline_recv(0, 1, &chunk),
-               runtime::TransportError);
 }
 
 }  // namespace

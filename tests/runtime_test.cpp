@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -20,7 +21,6 @@
 #include "runtime/barrier.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/checkpoint.hpp"
-#include "runtime/chunk.hpp"
 #include "runtime/compute_pool.hpp"
 #include "runtime/exchange.hpp"
 #include "runtime/tcp_transport.hpp"
@@ -294,7 +294,7 @@ TEST(WorkerTeam, RejectsBadWorkerCount) {
   EXPECT_THROW(WorkerTeam::run(0, [](int) {}), std::invalid_argument);
 }
 
-// ----------------------------------------------------- numeric PGCH knobs --
+// ------------------------------------------ numeric and boolean PGCH knobs --
 
 /// One row of the knob table: set `var` to `value`, then `read` either
 /// returns `want` (defaults and clamps applied) or, when `throws`, raises
@@ -320,8 +320,8 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
   const std::function<long long()> mirror = [] {
     return core::mirror_degree_from_env();
   };
-  const std::function<long long()> chunk = [] {
-    return static_cast<long long>(rt::chunk_bytes_from_env());
+  const std::function<long long()> steal = [] {
+    return static_cast<long long>(rt::steal_from_env());
   };
   const std::function<long long()> every = [] {
     return rt::CheckpointConfig::from_env().every;
@@ -366,12 +366,13 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
       {"PGCH_MIRROR_DEGREE", "16", mirror, 16, false},
       {"PGCH_MIRROR_DEGREE", "-1", mirror, 0, false},
       {"PGCH_MIRROR_DEGREE", "1e3", mirror, 0, true},
-      {"PGCH_CHUNK_BYTES", "1024", chunk, 1024, false},
-      {"PGCH_CHUNK_BYTES", "1", chunk, 64, false},
-      {"PGCH_CHUNK_BYTES", "99999999999", chunk,
-       static_cast<long long>(rt::kMaxChunkPayload), false},
-      {"PGCH_CHUNK_BYTES", "4k", chunk, 0, true},
-      {"PGCH_CHUNK_BYTES", "99999999999999999999", chunk, 0, true},
+      {"PGCH_MIRROR_DEGREE", "99999999999", mirror, INT_MAX, false},
+      {"PGCH_MIRROR_DEGREE", "99999999999999999999", mirror, 0, true},
+      {"PGCH_STEAL", "1", steal, 1, false},
+      {"PGCH_STEAL", "0", steal, 0, false},
+      {"PGCH_STEAL", "", steal, 0, false},
+      {"PGCH_STEAL", "true", steal, 0, true},
+      {"PGCH_STEAL", "2", steal, 0, true},
       {"PGCH_CHECKPOINT_EVERY", "5", every, 5, false},
       {"PGCH_CHECKPOINT_EVERY", "-2", every, 0, false},
       {"PGCH_CHECKPOINT_EVERY", "x", every, 0, true},

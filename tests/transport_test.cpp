@@ -1,22 +1,25 @@
 // Tests for the transport layer (DESIGN.md section 7): the
 // PGCH_SIM_NET_MBPS throttle of the in-process backend, the TCP backend's
 // collectives and data exchange over real loopback sockets, distributed
-// SSSP/PageRank runs whose results and per-channel byte counts must be
-// identical to the in-process backend, frame-mismatch detection across a
-// socket, and the RunStats wire round-trip the multi-process stats fold
-// rides on.
+// SSSP/PageRank/WCC runs whose results and per-channel byte counts must
+// be identical to the in-process backend at pinned thread counts,
+// frame-mismatch detection across a socket, and the RunStats wire
+// round-trip the multi-process stats fold rides on.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algorithms/pagerank.hpp"
 #include "algorithms/runner.hpp"
 #include "algorithms/sssp.hpp"
+#include "algorithms/wcc.hpp"
 #include "core/pregel_channel.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
@@ -294,57 +297,101 @@ void expect_identical_traffic(const RunStats& tcp, const RunStats& inproc) {
   EXPECT_EQ(tcp.bytes_per_superstep, inproc.bytes_per_superstep);
 }
 
-TEST(TcpParity, SsspMatchesInProcessBackend) {
-  const graph::Graph g = graph::grid_road(24, 24, 300, 7);
+/// The pinned (compute threads, comm threads) cells every TCP parity run
+/// covers: everything on one slot, and everything on a 3-slot pool.
+struct ThreadCell {
+  int compute;
+  int comm;
+};
+constexpr ThreadCell kThreadCells[] = {{1, 1}, {3, 3}};
+
+/// Pin the thread knobs so the parity runs do not depend on the PGCH_*
+/// variables a CI leg sets, then apply the algorithm's own settings.
+template <typename WorkerT>
+std::function<void(WorkerT&)> pinned(ThreadCell cell,
+                                     std::function<void(WorkerT&)> extra) {
+  return [cell, extra](WorkerT& w) {
+    w.set_compute_threads(cell.compute);
+    w.set_comm_threads(cell.comm);
+    if (extra) extra(w);
+  };
+}
+
+/// Run WorkerT over `g` at 2 and 4 ranks. The oracle per world size is
+/// the in-process run on one slot; the TCP run at every thread cell must
+/// reproduce its vertex results exactly (callers hand floats as bit
+/// patterns) and its traffic.
+template <typename WorkerT, typename OutT, typename Extract>
+void expect_tcp_parity(const graph::Graph& g, Extract extract,
+                       std::function<void(WorkerT&)> extra) {
   for (const int world : {2, 4}) {
     const graph::DistributedGraph dg(
         g, graph::hash_partition(g.num_vertices(), world));
-    const auto configure = [](algo::Sssp& w) { w.source = 0; };
-
-    std::vector<std::uint64_t> expect;
-    const RunStats inproc = algo::run_collect<algo::Sssp>(
-        dg, expect, [](const algo::SsspVertex& v) { return v.value().dist; },
-        configure);
-
-    std::vector<std::uint64_t> got;
-    const RunStats tcp = run_tcp<algo::Sssp>(
-        dg, world, got,
-        [](const algo::SsspVertex& v) { return v.value().dist; }, configure);
-
-    EXPECT_EQ(got, expect);
-    expect_identical_traffic(tcp, inproc);
+    std::vector<OutT> want;
+    const RunStats oracle = algo::run_collect<WorkerT>(
+        dg, want, extract, pinned<WorkerT>(kThreadCells[0], extra));
+    for (const ThreadCell cell : kThreadCells) {
+      SCOPED_TRACE("world=" + std::to_string(world) +
+                   " compute=" + std::to_string(cell.compute) +
+                   " comm=" + std::to_string(cell.comm));
+      std::vector<OutT> got;
+      const RunStats tcp = run_tcp<WorkerT>(dg, world, got, extract,
+                                            pinned<WorkerT>(cell, extra));
+      EXPECT_EQ(got, want);
+      expect_identical_traffic(tcp, oracle);
+    }
   }
 }
 
-TEST(TcpParity, PageRankMatchesInProcessBackendBitwise) {
+graph::Graph parity_rmat(bool symmetric) {
   graph::RmatOptions opts;
-  opts.num_vertices = 1u << 10;
-  opts.num_edges = 1u << 13;
-  const graph::Graph g = graph::rmat(opts);
-  for (const int world : {2, 4}) {
-    const graph::DistributedGraph dg(
-        g, graph::hash_partition(g.num_vertices(), world));
-    const auto configure = [](algo::PageRankCombined& w) {
-      w.iterations = 5;
-    };
+  opts.num_vertices = 1u << 12;
+  opts.num_edges = 1u << 15;
+  opts.seed = 42;
+  graph::Graph g = graph::rmat(opts);
+  if (symmetric) g = g.symmetrized();
+  return g;
+}
 
-    std::vector<double> expect;
-    const RunStats inproc = algo::run_collect<algo::PageRankCombined>(
-        dg, expect, [](const algo::PRVertex& v) { return v.value().rank; },
-        configure);
+std::uint64_t pagerank_bits(const algo::PRVertex& v) {
+  return std::bit_cast<std::uint64_t>(v.value().rank);
+}
 
-    std::vector<double> got;
-    const RunStats tcp = run_tcp<algo::PageRankCombined>(
-        dg, world, got,
-        [](const algo::PRVertex& v) { return v.value().rank; }, configure);
+TEST(TcpParity, SsspMatchesInProcessBackend) {
+  expect_tcp_parity<algo::Sssp, std::uint64_t>(
+      graph::grid_road(32, 32, 300, 7),
+      [](const algo::SsspVertex& v) { return v.value().dist; },
+      [](algo::Sssp& w) { w.source = 0; });
+}
 
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-                std::bit_cast<std::uint64_t>(expect[i]));
-    }
-    expect_identical_traffic(tcp, inproc);
-  }
+TEST(TcpParity, PageRankMatchesInProcessBackendBitwise) {
+  expect_tcp_parity<algo::PageRankCombined, std::uint64_t>(
+      parity_rmat(false), pagerank_bits,
+      [](algo::PageRankCombined& w) { w.iterations = 5; });
+}
+
+TEST(TcpParity, WccMatchesInProcessBackend) {
+  expect_tcp_parity<algo::WccBasic, graph::VertexId>(
+      parity_rmat(true),
+      [](const algo::WccVertex& v) { return v.value().label; }, {});
+}
+
+TEST(TcpParity, BulkPhaseSumStaysInsideCommWall) {
+  // Serialize, exchange and deliver are disjoint sub-intervals of the comm
+  // wall (which additionally covers the votes), so their sum cannot
+  // exceed it.
+  const graph::Graph g = parity_rmat(false);
+  const graph::DistributedGraph dg(g,
+                                   graph::hash_partition(g.num_vertices(), 2));
+  std::vector<std::uint64_t> out;
+  const RunStats s = run_tcp<algo::PageRankCombined>(
+      dg, 2, out, pagerank_bits,
+      pinned<algo::PageRankCombined>(
+          kThreadCells[0],
+          [](algo::PageRankCombined& w) { w.iterations = 5; }));
+  constexpr double kEps = 1e-3;
+  EXPECT_LE(s.serialize_seconds + s.exchange_seconds + s.deliver_seconds,
+            s.comm_seconds + kEps);
 }
 
 TEST(TcpParity, AllGatherResultsGivesEveryRankTheGlobalArray) {
@@ -390,21 +437,16 @@ TEST(RunStatsWire, SerializeDeserializeRoundTrips) {
   s.serialize_seconds = 0.2;
   s.exchange_seconds = 0.15;
   s.deliver_seconds = 0.1;
-  s.overlap_seconds = 0.05;
   s.supersteps = 7;
   s.comm_rounds = 12;
-  s.pipelined_rounds = 9;
   s.message_bytes = 123456;
   s.message_batches = 34;
-  s.chunks_sent = 77;
-  s.chunks_received = 78;
   s.frame_bytes = 512;
   s.bytes_by_channel["dist"] = 1000;
   s.bytes_by_channel["agg"] = 24;
   s.active_per_superstep = {10, 8, 3};
   s.active_vertex_total = 21;
   s.bytes_per_superstep = {400, 300, 100};
-  s.chunks_per_superstep = {40, 70, 45};
 
   Buffer wire;
   s.serialize(wire);
@@ -416,20 +458,15 @@ TEST(RunStatsWire, SerializeDeserializeRoundTrips) {
   EXPECT_EQ(back.serialize_seconds, s.serialize_seconds);
   EXPECT_EQ(back.exchange_seconds, s.exchange_seconds);
   EXPECT_EQ(back.deliver_seconds, s.deliver_seconds);
-  EXPECT_EQ(back.overlap_seconds, s.overlap_seconds);
   EXPECT_EQ(back.supersteps, s.supersteps);
   EXPECT_EQ(back.comm_rounds, s.comm_rounds);
-  EXPECT_EQ(back.pipelined_rounds, s.pipelined_rounds);
   EXPECT_EQ(back.message_bytes, s.message_bytes);
   EXPECT_EQ(back.message_batches, s.message_batches);
-  EXPECT_EQ(back.chunks_sent, s.chunks_sent);
-  EXPECT_EQ(back.chunks_received, s.chunks_received);
   EXPECT_EQ(back.frame_bytes, s.frame_bytes);
   EXPECT_EQ(back.bytes_by_channel, s.bytes_by_channel);
   EXPECT_EQ(back.active_per_superstep, s.active_per_superstep);
   EXPECT_EQ(back.active_vertex_total, s.active_vertex_total);
   EXPECT_EQ(back.bytes_per_superstep, s.bytes_per_superstep);
-  EXPECT_EQ(back.chunks_per_superstep, s.chunks_per_superstep);
 }
 
 TEST(RunStatsWire, DetailedReportsComputeCommunicationSplit) {
