@@ -255,11 +255,11 @@ inline const CsrGraph& wikipedia_scc_graph() {
   return g;
 }
 
-/// Skew stand-in for the partitioner comparison: an R-MAT power-law graph
+/// Skew stand-in for the work-stealing rows: an R-MAT power-law graph
 /// with permute_ids=false, so the hubs stay clustered at low vertex ids.
 /// A contiguous range partition then hands rank 0 nearly all the edge
-/// work, which is exactly the regime degree_partition (and PGCH_STEAL)
-/// exist to fix — with the default permutation the skew averages out
+/// work, and within a rank the hub chunks are the regime PGCH_STEAL
+/// exists for — with the default permutation the skew averages out
 /// across ranges and the comparison shows nothing.
 inline const CsrGraph& rmat_skew_graph() {
   static const CsrGraph g = make_dataset("rmat_skew", [] {
@@ -328,21 +328,6 @@ inline DistributedGraph range_dg(const CsrGraph& g) {
   return warmed(DistributedGraph(
       shared(g),
       pregel::graph::range_partition(g.num_vertices(), num_workers())));
-}
-
-inline DistributedGraph degree_dg(const CsrGraph& g) {
-  return warmed(DistributedGraph(
-      shared(g), pregel::graph::degree_partition(g, num_workers())));
-}
-
-/// Partitioner selected by PGCH_PARTITION (hash when unset) — the view
-/// multi-process benches use so every rank of a `pgch_launch --partition`
-/// team builds the identical partition.
-inline DistributedGraph env_partition_dg(const CsrGraph& g) {
-  const auto kind = pregel::graph::partition_kind_from_env(
-      pregel::graph::PartitionKind::kHash);
-  return warmed(DistributedGraph(
-      shared(g), pregel::graph::make_partition(g, num_workers(), kind)));
 }
 
 inline DistributedGraph voronoi_dg(const CsrGraph& g) {

@@ -145,15 +145,13 @@ void PR_WebUK_MmapLoad(benchmark::State& s) {
 }
 
 // ---- skew rows (DESIGN.md section 11) ------------------------------------
-// PageRank on the unpermuted power-law graph, range vs degree partition
-// and pinned vs stealing compute. The JSON rank_imbalance/slot_imbalance
+// PageRank on the unpermuted power-law graph under a range partition,
+// pinned vs stealing compute. The JSON rank_imbalance/slot_imbalance
 // fields are the point of these rows: range partitioning leaves the hub
-// ranges on one rank (high rank imbalance), degree partitioning flattens
-// it; within a rank, stealing flattens the per-slot spread the hub chunks
-// cause. Threads are pinned to 3 so the in-process and 2-rank TCP rows
-// measure the same schedule.
+// ranges on one rank (high rank imbalance); within a rank, stealing
+// flattens the per-slot spread the hub chunks cause. Threads are pinned
+// to 3 so the in-process and 2-rank TCP rows measure the same schedule.
 PGCH_CACHED_DG(rmat_range, bench::range_dg(bench::rmat_skew_graph()))
-PGCH_CACHED_DG(rmat_degree, bench::degree_dg(bench::rmat_skew_graph()))
 
 void skew_pinned(algo::PageRankCombined& w) {
   w.set_compute_threads(3);
@@ -167,16 +165,8 @@ void PR_Rmat_Range(benchmark::State& s) {
   bench::run_case<algo::PageRankCombined>(s, __func__, rmat_range(),
                                           skew_pinned);
 }
-void PR_Rmat_Degree(benchmark::State& s) {
-  bench::run_case<algo::PageRankCombined>(s, __func__, rmat_degree(),
-                                          skew_pinned);
-}
 void PR_Rmat_RangeSteal(benchmark::State& s) {
   bench::run_case<algo::PageRankCombined>(s, __func__, rmat_range(),
-                                          skew_steal);
-}
-void PR_Rmat_DegreeSteal(benchmark::State& s) {
-  bench::run_case<algo::PageRankCombined>(s, __func__, rmat_degree(),
                                           skew_steal);
 }
 
@@ -262,9 +252,7 @@ PGCH_BENCH(PR_Wikipedia_ChannelAdaptive);
 PGCH_BENCH(PR_WebUK_HeapLoad);
 PGCH_BENCH(PR_WebUK_MmapLoad);
 PGCH_BENCH(PR_Rmat_Range);
-PGCH_BENCH(PR_Rmat_Degree);
 PGCH_BENCH(PR_Rmat_RangeSteal);
-PGCH_BENCH(PR_Rmat_DegreeSteal);
 PGCH_BENCH(WCC_Wikipedia_Pregel);
 PGCH_BENCH(WCC_Wikipedia_Channel);
 PGCH_BENCH(WCC_WikipediaP_Pregel);

@@ -19,24 +19,12 @@
 //   PGCH_HOSTS      optional comma-separated per-rank "host[:port]" list
 //                   for multi-host runs; missing entries default to
 //                   127.0.0.1:PGCH_PORT_BASE+r
-//   PGCH_PARTITION  optional partitioner selection ("range" | "degree" |
-//                   "hash") for the env-driven entry points that build
-//                   the distributed graph (benches, tools); must be
-//                   identical on every rank of a team
-//   PGCH_MMAP       optional snapshot-loader selection: "1" forces the
-//                   zero-copy mmap path for v3 snapshots, "0" forces the
-//                   heap loader, unset picks mmap automatically for v3
-//                   (graph::load_any consumes it; advisory here, like
-//                   PGCH_PARTITION)
 
 #include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "graph/io.hpp"
-#include "graph/partition.hpp"
 #include "runtime/env.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "runtime/transport.hpp"
@@ -94,9 +82,10 @@ struct FaultSpec {
     bool in_value = false;
     const auto apply = [&spec](const std::string& k, const std::string& v) {
       if (k == "rank") {
-        spec.rank = std::atoi(v.c_str());
+        spec.rank = runtime::parse_int("PGCH_FAULT rank", v.c_str());
       } else if (k == "superstep") {
-        spec.superstep = std::atoi(v.c_str());
+        spec.superstep =
+            runtime::parse_int("PGCH_FAULT superstep", v.c_str());
       } else if (k == "kind") {
         if (v == "exit") {
           spec.kind = Kind::kExit;
@@ -152,16 +141,6 @@ struct LaunchConfig {
   /// the transport down, re-runs the mesh handshake, and restores the
   /// last committed checkpoint epoch the surviving team agrees on.
   int recovery_attempts = 0;
-  /// Partitioner (PGCH_PARTITION; unset = the caller's default). launch()
-  /// consumes an already-partitioned DistributedGraph, so this field is
-  /// advisory: env-driven entry points pass it to graph::make_partition
-  /// when building the graph, which keeps every rank of a TCP team on the
-  /// same partition.
-  std::optional<graph::PartitionKind> partition;
-  /// Snapshot-loader selection (PGCH_MMAP). Advisory like `partition`:
-  /// launch() consumes an already-loaded graph, so entry points that load
-  /// snapshots pass this to graph::load_any.
-  graph::MmapMode mmap = graph::MmapMode::kAuto;
 
   /// The PGCH_* environment form above; unset variables leave defaults.
   static LaunchConfig from_env() {
@@ -182,10 +161,6 @@ struct LaunchConfig {
     const int timeout_ms = runtime::env_int("PGCH_CONNECT_TIMEOUT_MS", 0);
     if (timeout_ms > 0) cfg.connect_timeout_s = timeout_ms / 1000.0;
     cfg.recovery_attempts = runtime::env_int("PGCH_RECOVERY_ATTEMPTS", 0, 0);
-    if (const char* part = std::getenv("PGCH_PARTITION"); part && *part) {
-      cfg.partition = graph::parse_partition_kind(part);
-    }
-    cfg.mmap = graph::mmap_mode_from_env();
     if (const char* h = std::getenv("PGCH_HOSTS")) {
       std::string entry;
       for (const char* c = h;; ++c) {
@@ -216,6 +191,18 @@ struct LaunchConfig {
     }
     runtime::TcpEndpoint ep;
     ep.port = static_cast<std::uint16_t>(default_port);
+    // An explicit port is a whole number in 1..65535: "h:", "h:abc" and
+    // "h:70000" throw instead of becoming some other port.
+    const auto explicit_port = [](const std::string& entry,
+                                  const char* text) {
+      const int port =
+          runtime::parse_int("PGCH_HOSTS port of \"" + entry + "\"", text);
+      if (port < 1 || port > 65535) {
+        throw std::invalid_argument("PGCH_HOSTS port of \"" + entry +
+                                    "\" is outside 1..65535");
+      }
+      return static_cast<std::uint16_t>(port);
+    };
     if (static_cast<std::size_t>(r) >= hosts.size() ||
         hosts[static_cast<std::size_t>(r)].empty()) {
       return ep;
@@ -233,8 +220,7 @@ struct LaunchConfig {
           throw std::invalid_argument(
               "PGCH_HOSTS: expected ':' after ']' in \"" + entry + "\"");
         }
-        ep.port =
-            static_cast<std::uint16_t>(std::atoi(entry.c_str() + close + 2));
+        ep.port = explicit_port(entry, entry.c_str() + close + 2);
       }
       return ep;
     }
@@ -244,8 +230,7 @@ struct LaunchConfig {
       ep.host = entry;  // no port, or an unbracketed IPv6 literal
     } else {
       ep.host = entry.substr(0, colon);
-      ep.port =
-          static_cast<std::uint16_t>(std::atoi(entry.c_str() + colon + 1));
+      ep.port = explicit_port(entry, entry.c_str() + colon + 1);
     }
     return ep;
   }

@@ -12,26 +12,12 @@
 // and fold it into the per-target slots.
 //
 // Two differences from Pregel+'s ghost mode (both follow from the channel
-// owning its pattern): by default no degree threshold is needed (every
-// vertex is mirrored — the handshake already paid for the tables), and
+// owning its pattern): no degree threshold is needed (every vertex is
+// mirrored — the handshake already paid for the tables), and
 // steady-state rounds ship bare values in the agreed source order, so the
 // receiver scatters by position instead of hashing sender ids (the hash
 // lookup is exactly the ghost-mode cost the paper's V-B1 analysis calls
 // out).
-//
-// Degree-threshold mode (PGCH_MIRROR_DEGREE / set_mirror_degree, 0 = off):
-// only senders with out-degree >= the threshold are mirrored; the rest
-// ship explicit (target lidx, value) pairs in a direct section appended
-// after the mirrored values of the same payload. On graphs where most
-// vertices have few neighbors per peer, this shrinks the one-time
-// handshake tables (only hubs install mirrors) at the cost of 4 bytes of
-// addressing per low-degree (sender, peer) value in every round —
-// tools/graph_convert --stats prints the degree percentiles to pick the
-// threshold from. The threshold changes the per-vertex fold order
-// (mirrored contributions fold before direct ones per peer), so exact
-// combiners are unaffected while float results may differ in low bits
-// across *different* thresholds; for a fixed threshold results remain
-// bitwise-identical across thread counts, schedules and transports.
 //
 // Trade-off vs ScatterCombine: wire volume is one value per (source,
 // worker) instead of one per (worker, unique target); mirroring wins when
@@ -51,16 +37,8 @@
 #include "core/channel.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
-#include "runtime/env.hpp"
 
 namespace pregel::core {
-
-/// The PGCH_MIRROR_DEGREE environment default of
-/// MirrorScatter::set_mirror_degree (0 / unset = mirror every sender).
-inline std::uint32_t mirror_degree_from_env() {
-  return static_cast<std::uint32_t>(
-      runtime::env_int("PGCH_MIRROR_DEGREE", 0, 0));
-}
 
 template <typename VertexT, typename ValT>
   requires runtime::TriviallySerializable<ValT>
@@ -74,31 +52,13 @@ class MirrorScatter : public Channel {
         vals_(w->num_local(), combiner_.identity),
         adj_(w->num_local()),
         senders_(static_cast<std::size_t>(w->num_workers())),
-        direct_(static_cast<std::size_t>(w->num_workers())),
         slot_(w->num_local(), combiner_.identity),
         has_(w->num_local(), 0),
         recv_touched_(1),
         mirrors_(static_cast<std::size_t>(w->num_workers())),
         handshake_sent_(static_cast<std::size_t>(w->num_workers()), 0),
         seg_(static_cast<std::size_t>(w->num_workers()), nullptr),
-        spans_(static_cast<std::size_t>(w->num_workers())),
-        direct_spans_(static_cast<std::size_t>(w->num_workers())) {}
-
-  /// Mirror only senders with out-degree >= `degree`; 0 (the default,
-  /// overridable via PGCH_MIRROR_DEGREE) mirrors every sender. Must be
-  /// identical on every rank and set before the first superstep (the
-  /// split is baked in when the edge set finalizes).
-  void set_mirror_degree(std::uint32_t degree) {
-    if (finalized_) {
-      throw std::logic_error(
-          "MirrorScatter: set_mirror_degree after the edge set was "
-          "finalized");
-    }
-    mirror_degree_ = degree;
-  }
-  [[nodiscard]] std::uint32_t mirror_degree() const noexcept {
-    return mirror_degree_;
-  }
+        spans_(static_cast<std::size_t>(w->num_workers())) {}
 
   /// Register an outgoing edge of the current vertex (static pattern:
   /// all edges before the first set_message is delivered).
@@ -150,26 +110,14 @@ class MirrorScatter : public Channel {
     if (!finalized_) finalize();
 
     // Headers, one-time mirror-table handshakes, and payload segment
-    // reservation: one value per mirrored sender at a fixed position,
-    // then (threshold mode) one explicit pair per direct send — both
-    // sections are static, so segments stay pre-sized every round.
-    const bool mixed = mirror_degree_ > 0;
+    // reservation: one value per mirrored sender at a fixed position.
     std::uint64_t total_sends = 0;
     for (int to = 0; to < num_workers; ++to) {
       runtime::Buffer& out = w().outbox(to);
       auto& to_peer = senders_[static_cast<std::size_t>(to)];
-      const auto& to_direct = direct_[static_cast<std::size_t>(to)];
       const bool first = handshake_sent_[static_cast<std::size_t>(to)] == 0;
-      if (mixed) {
-        out.write<std::uint8_t>(first ? kTagHandshakeMixed : kTagValuesMixed);
-      } else {
-        out.write<std::uint8_t>(first ? kTagHandshake : kTagValues);
-      }
+      out.write<std::uint8_t>(first ? kTagHandshake : kTagValues);
       out.write<std::uint32_t>(static_cast<std::uint32_t>(to_peer.size()));
-      if (mixed) {
-        out.write<std::uint32_t>(
-            static_cast<std::uint32_t>(to_direct.size()));
-      }
       if (first) {
         // Install the mirror tables: per sending vertex, the neighbor
         // list it owns on that worker (positional from now on).
@@ -178,9 +126,9 @@ class MirrorScatter : public Channel {
         }
         handshake_sent_[static_cast<std::size_t>(to)] = 1;
       }
-      seg_[static_cast<std::size_t>(to)] = out.extend(
-          to_peer.size() * sizeof(ValT) + to_direct.size() * kDirectWireBytes);
-      total_sends += to_peer.size() + to_direct.size();
+      seg_[static_cast<std::size_t>(to)] =
+          out.extend(to_peer.size() * sizeof(ValT));
+      total_sends += to_peer.size();
     }
 
     w().run_comm_partitioned(
@@ -192,10 +140,9 @@ class MirrorScatter : public Channel {
 
   /// Range-partitioned delivery: mirror tables are installed (and
   /// validated) in the first round, then every pool slot scans each
-  /// peer's value list (and, in threshold mode, its direct-pair section)
-  /// and applies only the targets inside its contiguous local-vertex
-  /// range. Per-vertex fold order stays (peer order, then mirrored source
-  /// order, then direct pair order) — the one-slot order.
+  /// peer's value list and applies only the targets inside its contiguous
+  /// local-vertex range. Per-vertex fold order stays (peer order, then
+  /// source order) — the one-slot order.
   void deserialize() override {
     const int num_workers = w().num_workers();
     std::uint64_t total_targets = 0;
@@ -204,14 +151,15 @@ class MirrorScatter : public Channel {
       const auto tag = in.read<std::uint8_t>();
       if (tag == kTagIdle) {
         spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
-        direct_spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
         continue;
       }
-      const bool mixed = tag == kTagHandshakeMixed || tag == kTagValuesMixed;
+      if (tag != kTagHandshake && tag != kTagValues) {
+        throw runtime::ProtocolError(name() + ": unknown wire tag " +
+                                     std::to_string(tag));
+      }
       const auto n = in.read<std::uint32_t>();
-      const std::uint32_t nd = mixed ? in.read<std::uint32_t>() : 0;
       auto& table = mirrors_[static_cast<std::size_t>(from)];
-      if (tag == kTagHandshake || tag == kTagHandshakeMixed) {
+      if (tag == kTagHandshake) {
         table.resize(n);
         for (std::uint32_t i = 0; i < n; ++i) {
           table[i] = in.read_vector<std::uint32_t>();
@@ -227,10 +175,7 @@ class MirrorScatter : public Channel {
       }
       spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
       in.skip(std::size_t{n} * sizeof(ValT));
-      direct_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), nd};
-      in.skip(std::size_t{nd} * kDirectWireBytes);
       for (std::uint32_t i = 0; i < n; ++i) total_targets += table[i].size();
-      total_targets += nd;
     }
     w().run_comm_partitioned(
         total_targets, worker_->num_local(), &recv_touched_,
@@ -243,11 +188,6 @@ class MirrorScatter : public Channel {
   static constexpr std::uint8_t kTagIdle = 0;
   static constexpr std::uint8_t kTagHandshake = 1;
   static constexpr std::uint8_t kTagValues = 2;
-  // Threshold-mode payloads (mirror_degree_ > 0) carry an extra direct
-  // section; distinct tags keep the default-mode wire format byte-for-byte
-  // what it always was.
-  static constexpr std::uint8_t kTagHandshakeMixed = 3;
-  static constexpr std::uint8_t kTagValuesMixed = 4;
 
   /// One sending vertex's mirror on one worker.
   struct Sender {
@@ -255,25 +195,11 @@ class MirrorScatter : public Channel {
     std::vector<std::uint32_t> targets;  ///< receiver local indices
   };
 
-  /// One below-threshold (sender, target) pair: shipped explicitly as
-  /// (dst lidx, value) every round instead of through a mirror table.
-  struct DirectSend {
-    std::uint32_t src;  ///< local index of the sender (this rank)
-    std::uint32_t dst;  ///< local index of the target (receiving rank)
-  };
-
-  /// Raw bytes one direct pair occupies on the wire (written field by
-  /// field, so no struct padding travels).
-  static constexpr std::size_t kDirectWireBytes =
-      sizeof(std::uint32_t) + sizeof(ValT);
-
   void finalize() {
     const auto num_workers = static_cast<std::size_t>(w().num_workers());
     for (std::uint32_t src = 0;
          src < static_cast<std::uint32_t>(adj_.size()); ++src) {
       if (adj_[src].empty()) continue;
-      const bool mirrored =
-          mirror_degree_ == 0 || adj_[src].size() >= mirror_degree_;
       // Bucket this vertex's neighbors by owner.
       std::vector<std::vector<std::uint32_t>> buckets(num_workers);
       for (const KeyT dst : adj_[src]) {
@@ -282,13 +208,7 @@ class MirrorScatter : public Channel {
       }
       for (std::size_t peer = 0; peer < num_workers; ++peer) {
         if (buckets[peer].empty()) continue;
-        if (mirrored) {
-          senders_[peer].push_back(Sender{src, std::move(buckets[peer])});
-        } else {
-          for (const std::uint32_t dst : buckets[peer]) {
-            direct_[peer].push_back(DirectSend{src, dst});
-          }
-        }
+        senders_[peer].push_back(Sender{src, std::move(buckets[peer])});
       }
       adj_[src].clear();
       adj_[src].shrink_to_fit();  // the channel-side copy is now obsolete
@@ -297,21 +217,13 @@ class MirrorScatter : public Channel {
   }
 
   /// Copy the broadcast values of destination ranks [begin, end) into
-  /// their pre-sized segments: mirrored values in the agreed sender
-  /// order, then the direct (dst lidx, value) pairs in the agreed pair
-  /// order.
+  /// their pre-sized segments, in the agreed sender order.
   void fill_ranks(int begin, int end) {
     for (int to = begin; to < end; ++to) {
       const auto& to_peer = senders_[static_cast<std::size_t>(to)];
       std::byte* p = seg_[static_cast<std::size_t>(to)];
       for (const auto& s : to_peer) {
         std::memcpy(p, &vals_[s.src], sizeof(ValT));
-        p += sizeof(ValT);
-      }
-      for (const DirectSend& d : direct_[static_cast<std::size_t>(to)]) {
-        std::memcpy(p, &d.dst, sizeof(std::uint32_t));
-        p += sizeof(std::uint32_t);
-        std::memcpy(p, &vals_[d.src], sizeof(ValT));
         p += sizeof(ValT);
       }
     }
@@ -342,19 +254,6 @@ class MirrorScatter : public Channel {
           apply(lidx, val, delivery_slot);
         }
       }
-      const auto& [dptr, nd] = direct_spans_[static_cast<std::size_t>(from)];
-      const std::byte* q = dptr;
-      for (std::uint32_t j = 0; j < nd; ++j, q += kDirectWireBytes) {
-        std::uint32_t lidx;
-        std::memcpy(&lidx, q, sizeof(std::uint32_t));
-        if (lidx < lo || lidx >= hi) {
-          detail::check_local_index(lidx, worker_->num_local(), name());
-          continue;
-        }
-        ValT val;
-        std::memcpy(&val, q + sizeof(std::uint32_t), sizeof(ValT));
-        apply(lidx, val, delivery_slot);
-      }
     }
   }
 
@@ -365,11 +264,8 @@ class MirrorScatter : public Channel {
   std::vector<ValT> vals_;
   std::vector<std::vector<KeyT>> adj_;   ///< pre-finalize staging
   std::vector<std::vector<Sender>> senders_;  ///< per peer, fixed order
-  /// Below-threshold sends per peer (threshold mode only), fixed order.
-  std::vector<std::vector<DirectSend>> direct_;
   std::atomic<bool> dirty_{false};
   bool finalized_ = false;
-  std::uint32_t mirror_degree_ = mirror_degree_from_env();
 
   // Receiver side.
   std::vector<ValT> slot_;
@@ -382,7 +278,6 @@ class MirrorScatter : public Channel {
   // Round-scoped scratch of serialize / deserialize.
   std::vector<std::byte*> seg_;  ///< payload segment base per worker
   std::vector<std::pair<const std::byte*, std::uint32_t>> spans_;
-  std::vector<std::pair<const std::byte*, std::uint32_t>> direct_spans_;
 };
 
 }  // namespace pregel::core

@@ -201,6 +201,10 @@ class ScatterCombine : public Channel {
         spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
         continue;
       }
+      if (tag != kTagHandshake && tag != kTagValues) {
+        throw runtime::ProtocolError(name() + ": unknown wire tag " +
+                                     std::to_string(tag));
+      }
       const auto n = in.read<std::uint32_t>();
       auto& order = recv_order_[static_cast<std::size_t>(from)];
       if (tag == kTagHandshake) {

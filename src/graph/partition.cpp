@@ -1,7 +1,6 @@
 #include "graph/partition.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <queue>
 #include <random>
@@ -72,66 +71,11 @@ Partition range_partition(VertexId n, int num_workers) {
   return p;
 }
 
-Partition degree_partition(const CsrGraph& g, int num_workers) {
-  if (num_workers <= 0) throw std::invalid_argument("bad worker count");
-  const VertexId n = g.num_vertices();
-
-  // In-degrees: one counting pass over the destination arrays (out-degrees
-  // come free off the CSR offsets).
-  std::vector<std::uint32_t> indeg(n, 0);
-  for (VertexId u = 0; u < n; ++u) {
-    for (const VertexId v : g.neighbors(u)) ++indeg[v];
-  }
-  std::vector<std::uint64_t> prefix(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    prefix[v + 1] = prefix[v] + g.out_degree(v) + indeg[v] + 1;
-  }
-
-  Partition p;
-  p.num_workers = num_workers;
-  p.owner.resize(n);
-  const std::uint64_t total = prefix[n];
-  const auto w = static_cast<std::uint64_t>(num_workers);
-  // Range boundary of rank r: first vertex whose cumulative weight reaches
-  // total * r / W. Weights are >= 1, so the prefix is strictly increasing
-  // and the boundaries are well-defined and non-decreasing.
-  VertexId begin = 0;
-  for (int r = 0; r < num_workers; ++r) {
-    const std::uint64_t target =
-        total * (static_cast<std::uint64_t>(r) + 1) / w;
-    const auto end = static_cast<VertexId>(
-        std::lower_bound(prefix.begin(), prefix.end(), target) -
-        prefix.begin());
-    for (VertexId v = begin; v < end; ++v) p.owner[v] = r;
-    begin = end;
-  }
-  for (VertexId v = begin; v < n; ++v) p.owner[v] = num_workers - 1;
-  build_members(p);
-  return p;
-}
-
-PartitionKind parse_partition_kind(const std::string& name) {
-  if (name == "range") return PartitionKind::kRange;
-  if (name == "degree") return PartitionKind::kDegree;
-  if (name == "hash") return PartitionKind::kHash;
-  throw std::invalid_argument(
-      "PGCH_PARTITION must be 'range', 'degree' or 'hash', got '" + name +
-      "'");
-}
-
-PartitionKind partition_kind_from_env(PartitionKind fallback) {
-  const char* env = std::getenv("PGCH_PARTITION");
-  if (env == nullptr || *env == '\0') return fallback;
-  return parse_partition_kind(env);
-}
-
 Partition make_partition(const CsrGraph& g, int num_workers,
                          PartitionKind kind) {
   switch (kind) {
     case PartitionKind::kRange:
       return range_partition(g.num_vertices(), num_workers);
-    case PartitionKind::kDegree:
-      return degree_partition(g, num_workers);
     case PartitionKind::kHash:
       break;
   }

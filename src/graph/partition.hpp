@@ -5,7 +5,6 @@
 // DESIGN.md section 1) and also supplies Blogel's blocks.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -40,32 +39,10 @@ Partition hash_partition(VertexId n, int num_workers);
 /// Contiguous ranges of ids per worker.
 Partition range_partition(VertexId n, int num_workers);
 
-/// Contiguous ranges of ids per worker, with the range boundaries placed
-/// so every rank carries ~equal *degree weight* instead of equal vertex
-/// count. weight(v) = out-degree(v) + in-degree(v) + 1 — the per-vertex
-/// cost model of both the compute phase (scan out-edges) and the
-/// communication phase (receive along in-edges); the +1 keeps huge runs
-/// of zero-degree vertices from collapsing onto one rank. Boundaries land
-/// where the weight prefix sum crosses total * r / W, so the balance
-/// guarantee is: max rank weight <= total / W + max single-vertex weight
-/// (a rank overshoots its even share by at most the one vertex that
-/// straddles the boundary). On power-law graphs whose hubs cluster in id
-/// space this removes the straggler rank that range_partition creates.
-Partition degree_partition(const CsrGraph& g, int num_workers);
+/// Which partitioner make_partition builds.
+enum class PartitionKind { kRange, kHash };
 
-/// Which partitioner launch-time configuration selects (PGCH_PARTITION).
-enum class PartitionKind { kRange, kDegree, kHash };
-
-/// Parse a partitioner name ("range" | "degree" | "hash"); throws
-/// std::invalid_argument on anything else.
-PartitionKind parse_partition_kind(const std::string& name);
-
-/// The PGCH_PARTITION environment selection, else `fallback`.
-PartitionKind partition_kind_from_env(
-    PartitionKind fallback = PartitionKind::kHash);
-
-/// Build the selected partition over `g`. kRange and kHash only need the
-/// vertex count; kDegree reads the CSR degree structure.
+/// Build the selected partition over `g`.
 Partition make_partition(const CsrGraph& g, int num_workers,
                          PartitionKind kind);
 

@@ -13,21 +13,28 @@
 
 namespace pregel::runtime {
 
-/// Integer value of environment variable `name`, clamped to
-/// [lo, INT_MAX]; `fallback` (returned as is) when the variable is unset
-/// or empty. Non-numeric text, trailing junk or a value beyond the 64-bit
-/// range throws std::invalid_argument naming the variable.
-inline int env_int(const char* name, int fallback, int lo = INT_MIN) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return fallback;
+/// Integer value of `text`, the setting of `name` (an environment
+/// variable, flag or field), clamped to [lo, INT_MAX]. Non-numeric or
+/// empty text, trailing junk or a value beyond the 64-bit range throws
+/// std::invalid_argument naming `name`.
+inline int parse_int(const std::string& name, const char* text,
+                     int lo = INT_MIN) {
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0' || errno == ERANGE) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be an integer, got '" + text + "'");
+    throw std::invalid_argument(name + " must be an integer, got '" + text +
+                                "'");
   }
   return static_cast<int>(std::clamp<long long>(v, lo, INT_MAX));
+}
+
+/// Integer value of environment variable `name` (parse_int); `fallback`
+/// (returned as is) when the variable is unset or empty.
+inline int env_int(const char* name, int fallback, int lo = INT_MIN) {
+  const char* text = std::getenv(name);
+  if (text == nullptr || *text == '\0') return fallback;
+  return parse_int(name, text, lo);
 }
 
 /// Boolean value of environment variable `name`: exactly "0" or "1";

@@ -8,6 +8,7 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #ifndef _WIN32
@@ -25,13 +26,23 @@ using runtime::Buffer;
 
 namespace {
 
-/// Fresh per-test scratch directory under the build tree.
-std::string scratch_dir(const char* name) {
-  const std::string dir =
-      "ckpt_test_" + std::string(name) + "_" + std::to_string(::getpid());
-  std::remove((dir + "/LATEST").c_str());
-  return dir;
-}
+/// Hands each test a fresh scratch directory under the build tree and
+/// removes it when the test ends.
+class Checkpoint : public ::testing::Test {
+ protected:
+  std::string scratch_dir(const char* name) {
+    dir_ = "ckpt_test_" + std::string(name) + "_" +
+           std::to_string(::getpid());
+    std::filesystem::remove_all(dir_);
+    return dir_;
+  }
+  void TearDown() override {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+
+ private:
+  std::string dir_;
+};
 
 Buffer payload_of(const std::string& text) {
   Buffer b;
@@ -39,7 +50,7 @@ Buffer payload_of(const std::string& text) {
   return b;
 }
 
-TEST(Checkpoint, WriteLoadRoundTrip) {
+TEST_F(Checkpoint, WriteLoadRoundTrip) {
   const std::string dir = scratch_dir("roundtrip");
   const Buffer out = payload_of("superstep state");
   runtime::write_checkpoint(dir, /*rank=*/0, /*world=*/2, /*epoch=*/4, out);
@@ -49,7 +60,7 @@ TEST(Checkpoint, WriteLoadRoundTrip) {
   EXPECT_TRUE(runtime::checkpoint_valid(dir, 0, 2, 4));
 }
 
-TEST(Checkpoint, LoadRejectsWrongShape) {
+TEST_F(Checkpoint, LoadRejectsWrongShape) {
   const std::string dir = scratch_dir("shape");
   runtime::write_checkpoint(dir, 1, 2, 6, payload_of("rank 1 epoch 6"));
 
@@ -63,7 +74,7 @@ TEST(Checkpoint, LoadRejectsWrongShape) {
                runtime::CheckpointError);
 }
 
-TEST(Checkpoint, CorruptionIsDetectedByChecksum) {
+TEST_F(Checkpoint, CorruptionIsDetectedByChecksum) {
   const std::string dir = scratch_dir("corrupt");
   runtime::write_checkpoint(dir, 0, 2, 2, payload_of("soon to be damaged"));
   ASSERT_TRUE(runtime::checkpoint_valid(dir, 0, 2, 2));
@@ -74,7 +85,7 @@ TEST(Checkpoint, CorruptionIsDetectedByChecksum) {
                runtime::CheckpointError);
 }
 
-TEST(Checkpoint, TruncatedFileIsRejected) {
+TEST_F(Checkpoint, TruncatedFileIsRejected) {
   const std::string dir = scratch_dir("truncate");
   runtime::write_checkpoint(dir, 0, 2, 2, payload_of("about to shrink"));
   const std::string path = runtime::checkpoint_path(dir, 0, 2);
@@ -91,7 +102,7 @@ TEST(Checkpoint, TruncatedFileIsRejected) {
                runtime::CheckpointError);
 }
 
-TEST(Checkpoint, LatestValidEpochWalksPastDamage) {
+TEST_F(Checkpoint, LatestValidEpochWalksPastDamage) {
   const std::string dir = scratch_dir("fallback");
   runtime::write_checkpoint(dir, 0, 2, 2, payload_of("old"));
   runtime::write_checkpoint(dir, 0, 2, 4, payload_of("new"));
@@ -106,7 +117,7 @@ TEST(Checkpoint, LatestValidEpochWalksPastDamage) {
   EXPECT_EQ(runtime::latest_valid_epoch(dir, 0, 2, 1), -1);
 }
 
-TEST(Checkpoint, OlderFormatVersionIsRefusedByName) {
+TEST_F(Checkpoint, OlderFormatVersionIsRefusedByName) {
   const std::string dir = scratch_dir("version");
   runtime::write_checkpoint(dir, 0, 2, 2, payload_of("current"));
   runtime::write_checkpoint(dir, 0, 2, 4, payload_of("from an old build"));
@@ -133,7 +144,7 @@ TEST(Checkpoint, OlderFormatVersionIsRefusedByName) {
   EXPECT_EQ(runtime::latest_valid_epoch(dir, 0, 2, INT_MAX), 2);
 }
 
-TEST(Checkpoint, MarkerCommitsAnEpochPerWorldSize) {
+TEST_F(Checkpoint, MarkerCommitsAnEpochPerWorldSize) {
   const std::string dir = scratch_dir("marker");
   EXPECT_EQ(runtime::read_latest_marker(dir, 2), -1);
   runtime::write_checkpoint(dir, 0, 2, 6, payload_of("state"));
@@ -143,7 +154,7 @@ TEST(Checkpoint, MarkerCommitsAnEpochPerWorldSize) {
   EXPECT_EQ(runtime::read_latest_marker(dir, 3), -1);
 }
 
-TEST(Checkpoint, PruneKeepsTheRetentionWindow) {
+TEST_F(Checkpoint, PruneKeepsTheRetentionWindow) {
   const std::string dir = scratch_dir("prune");
   runtime::write_checkpoint(dir, 0, 2, 2, payload_of("a"));
   runtime::write_checkpoint(dir, 0, 2, 4, payload_of("b"));
@@ -185,6 +196,22 @@ TEST(FaultSpec, MalformedSpecsThrowInsteadOfDisarming) {
   EXPECT_THROW(core::FaultSpec::parse("bogus"), std::invalid_argument);
   EXPECT_THROW(core::FaultSpec::parse("rank=1,superstep=5,kind=exit,x=1"),
                std::invalid_argument);
+}
+
+TEST(FaultSpec, NonNumericRankOrSuperstepThrowsNamingTheVariable) {
+  // "one" must not read as rank 0 and inject the fault on the wrong rank.
+  for (const char* bad :
+       {"rank=one,superstep=5,kind=exit", "rank=,superstep=5,kind=exit",
+        "rank=1x,superstep=5,kind=exit", "rank=1,superstep=five,kind=exit",
+        "rank=1,superstep=5.5,kind=exit"}) {
+    try {
+      (void)core::FaultSpec::parse(bad);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PGCH_FAULT"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

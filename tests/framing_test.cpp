@@ -265,6 +265,52 @@ TEST(FrameFaults, ForgedOutOfRangeIndexThrowsProtocolError) {
   }
 }
 
+/// A tagged broadcast channel (ScatterCombine or MirrorScatter) whose
+/// serialize() forges one well-framed section per peer under a tag byte
+/// the channel never writes, followed by an empty value count.
+template <typename Base>
+class ForgedTagChannel : public Base {
+ public:
+  template <typename WorkerT>
+  explicit ForgedTagChannel(WorkerT* w)
+      : Base(w, make_combiner(c_min, std::uint32_t{~0u}), "forged") {}
+
+  void serialize() override {
+    for (int to = 0; to < this->w().num_workers(); ++to) {
+      Buffer& out = this->w().outbox(to);
+      out.write<std::uint8_t>(9);
+      out.write<std::uint32_t>(0);
+    }
+  }
+};
+
+template <template <typename, typename> class Base>
+class ForgedTagWorker : public Worker<NopVertex> {
+ public:
+  void compute(NopVertex& v) override { v.vote_to_halt(); }
+
+ private:
+  ForgedTagChannel<Base<NopVertex, std::uint32_t>> bad_{this};
+};
+
+template <template <typename, typename> class Base>
+void expect_unknown_tag_rejected() {
+  const auto dg = make_ring(8, 2);
+  try {
+    algo::run_only<ForgedTagWorker<Base>>(dg);
+    FAIL() << "a forged wire tag was read as a values payload";
+  } catch (const ProtocolError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("forged"), std::string::npos) << what;
+    EXPECT_NE(what.find("tag"), std::string::npos) << what;
+  }
+}
+
+TEST(FrameFaults, ForgedWireTagThrowsProtocolError) {
+  expect_unknown_tag_rejected<ScatterCombine>();
+  expect_unknown_tag_rejected<MirrorScatter>();
+}
+
 // -------------------------------------------------------- kMaxChannels ----
 
 class TooManyChannelsWorker : public Worker<NopVertex> {

@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -192,9 +194,35 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-std::string unique_prefix(const char* name) {
-  return std::string("recovery_") + name + "_" + std::to_string(::getpid());
-}
+/// A test's unique file prefix. Every log, result file and checkpoint
+/// directory the test's runs leave in the working directory starts with
+/// it; they are all removed when the test ends.
+class Artifacts {
+ public:
+  explicit Artifacts(const char* name)
+      : id_(std::string("recovery_") + name + "_" +
+            std::to_string(::getpid())) {}
+  Artifacts(const Artifacts&) = delete;
+  Artifacts& operator=(const Artifacts&) = delete;
+  ~Artifacts() {
+    std::error_code ec;
+    std::vector<std::filesystem::path> ours;
+    for (const auto& entry : std::filesystem::directory_iterator(".", ec)) {
+      const std::string file = entry.path().filename().string();
+      if (file.rfind(id_, 0) == 0 &&
+          (file.size() == id_.size() || file[id_.size()] == '_' ||
+           file[id_.size()] == '.')) {
+        ours.push_back(entry.path());
+      }
+    }
+    for (const auto& path : ours) std::filesystem::remove_all(path, ec);
+  }
+
+  [[nodiscard]] const std::string& id() const { return id_; }
+
+ private:
+  std::string id_;
+};
 
 #ifdef PGCH_LAUNCH_BIN
 #define REQUIRE_LAUNCHER()
@@ -205,7 +233,8 @@ std::string unique_prefix(const char* name) {
 
 TEST(Recovery, ExitFaultRespawnsAndMatchesFailureFreeRunBitwise) {
   REQUIRE_LAUNCHER();
-  const std::string id = unique_prefix("exit");
+  const Artifacts artifacts("exit");
+  const std::string& id = artifacts.id();
 
   // Reference: same checkpoint cadence, no fault.
   const LaunchResult ok = run_launcher(
@@ -246,7 +275,8 @@ TEST(Recovery, ExitFaultRespawnsAndMatchesFailureFreeRunBitwise) {
 
 TEST(Recovery, CorruptNewestCheckpointFallsBackToOlderEpoch) {
   REQUIRE_LAUNCHER();
-  const std::string id = unique_prefix("corrupt");
+  const Artifacts artifacts("corrupt");
+  const std::string& id = artifacts.id();
 
   const LaunchResult ok = run_launcher(
       "PGCH_TEST_OUT=" + id + "_ok",
@@ -279,7 +309,8 @@ TEST(Recovery, CorruptNewestCheckpointFallsBackToOlderEpoch) {
 
 TEST(Recovery, FailedRankExitCodePropagatesWithoutRestarts) {
   REQUIRE_LAUNCHER();
-  const std::string id = unique_prefix("code");
+  const Artifacts artifacts("code");
+  const std::string& id = artifacts.id();
 
   const LaunchResult r = run_launcher(
       "PGCH_TEST_OUT=" + id + " PGCH_FAULT=rank=1,superstep=3,kind=exit",
@@ -294,7 +325,8 @@ TEST(Recovery, FailedRankExitCodePropagatesWithoutRestarts) {
 
 TEST(Recovery, HungPeerSurfacesTimeoutOnSurvivorsWithinDeadline) {
   REQUIRE_LAUNCHER();
-  const std::string id = unique_prefix("hang");
+  const Artifacts artifacts("hang");
+  const std::string& id = artifacts.id();
 
   // Rank 1 wedges (no exit, no progress) at superstep 3. Rank 0's next
   // receive from it must throw within the silence deadline instead of
@@ -310,6 +342,21 @@ TEST(Recovery, HungPeerSurfacesTimeoutOnSurvivorsWithinDeadline) {
   // point is "bounded", not "instant" (a blocked survivor would ride to
   // the ctest timeout instead).
   EXPECT_LT(r.seconds, 60.0) << r.log;
+}
+
+TEST(Launcher, MalformedIntegerFlagsExitWithUsageError) {
+  REQUIRE_LAUNCHER();
+  const Artifacts artifacts("flags");
+  // "--checkpoint-every x" must not quietly run with checkpoints off.
+  for (const char* flags : {"-n two", "--port-base 29x",
+                            "--max-restarts one", "--checkpoint-every x"}) {
+    const LaunchResult r =
+        run_launcher("PGCH_TEST_OUT=" + artifacts.id(), flags,
+                     artifacts.id() + ".log");
+    EXPECT_EQ(r.exit_code, 2) << flags << "\n" << r.log;
+    EXPECT_NE(r.log.find("must be an integer"), std::string::npos)
+        << flags << "\n" << r.log;
+  }
 }
 
 }  // namespace

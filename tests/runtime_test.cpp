@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "core/launch_config.hpp"
-#include "core/mirror.hpp"
 #include "graph/io.hpp"
-#include "graph/partition.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/checkpoint.hpp"
@@ -317,9 +315,6 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
   const std::function<long long()> comm = [] {
     return rt::comm_threads_from_env();
   };
-  const std::function<long long()> mirror = [] {
-    return core::mirror_degree_from_env();
-  };
   const std::function<long long()> steal = [] {
     return static_cast<long long>(rt::steal_from_env());
   };
@@ -342,12 +337,9 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
   });
   const auto attempts =
       launch([](const core::LaunchConfig& c) { return c.recovery_attempts; });
-  const auto mmap = launch([](const core::LaunchConfig& c) {
-    return static_cast<long long>(c.mmap);
-  });
-  const auto partition = launch([](const core::LaunchConfig& c) {
-    return c.partition ? static_cast<long long>(*c.partition) : -1LL;
-  });
+  const std::function<long long()> mmap = [] {
+    return static_cast<long long>(graph::mmap_mode_from_env());
+  };
   const std::function<long long()> io_timeout = [] {
     // A one-rank transport parses its knobs and opens no socket.
     const rt::TcpTransport t(0, 1, rt::TcpEndpoint{});
@@ -363,11 +355,6 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
       {"PGCH_COMM_THREADS", "2", comm, 2, false},
       {"PGCH_COMM_THREADS", "-4", comm, 1, false},
       {"PGCH_COMM_THREADS", "two", comm, 0, true},
-      {"PGCH_MIRROR_DEGREE", "16", mirror, 16, false},
-      {"PGCH_MIRROR_DEGREE", "-1", mirror, 0, false},
-      {"PGCH_MIRROR_DEGREE", "1e3", mirror, 0, true},
-      {"PGCH_MIRROR_DEGREE", "99999999999", mirror, INT_MAX, false},
-      {"PGCH_MIRROR_DEGREE", "99999999999999999999", mirror, 0, true},
       {"PGCH_STEAL", "1", steal, 1, false},
       {"PGCH_STEAL", "0", steal, 0, false},
       {"PGCH_STEAL", "", steal, 0, false},
@@ -391,15 +378,14 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
       {"PGCH_RECOVERY_ATTEMPTS", "3", attempts, 3, false},
       {"PGCH_RECOVERY_ATTEMPTS", "-1", attempts, 0, false},
       {"PGCH_RECOVERY_ATTEMPTS", "many", attempts, 0, true},
+      {"PGCH_RECOVERY_ATTEMPTS", "1e3", attempts, 0, true},
+      {"PGCH_RECOVERY_ATTEMPTS", "99999999999", attempts, INT_MAX, false},
+      {"PGCH_RECOVERY_ATTEMPTS", "99999999999999999999", attempts, 0, true},
       {"PGCH_IO_TIMEOUT_MS", "500", io_timeout, 0, false},
       {"PGCH_IO_TIMEOUT_MS", "fast", io_timeout, 0, true},
       {"PGCH_MMAP", "1", mmap, static_cast<long long>(graph::MmapMode::kOn),
        false},
       {"PGCH_MMAP", "2", mmap, 0, true},
-      {"PGCH_PARTITION", "degree", partition,
-       static_cast<long long>(graph::PartitionKind::kDegree), false},
-      {"PGCH_PARTITION", "", partition, -1, false},
-      {"PGCH_PARTITION", "voronoi", partition, 0, true},
   };
   for (const KnobCase& c : cases) {
     const ScopedEnv env(c.var, c.value);

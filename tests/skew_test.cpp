@@ -1,19 +1,13 @@
-// Tests for skew-aware execution (DESIGN.md section 11): the
-// degree-balanced partitioner, the work-stealing compute schedule (which
+// Tests for skew-aware execution (DESIGN.md section 11): results that do
+// not depend on the partitioner, the work-stealing compute schedule (which
 // must be invisible in every observable — results bitwise, floats
-// included, traffic byte-identical), the MirrorScatter degree threshold,
-// and the imbalance stats plumbing.
+// included, traffic byte-identical), and the imbalance stats plumbing.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <numeric>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,7 +15,6 @@
 #include "algorithms/runner.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/wcc.hpp"
-#include "core/pregel_channel.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "runtime/buffer.hpp"
@@ -40,8 +33,8 @@ using pregel::runtime::WorkerTeam;
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
 /// The unpermuted power-law graph: hubs stay clustered at low ids, so a
-/// contiguous range partition is maximally skewed — the regime the
-/// degree partitioner exists for.
+/// contiguous range partition is maximally skewed — the regime where
+/// stealing actually moves chunks.
 graph::CsrGraph skewed_csr() {
   graph::RmatOptions opts;
   opts.num_vertices = 1u << 12;
@@ -49,119 +42,6 @@ graph::CsrGraph skewed_csr() {
   opts.seed = 42;
   opts.permute_ids = false;
   return graph::rmat(opts).finalize();
-}
-
-/// Per-rank sums of the partitioner's weight model, w(v) = out + in + 1.
-std::vector<std::uint64_t> rank_weights(const graph::CsrGraph& g,
-                                        const graph::Partition& p) {
-  const graph::VertexId n = g.num_vertices();
-  std::vector<std::uint64_t> indeg(n, 0);
-  for (graph::VertexId u = 0; u < n; ++u) {
-    for (const graph::VertexId v : g.neighbors(u)) ++indeg[v];
-  }
-  std::vector<std::uint64_t> w(static_cast<std::size_t>(p.num_workers), 0);
-  for (graph::VertexId v = 0; v < n; ++v) {
-    w[static_cast<std::size_t>(p.owner[v])] += g.out_degree(v) + indeg[v] + 1;
-  }
-  return w;
-}
-
-// ------------------------------------------------- degree partitioner ----
-
-TEST(DegreePartition, BalanceContiguityCoverage) {
-  const graph::CsrGraph g = skewed_csr();
-  const graph::VertexId n = g.num_vertices();
-  for (const int workers : {1, 2, 3, 7}) {
-    const graph::Partition p = graph::degree_partition(g, workers);
-    ASSERT_EQ(p.num_workers, workers);
-    ASSERT_EQ(p.owner.size(), n);
-    // Contiguous ascending ranges: owner is non-decreasing and in range.
-    for (graph::VertexId v = 0; v < n; ++v) {
-      ASSERT_GE(p.owner[v], 0);
-      ASSERT_LT(p.owner[v], workers);
-      if (v > 0) {
-        ASSERT_LE(p.owner[v - 1], p.owner[v]);
-      }
-    }
-    // Coverage: members partition the id space.
-    std::uint64_t total_members = 0;
-    for (const auto& m : p.members) total_members += m.size();
-    EXPECT_EQ(total_members, n);
-    // Balance: every rank's weight is within one vertex of the ideal
-    // share (the boundary search can overshoot by at most the heaviest
-    // single vertex).
-    const std::vector<std::uint64_t> w = rank_weights(g, p);
-    const std::uint64_t total =
-        std::accumulate(w.begin(), w.end(), std::uint64_t{0});
-    std::uint64_t wmax = 0;
-    {
-      std::vector<std::uint64_t> indeg(n, 0);
-      for (graph::VertexId u = 0; u < n; ++u) {
-        for (const graph::VertexId v : g.neighbors(u)) ++indeg[v];
-      }
-      for (graph::VertexId v = 0; v < n; ++v) {
-        wmax = std::max<std::uint64_t>(wmax, g.out_degree(v) + indeg[v] + 1);
-      }
-    }
-    const std::uint64_t bound =
-        total / static_cast<std::uint64_t>(workers) + wmax + 1;
-    for (const std::uint64_t rw : w) EXPECT_LE(rw, bound) << workers;
-  }
-}
-
-TEST(DegreePartition, SingleWorkerAndMoreWorkersThanVertices) {
-  const graph::CsrGraph g = graph::chain(5).finalize();
-  const graph::Partition one = graph::degree_partition(g, 1);
-  for (graph::VertexId v = 0; v < 5; ++v) EXPECT_EQ(one.owner[v], 0);
-  // More workers than vertices: every vertex still owned, trailing ranks
-  // may be empty, members stay consistent.
-  const graph::Partition many = graph::degree_partition(g, 9);
-  std::uint64_t covered = 0;
-  for (const auto& m : many.members) covered += m.size();
-  EXPECT_EQ(covered, 5u);
-  EXPECT_EQ(many.num_workers, 9);
-}
-
-TEST(DegreePartition, BeatsRangeOnSkewedGraph) {
-  // The direct statement of the tentpole: on the hub-clustered graph the
-  // degree partitioner's worst rank carries less weight than range's.
-  const graph::CsrGraph g = skewed_csr();
-  const auto max_w = [&](const graph::Partition& p) {
-    const std::vector<std::uint64_t> w = rank_weights(g, p);
-    return *std::max_element(w.begin(), w.end());
-  };
-  const std::uint64_t range_peak =
-      max_w(graph::range_partition(g.num_vertices(), 4));
-  const std::uint64_t degree_peak = max_w(graph::degree_partition(g, 4));
-  EXPECT_LT(degree_peak, range_peak);
-}
-
-TEST(DegreePartition, KindParsingAndEnvSelection) {
-  EXPECT_EQ(graph::parse_partition_kind("range"),
-            graph::PartitionKind::kRange);
-  EXPECT_EQ(graph::parse_partition_kind("degree"),
-            graph::PartitionKind::kDegree);
-  EXPECT_EQ(graph::parse_partition_kind("hash"),
-            graph::PartitionKind::kHash);
-  EXPECT_THROW(graph::parse_partition_kind("voronoi"), std::invalid_argument);
-
-  // Save/restore PGCH_PARTITION: the CI skew leg sets it globally.
-  const char* old = std::getenv("PGCH_PARTITION");
-  const std::optional<std::string> saved =
-      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
-  setenv("PGCH_PARTITION", "degree", 1);
-  EXPECT_EQ(graph::partition_kind_from_env(graph::PartitionKind::kHash),
-            graph::PartitionKind::kDegree);
-  unsetenv("PGCH_PARTITION");
-  EXPECT_EQ(graph::partition_kind_from_env(graph::PartitionKind::kHash),
-            graph::PartitionKind::kHash);
-  if (saved) setenv("PGCH_PARTITION", saved->c_str(), 1);
-
-  const graph::CsrGraph g = skewed_csr();
-  const graph::Partition p =
-      graph::make_partition(g, 3, graph::PartitionKind::kDegree);
-  const graph::Partition q = graph::degree_partition(g, 3);
-  EXPECT_EQ(p.owner, q.owner);
 }
 
 // ----------------------------------------- partition-invariant results ----
@@ -174,9 +54,9 @@ std::vector<OutT> collect(const graph::DistributedGraph& dg, Extract extract,
   return out;
 }
 
-TEST(DegreePartition, ExactAlgorithmsAgreeAcrossPartitioners) {
+TEST(PartitionInvariance, ExactAlgorithmsAgreeAcrossPartitioners) {
   // WCC labels and SSSP distances are unique fixpoints: every
-  // partitioner must produce identical values.
+  // partitioner must produce the values of a one-rank run.
   const graph::CsrGraph sym = graph::rmat({.num_vertices = 1u << 12,
                                            .num_edges = 1u << 15,
                                            .seed = 42,
@@ -185,10 +65,11 @@ TEST(DegreePartition, ExactAlgorithmsAgreeAcrossPartitioners) {
                                   .finalize();
   const auto wcc = [](const algo::WccVertex& v) { return v.value().label; };
   const auto wcc_ref = collect<algo::WccBasic, graph::VertexId>(
-      graph::DistributedGraph(sym, graph::hash_partition(sym.num_vertices(), 4)),
+      graph::DistributedGraph(sym,
+                              graph::hash_partition(sym.num_vertices(), 1)),
       wcc);
   for (const auto kind :
-       {graph::PartitionKind::kRange, graph::PartitionKind::kDegree}) {
+       {graph::PartitionKind::kRange, graph::PartitionKind::kHash}) {
     const auto got = collect<algo::WccBasic, graph::VertexId>(
         graph::DistributedGraph(sym, graph::make_partition(sym, 4, kind)),
         wcc);
@@ -200,10 +81,10 @@ TEST(DegreePartition, ExactAlgorithmsAgreeAcrossPartitioners) {
   const auto src = [](algo::Sssp& w) { w.source = 0; };
   const auto sssp_ref = collect<algo::Sssp, std::uint64_t>(
       graph::DistributedGraph(road,
-                              graph::hash_partition(road.num_vertices(), 4)),
+                              graph::hash_partition(road.num_vertices(), 1)),
       dist, src);
   for (const auto kind :
-       {graph::PartitionKind::kRange, graph::PartitionKind::kDegree}) {
+       {graph::PartitionKind::kRange, graph::PartitionKind::kHash}) {
     const auto got = collect<algo::Sssp, std::uint64_t>(
         graph::DistributedGraph(road, graph::make_partition(road, 4, kind)),
         dist, src);
@@ -211,7 +92,7 @@ TEST(DegreePartition, ExactAlgorithmsAgreeAcrossPartitioners) {
   }
 }
 
-TEST(DegreePartition, PageRankAgreesAcrossPartitionersWithinTolerance) {
+TEST(PartitionInvariance, PageRankAgreesAcrossPartitionersWithinTolerance) {
   // Float folds regroup across partitioners (ownership changes the
   // combine order), so PageRank compares within tolerance, not bitwise.
   const graph::CsrGraph g = skewed_csr();
@@ -221,7 +102,8 @@ TEST(DegreePartition, PageRankAgreesAcrossPartitionersWithinTolerance) {
       graph::DistributedGraph(g, graph::range_partition(g.num_vertices(), 4)),
       rank, iters);
   const auto got = collect<algo::PageRankCombined, double>(
-      graph::DistributedGraph(g, graph::degree_partition(g, 4)), rank, iters);
+      graph::DistributedGraph(g, graph::hash_partition(g.num_vertices(), 4)),
+      rank, iters);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i], ref[i], 1e-9) << i;
@@ -287,9 +169,12 @@ void run_steal_matrix(const graph::DistributedGraph& dg, Extract extract,
   }
 }
 
+/// The hub-clustered case: contiguous ranges over the unpermuted graph
+/// leave the hub chunks on the low ranks, where stealing moves them.
 graph::DistributedGraph skewed_dg(int workers) {
   const graph::CsrGraph g = skewed_csr();
-  return graph::DistributedGraph(g, graph::degree_partition(g, workers));
+  return graph::DistributedGraph(
+      g, graph::range_partition(g.num_vertices(), workers));
 }
 
 TEST(WorkStealing, PageRankBitwiseAcrossSchedules) {
@@ -308,7 +193,8 @@ TEST(WorkStealing, WccExactCombinerAcrossSchedules) {
                                   .symmetrized()
                                   .finalize();
   run_steal_matrix<algo::WccBasic, graph::VertexId>(
-      graph::DistributedGraph(sym, graph::degree_partition(sym, 4)),
+      graph::DistributedGraph(sym,
+                              graph::range_partition(sym.num_vertices(), 4)),
       [](const algo::WccVertex& v) { return v.value().label; });
 }
 
@@ -324,8 +210,7 @@ TEST(WorkStealing, SsspSparseFrontierAcrossSchedules) {
 
 TEST(WorkStealing, TcpParityStealVsPinned) {
   using pregel::testing::make_mesh;
-  const graph::CsrGraph g = skewed_csr();
-  const graph::DistributedGraph dg(g, graph::degree_partition(g, 2));
+  const graph::DistributedGraph dg = skewed_dg(2);
   const auto extract = [](const algo::PRVertex& v) {
     return bits(v.value().rank);
   };
@@ -380,104 +265,6 @@ TEST(WorkStealing, ChunkSchedulerDrainsEveryChunkOnce) {
       }
       for (const int count : claimed) EXPECT_EQ(count, 1);
     }
-  }
-}
-
-// ------------------------------------------- mirror degree threshold ----
-
-/// Exact min-label propagation over MirrorScatter: integer values, so
-/// every threshold must produce identical results — the direct section's
-/// different fold position is invisible to an exact combiner.
-struct MinValue {
-  graph::VertexId label = 0;
-};
-using MinVertex = Vertex<MinValue>;
-
-class MirrorMinWorker : public Worker<MinVertex> {
- public:
-  int iterations = 8;
-
-  void set_threshold(std::uint32_t t) { msg_.set_mirror_degree(t); }
-
-  void compute(MinVertex& v) override {
-    if (step_num() == 1) {
-      v.value().label = v.id();
-      for (const auto& e : v.edges()) msg_.add_edge(e.dst);
-    } else {
-      v.value().label = std::min(v.value().label, msg_.get_message());
-    }
-    if (step_num() <= iterations) {
-      msg_.set_message(v.value().label);
-    } else {
-      v.vote_to_halt();
-    }
-  }
-
- private:
-  MirrorScatter<MinVertex, graph::VertexId> msg_{
-      this, make_combiner(c_min, graph::kInvalidVertex), "min"};
-};
-
-TEST(MirrorDegree, ExactCombinerIdenticalAcrossThresholds) {
-  const graph::CsrGraph g = skewed_csr();
-  const graph::DistributedGraph dg(
-      g, graph::hash_partition(g.num_vertices(), 4));
-  const auto extract = [](const MinVertex& v) { return v.value().label; };
-  const auto ref = collect<MirrorMinWorker, graph::VertexId>(
-      dg, extract, [](MirrorMinWorker& w) { w.set_threshold(0); });
-  // Threshold 4 mixes mirrored and direct senders; a huge threshold
-  // makes every sender direct (no mirrors at all).
-  for (const std::uint32_t threshold : {4u, 1u << 30}) {
-    const auto got = collect<MirrorMinWorker, graph::VertexId>(
-        dg, extract,
-        [threshold](MirrorMinWorker& w) { w.set_threshold(threshold); });
-    EXPECT_EQ(got, ref) << threshold;
-  }
-}
-
-TEST(MirrorDegree, ThresholdActuallyChangesTheWireFormat) {
-  // Guard against the threshold silently not taking effect: the mixed
-  // sections ship (lidx, value) pairs for the demoted senders, so the
-  // wire volume must move when the threshold does. (The knob trades
-  // bytes for mirror-table state, not fewer bytes — a direct pair costs
-  // more than a mirrored value, but only high-degree senders keep a
-  // mirror slot on every peer.)
-  const graph::CsrGraph g = skewed_csr();
-  const graph::DistributedGraph dg(
-      g, graph::hash_partition(g.num_vertices(), 4));
-  const auto run_with = [&](std::uint32_t threshold) {
-    return algo::run_only<MirrorMinWorker>(
-        dg, [threshold](MirrorMinWorker& w) { w.set_threshold(threshold); });
-  };
-  const RunStats all_mirrored = run_with(0);
-  const RunStats thresholded = run_with(8);
-  EXPECT_NE(thresholded.message_bytes, all_mirrored.message_bytes);
-}
-
-TEST(MirrorDegree, PageRankMirrorWithinToleranceAcrossThresholds) {
-  // Float sums regroup when senders move between the mirrored and the
-  // direct section, so PageRank compares within tolerance.
-  const graph::CsrGraph g = skewed_csr();
-  const graph::DistributedGraph dg(
-      g, graph::hash_partition(g.num_vertices(), 4));
-  const auto rank = [](const algo::PRVertex& v) { return v.value().rank; };
-  const auto ref = collect<algo::PageRankMirror, double>(
-      dg, rank, [](algo::PageRankMirror& w) { w.iterations = 10; });
-  // PageRankMirror reads its threshold from PGCH_MIRROR_DEGREE.
-  const char* old = std::getenv("PGCH_MIRROR_DEGREE");
-  const std::optional<std::string> saved =
-      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
-  setenv("PGCH_MIRROR_DEGREE", "8", 1);
-  const auto got = collect<algo::PageRankMirror, double>(
-      dg, rank, [](algo::PageRankMirror& w) { w.iterations = 10; });
-  if (saved) {
-    setenv("PGCH_MIRROR_DEGREE", saved->c_str(), 1);
-  } else {
-    unsetenv("PGCH_MIRROR_DEGREE");
-  }
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(got[i], ref[i], 1e-9) << i;
   }
 }
 

@@ -114,6 +114,21 @@ TEST(LaunchConfig, EndpointParsingCoversHostPortAndIpv6Forms) {
   EXPECT_THROW(cfg.endpoint_of(0), std::invalid_argument);
   cfg.hosts = {"[fe80::2]7100"};
   EXPECT_THROW(cfg.endpoint_of(0), std::invalid_argument);
+  cfg.hosts = {"h:65535"};
+  EXPECT_EQ(cfg.endpoint_of(0).port, 65535);
+  // A port that is not a whole number in 1..65535 throws naming the
+  // variable; it never becomes port 0 or wraps to another port.
+  for (const char* bad : {"h:abc", "h:", "h:70000", "h:0", "h:-1", "h:80x",
+                          "[fe80::2]:", "[fe80::2]:99999"}) {
+    cfg.hosts = {bad};
+    try {
+      (void)cfg.endpoint_of(0);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PGCH_HOSTS"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
 }
 
 TEST(InProcessTransport, GatherAndBroadcastCollectives) {

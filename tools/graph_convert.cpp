@@ -15,8 +15,9 @@
 // --stats adds the snapshot's format version and per-array file offsets
 // (with their 64-byte-alignment status — the property the zero-copy mmap
 // loader needs), plus the out- and in-degree percentiles (p50/p90/p99/max)
-// — the numbers that pick a PGCH_MIRROR_DEGREE hub threshold or predict
-// how skewed a range partition of the id space will be.
+// — the numbers that show how hub-heavy the graph is (MirrorScatter vs
+// ScatterCombine) and predict how skewed a range partition of the id
+// space will be.
 //
 // --upgrade exists because only format v3 (64-byte-aligned arrays) can be
 // loaded zero-copy: a v2 snapshot heap-loads fine but load_binary_mmap
@@ -83,8 +84,7 @@ void print_degree_row(const char* label, std::vector<std::uint32_t> degrees) {
 }
 
 /// The degree-distribution summary --stats adds: out- and in-degree
-/// percentiles, the input to picking PGCH_MIRROR_DEGREE (mirror only the
-/// hubs, e.g. everything at/above p99) and to judging partition skew.
+/// percentiles, the input to judging hub fan-out and partition skew.
 void print_stats(const pregel::graph::CsrGraph& g) {
   const pregel::graph::VertexId n = g.num_vertices();
   std::vector<std::uint32_t> out_deg(n, 0), in_deg(n, 0);

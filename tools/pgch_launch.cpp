@@ -10,8 +10,7 @@
 //
 // Usage:
 //   pgch_launch -n N [--transport tcp|inprocess] [--port-base P]
-//               [--hosts h0[:p0],h1[:p1],...]
-//               [--partition range|degree|hash] [--mmap]
+//               [--hosts h0[:p0],h1[:p1],...] [--mmap]
 //               [--max-restarts R] [--checkpoint-dir D]
 //               [--checkpoint-every K] [--print-only]
 //               -- command [args...]
@@ -38,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,15 +47,16 @@
 #include <unistd.h>
 #endif
 
+#include "runtime/env.hpp"
+
 namespace {
 
 struct Options {
   int world = 2;
   std::string transport = "tcp";
   int port_base = 29500;
-  std::string hosts;      // comma-separated, may be empty
-  std::string partition;  // PGCH_PARTITION for every rank, may be empty
-  bool mmap = false;      // PGCH_MMAP=1 for every rank
+  std::string hosts;  // comma-separated, may be empty
+  bool mmap = false;  // PGCH_MMAP=1 for every rank
   bool print_only = false;
   int max_restarts = 0;         // respawn budget across all ranks
   std::string checkpoint_dir;   // PGCH_CHECKPOINT_DIR, may be empty
@@ -67,11 +68,10 @@ struct Options {
   if (error != nullptr) std::fprintf(stderr, "pgch_launch: %s\n", error);
   std::fprintf(stderr,
                "usage: %s -n N [--transport tcp|inprocess] [--port-base P]\n"
-               "       [--hosts h0[:p0],h1[:p1],...] "
-               "[--partition range|degree|hash]\n"
-               "       [--mmap] [--max-restarts R] [--checkpoint-dir D]\n"
-               "       [--checkpoint-every K] [--print-only] "
-               "-- command [args...]\n",
+               "       [--hosts h0[:p0],h1[:p1],...] [--mmap] "
+               "[--max-restarts R]\n"
+               "       [--checkpoint-dir D] [--checkpoint-every K] "
+               "[--print-only] -- command [args...]\n",
                argv0);
   std::exit(error != nullptr ? 2 : 0);
 }
@@ -85,27 +85,35 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0], ("missing value for " + arg).c_str());
       return argv[++i];
     };
+    // Integer flags are strict: "--checkpoint-every x" must not quietly
+    // become 0 and turn checkpointing off.
+    auto int_value = [&]() -> int {
+      const char* text = value();
+      try {
+        return pregel::runtime::parse_int(arg, text);
+      } catch (const std::invalid_argument& e) {
+        usage(argv[0], e.what());
+      }
+    };
     if (arg == "--") {
       ++i;
       break;
     } else if (arg == "-n" || arg == "--np" || arg == "--world") {
-      opts.world = std::atoi(value());
+      opts.world = int_value();
     } else if (arg == "--transport") {
       opts.transport = value();
     } else if (arg == "--port-base") {
-      opts.port_base = std::atoi(value());
+      opts.port_base = int_value();
     } else if (arg == "--hosts") {
       opts.hosts = value();
-    } else if (arg == "--partition") {
-      opts.partition = value();
     } else if (arg == "--mmap") {
       opts.mmap = true;
     } else if (arg == "--max-restarts") {
-      opts.max_restarts = std::atoi(value());
+      opts.max_restarts = int_value();
     } else if (arg == "--checkpoint-dir") {
       opts.checkpoint_dir = value();
     } else if (arg == "--checkpoint-every") {
-      opts.checkpoint_every = std::atoi(value());
+      opts.checkpoint_every = int_value();
     } else if (arg == "--print-only") {
       opts.print_only = true;
     } else if (arg == "-h" || arg == "--help") {
@@ -121,10 +129,6 @@ Options parse(int argc, char** argv) {
   if (opts.transport != "tcp" && opts.transport != "inprocess") {
     usage(argv[0], "--transport must be tcp or inprocess");
   }
-  if (!opts.partition.empty() && opts.partition != "range" &&
-      opts.partition != "degree" && opts.partition != "hash") {
-    usage(argv[0], "--partition must be range, degree or hash");
-  }
   return opts;
 }
 
@@ -137,9 +141,6 @@ std::string env_prefix(const Options& opts, int rank) {
     s += " PGCH_PORT_BASE=" + std::to_string(opts.port_base);
     if (!opts.hosts.empty()) s += " PGCH_HOSTS=" + opts.hosts;
   }
-  // Every rank must build the identical partition, so the selection rides
-  // the launch environment like the transport does.
-  if (!opts.partition.empty()) s += " PGCH_PARTITION=" + opts.partition;
   // Co-located ranks mapping the same v3 snapshot share one page-cache
   // copy of it — the zero-copy loader is what makes -n 8 on one host not
   // hold 8 heap copies of the graph.
@@ -210,9 +211,6 @@ pid_t spawn_rank(const Options& opts, int r, bool resume) {
       setenv("PGCH_RANK", std::to_string(r).c_str(), 1);
       setenv("PGCH_PORT_BASE", std::to_string(opts.port_base).c_str(), 1);
       if (!opts.hosts.empty()) setenv("PGCH_HOSTS", opts.hosts.c_str(), 1);
-    }
-    if (!opts.partition.empty()) {
-      setenv("PGCH_PARTITION", opts.partition.c_str(), 1);
     }
     if (opts.mmap) setenv("PGCH_MMAP", "1", 1);
     if (!opts.checkpoint_dir.empty()) {
