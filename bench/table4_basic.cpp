@@ -88,16 +88,13 @@ void PR_Wikipedia_ChannelAdaptive(benchmark::State& s) {
   bench::run_case<algo::PageRankCombined>(s, __func__, wikipedia(), adaptive);
 }
 
-// ---- snapshot-load rows (zero-copy loading, DESIGN.md section 5) ---------
+// ---- snapshot-load row (zero-copy loading, DESIGN.md section 5) ----------
 // One v3 snapshot of the WebUK stand-in, written once per binary into the
-// temp directory. The Heap row re-reads it into owned arrays each
-// iteration; the Mmap row re-maps it with the page cache and the
-// verify-once checksum cache warm — the steady state of a rank (re)start
-// on a host that already holds the snapshot. The measured difference is
-// exactly the O(bytes) copy the zero-copy path deletes. Each row then
-// runs the usual PageRank over its freshly loaded graph, so the JSON
-// record carries the load_s/graph_bytes pair next to comparable run
-// stats.
+// temp directory. The row re-maps it each iteration with the page cache
+// and the verify-once checksum cache warm — the steady state of a rank
+// (re)start on a host that already holds the snapshot. It then runs the
+// usual PageRank over the freshly loaded graph, so the JSON record
+// carries the load_s/graph_bytes pair next to comparable run stats.
 
 const std::string& webuk_snapshot() {
   static const std::string path = [] {
@@ -110,18 +107,14 @@ const std::string& webuk_snapshot() {
   return path;
 }
 
-void load_row(benchmark::State& s, const char* name, bool use_mmap) {
+void PR_WebUK_MmapLoad(benchmark::State& s) {
   const std::string& path = webuk_snapshot();
-  const auto load = [&] {
-    return use_mmap ? pregel::graph::load_binary_mmap(path)
-                    : pregel::graph::load_binary(path);
-  };
-  (void)load();  // warm: page cache for both rows, verify cache for mmap
+  (void)pregel::graph::load_binary_mmap(path);  // warm page + verify caches
   double load_s = 0.0;
   pregel::runtime::RunStats last;
   for (auto _ : s) {
     const auto t0 = std::chrono::steady_clock::now();
-    bench::CsrGraph g = load();
+    bench::CsrGraph g = pregel::graph::load_binary_mmap(path);
     load_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
                  .count();
@@ -135,13 +128,7 @@ void load_row(benchmark::State& s, const char* name, bool use_mmap) {
   }
   s.counters["load_ms"] = load_s * 1e3;
   s.counters["msg_MB"] = last.message_mb();
-  bench::record_json(name, last);
-}
-void PR_WebUK_HeapLoad(benchmark::State& s) {
-  load_row(s, __func__, /*use_mmap=*/false);
-}
-void PR_WebUK_MmapLoad(benchmark::State& s) {
-  load_row(s, __func__, /*use_mmap=*/true);
+  bench::record_json(__func__, last);
 }
 
 // ---- skew rows (DESIGN.md section 11) ------------------------------------
@@ -249,7 +236,6 @@ PGCH_BENCH(PR_Wikipedia_Pregel);
 PGCH_BENCH(PR_Wikipedia_Channel);
 PGCH_BENCH(PR_WebUK_ChannelAdaptive);
 PGCH_BENCH(PR_Wikipedia_ChannelAdaptive);
-PGCH_BENCH(PR_WebUK_HeapLoad);
 PGCH_BENCH(PR_WebUK_MmapLoad);
 PGCH_BENCH(PR_Rmat_Range);
 PGCH_BENCH(PR_Rmat_RangeSteal);

@@ -53,6 +53,9 @@ Graph star(VertexId n) {
 Graph rmat(const RmatOptions& opts) {
   const double d = 1.0 - opts.a - opts.b - opts.c;
   if (d < 0.0) throw std::invalid_argument("rmat: a+b+c must be <= 1");
+  if (opts.num_vertices > (1u << 31)) {
+    throw std::invalid_argument("rmat: num_vertices rounds up past 2^31");
+  }
   const VertexId n = round_up_pow2(opts.num_vertices);
   const int levels = std::countr_zero(static_cast<std::uint32_t>(n));
 

@@ -26,7 +26,7 @@ Graph binary_tree(VertexId n);
 Graph star(VertexId n);
 
 struct RmatOptions {
-  VertexId num_vertices = 1u << 18;   ///< rounded up to a power of two
+  VertexId num_vertices = 1u << 18;   ///< rounded up to a power of two <= 2^31
   std::uint64_t num_edges = 1u << 21;
   double a = 0.57, b = 0.19, c = 0.19;  ///< d = 1-a-b-c
   std::uint64_t seed = 1;

@@ -12,15 +12,12 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include "runtime/env.hpp"
 #include "runtime/mapped_file.hpp"
 
 namespace pregel::graph {
@@ -51,12 +48,11 @@ void require_little_endian_host(const char* op) {
 
 // Format v3: each array starts at a 64-byte-aligned file offset recorded
 // in the (64-byte) header, so a mapping of the file can serve the arrays
-// as cache-line-aligned spans. v2 (32-byte header, arrays packed right
-// behind it) is still readable on the heap path; save always writes v3.
+// as cache-line-aligned spans. It is the only readable format: v1 (the
+// pre-CSR record layout) and v2 (32-byte header, arrays packed right
+// behind it) are refused by name.
 constexpr std::uint32_t kBinaryVersion = 3;
-constexpr std::uint32_t kBinaryVersionV2 = 2;
-constexpr std::uint64_t kHeaderBytesV3 = 64;
-constexpr std::uint64_t kHeaderBytesV2 = 32;
+constexpr std::uint64_t kHeaderBytes = 64;
 constexpr std::uint64_t kArrayAlign = 64;
 constexpr std::uint32_t kFlagWeighted = 1u << 0;
 constexpr std::uint32_t kKnownFlags = kFlagWeighted;
@@ -73,7 +69,6 @@ T read_le(const unsigned char* p) {
 }
 
 /// Parsed-and-validated snapshot header: the on-disk fields plus the
-/// resolved array offsets (v2's are the implied packed layout) and the
 /// exact file size the layout dictates.
 struct HeaderInfo {
   std::uint32_t version = 0;
@@ -90,14 +85,12 @@ struct HeaderInfo {
 
 /// Parse and validate a snapshot header from the first `len` bytes of the
 /// file. Validates the magic (naming byte-swapped files), version,
-/// unknown flags, the size-sanity of the counts, and — for v3 — that the
-/// recorded array offsets are exactly the canonical 64-byte-aligned
-/// layout. `op` prefixes every error message.
+/// unknown flags, the size-sanity of the counts, and that the recorded
+/// array offsets are exactly the canonical 64-byte-aligned layout. `op`
+/// prefixes every error message.
 HeaderInfo parse_header(const unsigned char* buf, std::uint64_t len,
                         const std::string& op) {
-  if (len < kHeaderBytesV2) {
-    throw std::runtime_error(op + ": truncated header");
-  }
+  if (len < 8) throw std::runtime_error(op + ": truncated header");
   const auto magic = read_le<std::uint32_t>(buf);
   if (magic != kBinaryMagic) {
     if (magic == byteswap32(kBinaryMagic)) {
@@ -111,53 +104,47 @@ HeaderInfo parse_header(const unsigned char* buf, std::uint64_t len,
   }
   HeaderInfo h;
   h.version = read_le<std::uint32_t>(buf + 4);
+  if (h.version == 1 || h.version == 2) {
+    throw std::runtime_error(
+        op + ": format v" + std::to_string(h.version) +
+        " snapshots are no longer readable (only v3 is) — regenerate with "
+        "`graph_convert <edge list> <out.bin>`");
+  }
+  if (h.version != kBinaryVersion) {
+    throw std::runtime_error(op + ": unsupported version " +
+                             std::to_string(h.version));
+  }
+  if (len < kHeaderBytes) throw std::runtime_error(op + ": truncated header");
   h.flags = read_le<std::uint32_t>(buf + 8);
   h.num_vertices = read_le<std::uint32_t>(buf + 12);
   h.num_edges = read_le<std::uint64_t>(buf + 16);
   h.checksum = read_le<std::uint64_t>(buf + 24);
-  if (h.version != kBinaryVersion && h.version != kBinaryVersionV2) {
-    throw std::runtime_error(op + ": unsupported version " +
-                             std::to_string(h.version));
-  }
   if ((h.flags & ~kKnownFlags) != 0) {
     throw std::runtime_error(op + ": unknown header flags");
   }
 
   // Size sanity BEFORE trusting the header's counts: a bit-flipped
-  // num_edges must fail cleanly here, not as a multi-gigabyte allocation
-  // in the array reader. The layout is exact, so the expected file size
-  // follows the header to the byte.
-  const std::uint64_t header_bytes =
-      h.version == kBinaryVersion ? kHeaderBytesV3 : kHeaderBytesV2;
+  // num_edges must fail cleanly here, not as an overflowed offset or a
+  // span past the end of the mapping. The layout is exact, so the
+  // expected file size follows the header to the byte.
   const std::uint64_t per_edge = h.weighted() ? 8 : 4;
   const std::uint64_t offsets_bytes =
       (static_cast<std::uint64_t>(h.num_vertices) + 1) * 8;
   if (h.num_edges >
-      (std::numeric_limits<std::uint64_t>::max() / 2 - header_bytes -
+      (std::numeric_limits<std::uint64_t>::max() / 2 - kHeaderBytes -
        offsets_bytes - 2 * kArrayAlign) /
           per_edge) {
     throw std::runtime_error(op + ": corrupt header (edge count)");
   }
 
-  if (h.version == kBinaryVersionV2) {
-    h.offsets_off = kHeaderBytesV2;
-    h.dst_off = h.offsets_off + offsets_bytes;
-    h.weights_off = h.weighted() ? h.dst_off + h.num_edges * 4 : 0;
-    h.expected_size = h.dst_off + h.num_edges * per_edge;
-    return h;
-  }
-
-  if (len < kHeaderBytesV3) {
-    throw std::runtime_error(op + ": truncated header");
-  }
   h.offsets_off = read_le<std::uint64_t>(buf + 32);
   h.dst_off = read_le<std::uint64_t>(buf + 40);
   h.weights_off = read_le<std::uint64_t>(buf + 48);
   const auto reserved = read_le<std::uint64_t>(buf + 56);
-  // v3 array offsets are not free-form: writers MUST place the arrays at
+  // The array offsets are not free-form: writers MUST place the arrays at
   // the canonical aligned offsets, and readers verify — a corrupted
   // offset field fails here instead of serving garbage spans.
-  const std::uint64_t want_offsets = kHeaderBytesV3;
+  const std::uint64_t want_offsets = kHeaderBytes;
   const std::uint64_t want_dst = align_up(want_offsets + offsets_bytes);
   const std::uint64_t want_weights =
       h.weighted() ? align_up(want_dst + h.num_edges * 4) : 0;
@@ -172,7 +159,7 @@ HeaderInfo parse_header(const unsigned char* buf, std::uint64_t len,
   return h;
 }
 
-// ---- descriptor-based reading (heap path, one open per load) -------------
+// ---- descriptor helpers (load_any sniff, snapshot_info) ------------------
 
 /// Close-on-scope-exit descriptor; release() hands it off (to a mapping).
 class FdGuard {
@@ -183,7 +170,6 @@ class FdGuard {
   ~FdGuard() {
     if (fd_ >= 0) ::close(fd_);
   }
-  [[nodiscard]] int get() const { return fd_; }
   int release() {
     const int fd = fd_;
     fd_ = -1;
@@ -214,70 +200,14 @@ std::uint64_t pread_full(int fd, void* dst, std::uint64_t len,
   return done;
 }
 
-template <typename T>
-std::vector<T> read_array_fd(int fd, std::uint64_t off, std::uint64_t count,
-                             const std::string& op, const char* what) {
-  std::vector<T> a(count);
-  if (pread_full(fd, a.data(), count * sizeof(T), off, op) !=
-      count * sizeof(T)) {
-    throw std::runtime_error(op + ": truncated " + what);
-  }
-  return a;
-}
-
-std::uint64_t file_size_fd(int fd, const std::string& op) {
-  struct ::stat st {};
-  if (::fstat(fd, &st) != 0) {
-    throw std::runtime_error(op + ": cannot stat: " + std::strerror(errno));
-  }
-  return static_cast<std::uint64_t>(st.st_size);
-}
-
-/// Heap load (v2 and v3) from an already-open descriptor: read the
-/// arrays into owned vectors, validate the CSR invariants, verify the
-/// checksum eagerly.
-CsrGraph load_binary_fd(int fd, const std::string& op) {
-  unsigned char hdr[kHeaderBytesV3] = {};
-  const std::uint64_t got = pread_full(fd, hdr, sizeof(hdr), 0, op);
-  const HeaderInfo h = parse_header(hdr, got, op);
-  if (file_size_fd(fd, op) != h.expected_size) {
-    throw std::runtime_error(
-        op + ": file size does not match header (corrupt or truncated)");
-  }
-
-  auto offsets = read_array_fd<std::uint64_t>(
-      fd, h.offsets_off, static_cast<std::uint64_t>(h.num_vertices) + 1, op,
-      "offset array");
-  auto dst =
-      read_array_fd<VertexId>(fd, h.dst_off, h.num_edges, op, "edge array");
-  std::vector<Weight> weights;
-  if (h.weighted()) {
-    weights = read_array_fd<Weight>(fd, h.weights_off, h.num_edges, op,
-                                    "weight array");
-  }
-
-  CsrGraph g;
-  try {
-    g = CsrGraph::from_arrays(std::move(offsets), std::move(dst),
-                              std::move(weights));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(op + ": corrupt arrays: " + e.what());
-  }
-  if (g.checksum() != h.checksum) {
-    throw std::runtime_error(op + ": checksum mismatch (corrupt file)");
-  }
-  return g;
-}
-
-// ---- lazy checksum verification for the mmap path ------------------------
+// ---- lazy checksum verification -------------------------------------------
 //
 // Verifying a snapshot's checksum reads every byte — exactly the O(bytes)
 // cost the zero-copy path exists to avoid. Policy: verify (checksum + the
-// deep CSR invariant scan) on the FIRST mmap load of a file in this
-// process, then cache the verdict keyed by the file's identity
-// (device, inode, size, mtime); later loads of the unchanged file skip
-// straight to the spans. PGCH_MMAP_VERIFY=0 opts out entirely (trusted
-// snapshots, O(1) hot restarts even for the first load).
+// deep CSR invariant scan) on the FIRST load of a file in this process,
+// then cache the verdict keyed by the file's identity (device, inode,
+// size, mtime); later loads of the unchanged file skip straight to the
+// spans.
 
 struct VerifiedEntry {
   std::uint64_t size = 0;
@@ -291,10 +221,6 @@ verified_cache() {
   static std::map<std::pair<std::uint64_t, std::uint64_t>, VerifiedEntry>
       cache;
   return cache;
-}
-
-bool mmap_verify_enabled() {
-  return runtime::env_bool("PGCH_MMAP_VERIFY", true);
 }
 
 bool already_verified(const runtime::MappedFile& map, std::uint64_t checksum) {
@@ -311,25 +237,19 @@ void record_verified(const runtime::MappedFile& map, std::uint64_t checksum) {
       VerifiedEntry{map.size(), map.mtime_ns(), checksum};
 }
 
-/// Zero-copy load from an established mapping: parse + validate the v3
+/// Zero-copy load from an established mapping: parse + validate the
 /// header out of the mapped bytes and return a CsrGraph of spans into
 /// them, with the mapping as the keep-alive handle.
 CsrGraph load_mapped(std::shared_ptr<const runtime::MappedFile> map) {
   const std::string op = "load_binary_mmap";
   const auto* base = reinterpret_cast<const unsigned char*>(map->data());
   const HeaderInfo h = parse_header(base, map->size(), op);
-  if (h.version != kBinaryVersion) {
-    throw std::runtime_error(
-        op + ": format v" + std::to_string(h.version) +
-        " snapshots are not page-aligned — upgrade with `graph_convert "
-        "--upgrade <file>` (or load via the heap path)");
-  }
   if (map->size() != h.expected_size) {
     throw std::runtime_error(
         op + ": file size does not match header (corrupt or truncated)");
   }
 
-  // The mapping is page-aligned and the v3 array offsets are 64-byte
+  // The mapping is page-aligned and the array offsets are 64-byte
   // aligned, so these casts land on properly-aligned addresses.
   const std::span<const std::uint64_t> offsets(
       reinterpret_cast<const std::uint64_t*>(base + h.offsets_off),
@@ -344,7 +264,7 @@ CsrGraph load_mapped(std::shared_ptr<const runtime::MappedFile> map) {
                 static_cast<std::size_t>(h.num_edges))
           : std::span<const Weight>();
 
-  const bool verify = mmap_verify_enabled() && !already_verified(*map, h.checksum);
+  const bool verify = !already_verified(*map, h.checksum);
   CsrGraph g;
   try {
     g = CsrGraph::from_view(offsets, dst, weights, map, /*deep_validate=*/verify);
@@ -396,26 +316,45 @@ Graph load_edge_list(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_edge_list: cannot open " + path);
   std::string line;
+  std::uint64_t line_no = 0;
+  const auto fail = [&](const std::string& what) {
+    return std::runtime_error("load_edge_list: " + path + ":" +
+                              std::to_string(line_no) + ": " + what);
+  };
   VertexId n = 0;
   bool weighted = false;
-  // Header: skip comments, then "num_vertices [weighted]".
+  // Header: skip comments, then "num_vertices [weighted]". Anything else
+  // is refused: a misspelled flag would otherwise drop every weight.
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream hdr(line);
+    if (!(hdr >> n)) throw fail("non-numeric header '" + line + "'");
     std::string flag;
-    hdr >> n;
-    if (hdr >> flag) weighted = (flag == "weighted");
+    if (hdr >> flag) {
+      if (flag != "weighted") {
+        throw fail("unknown header flag '" + flag + "'");
+      }
+      weighted = true;
+      if (hdr >> flag) throw fail("unknown header flag '" + flag + "'");
+    }
     break;
   }
   Graph g(n);
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream row(line);
     VertexId u = 0, v = 0;
     Weight w = 1;
     row >> u >> v;
     if (weighted) row >> w;
-    if (row.fail()) throw std::runtime_error("load_edge_list: bad line");
+    if (row.fail()) throw fail("bad line '" + line + "'");
+    std::string extra;
+    if (row >> extra) {
+      throw fail("extra tokens in '" + line + "'" +
+                 (weighted ? "" : " (the header declares no weights)"));
+    }
     g.add_edge(u, v, w);
   }
   return g;
@@ -472,7 +411,7 @@ void save_binary(const CsrGraph& g, const std::string& path) {
   if (!out) throw std::runtime_error("save_binary: cannot open " + path);
 
   const std::uint64_t offsets_bytes = (g.num_vertices() + 1ull) * 8;
-  const std::uint64_t offsets_off = kHeaderBytesV3;
+  const std::uint64_t offsets_off = kHeaderBytes;
   const std::uint64_t dst_off = align_up(offsets_off + offsets_bytes);
   const std::uint64_t weights_off =
       g.is_weighted() ? align_up(dst_off + g.num_edges() * 4) : 0;
@@ -502,62 +441,29 @@ void save_binary(const Graph& g, const std::string& path) {
   save_binary(g.finalize(), path);
 }
 
-CsrGraph load_binary(const std::string& path) {
-  require_little_endian_host("load_binary");
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw std::runtime_error("load_binary: cannot open " + path);
-  const FdGuard guard(fd);
-  return load_binary_fd(fd, "load_binary");
-}
-
 CsrGraph load_binary_mmap(const std::string& path) {
   require_little_endian_host("load_binary_mmap");
   return load_mapped(std::make_shared<const runtime::MappedFile>(path));
 }
 
-MmapMode mmap_mode_from_env() {
-  const char* v = std::getenv("PGCH_MMAP");
-  if (v == nullptr || *v == '\0') return MmapMode::kAuto;
-  const std::string_view s(v);
-  if (s == "1") return MmapMode::kOn;
-  if (s == "0") return MmapMode::kOff;
-  throw std::invalid_argument("PGCH_MMAP must be '1' or '0', got '" +
-                              std::string(s) + "'");
-}
-
 CsrGraph load_any(const std::string& path) {
-  return load_any(path, mmap_mode_from_env());
-}
-
-CsrGraph load_any(const std::string& path, MmapMode mode) {
-  // One open(2) per load: the magic/version sniff runs on this
-  // descriptor, which is then either adopted by the mapping (zero-copy
-  // path) or read through directly (heap path) — never reopened. Only
-  // the text fallback reopens, through its line parser.
+  // One open(2) per load: the magic sniff runs on this descriptor, which
+  // the mapping then adopts — never reopened. Only the text fallback
+  // reopens, through its line parser.
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw std::runtime_error("load_any: cannot open " + path);
   FdGuard guard(fd);
 
-  unsigned char probe[8] = {};
-  const std::uint64_t got = pread_full(fd, probe, sizeof(probe), 0, "load_any");
-  if (got >= sizeof(probe)) {
+  unsigned char probe[4] = {};
+  if (pread_full(fd, probe, sizeof(probe), 0, "load_any") == sizeof(probe)) {
     const auto magic = read_le<std::uint32_t>(probe);
-    const auto version = read_le<std::uint32_t>(probe + 4);
     // Route the byte-swapped magic to the snapshot loader too: its
     // "written on a big-endian host" error beats the text parser's "bad
     // line".
     if (magic == kBinaryMagic || magic == byteswap32(kBinaryMagic)) {
       require_little_endian_host("load_any");
-      if (magic == kBinaryMagic && version == kBinaryVersion &&
-          mode != MmapMode::kOff) {
-        // Adopt the sniffed descriptor into the mapping — still one open.
-        return load_mapped(std::make_shared<const runtime::MappedFile>(
-            guard.release(), path));
-      }
-      // v2 snapshots (and forced-heap loads) take the heap path — an
-      // explicit PGCH_MMAP=1 does not reject the old format, it just
-      // cannot map it; `graph_convert --upgrade` rewrites it as v3.
-      return load_binary_fd(fd, "load_binary");
+      return load_mapped(std::make_shared<const runtime::MappedFile>(
+          guard.release(), path));
     }
   }
   return load_edge_list_auto(path).finalize();
@@ -567,7 +473,7 @@ std::optional<SnapshotInfo> snapshot_info(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw std::runtime_error("snapshot_info: cannot open " + path);
   const FdGuard guard(fd);
-  unsigned char hdr[kHeaderBytesV3] = {};
+  unsigned char hdr[kHeaderBytes] = {};
   const std::uint64_t got =
       pread_full(fd, hdr, sizeof(hdr), 0, "snapshot_info");
   if (got < 8 || read_le<std::uint32_t>(hdr) != kBinaryMagic) {

@@ -4,17 +4,16 @@
 // storage backend is orthogonal to everything the evaluation measures.
 //
 // The snapshot (format spec: DESIGN.md section 5) is the CsrGraph's three
-// arrays written raw behind a checksummed little-endian header. Format v3
-// places every array at a 64-byte-aligned file offset recorded in the
-// header, which enables the zero-copy path: `load_binary_mmap()` maps the
-// file (runtime::MappedFile) and returns a CsrGraph whose spans point
-// straight into the page cache — load time is a few page faults, and W
-// ranks on one host share one physical copy. The heap path (`load_binary`)
-// still reads both v2 and v3 snapshots into owned vectors.
-// `tools/graph_convert` turns edge lists into snapshots and upgrades v2
-// files in place (`--upgrade`); `load_any()` sniffs the magic on a single
-// open descriptor so every example and bench accepts either format through
-// one entry point, picking mmap automatically for v3 snapshots.
+// arrays written raw behind a checksummed little-endian header, each
+// array at a 64-byte-aligned file offset recorded in the header (format
+// v3, the only readable one). There is one loader: `load_binary_mmap()`
+// maps the file (runtime::MappedFile) and returns a CsrGraph whose spans
+// point straight into the page cache — load time is a few page faults,
+// and W ranks on one host share one physical copy. `load_any()` sniffs
+// the magic on a single open descriptor and either maps the snapshot or
+// hands the file to the text parser, so every example and bench accepts
+// both through one entry point. `tools/graph_convert` turns edge lists
+// into snapshots.
 
 #include <cstdint>
 #include <optional>
@@ -40,42 +39,30 @@ Graph load_edge_list_auto(const std::string& path);
 
 /// Binary CSR snapshot (little-endian, versioned, checksummed header +
 /// raw offset/dst/weight arrays at 64-byte-aligned offsets — format v3).
-/// save_binary writes v3; load_binary reads v2 and v3 into heap-owned
-/// arrays, verifying the magic, version, array layout and the FNV-1a
-/// payload checksum, and throws std::runtime_error on any mismatch.
 void save_binary(const CsrGraph& g, const std::string& path);
 void save_binary(const Graph& g, const std::string& path);
-CsrGraph load_binary(const std::string& path);
 
 /// Zero-copy load of a v3 snapshot: maps the file and returns a CsrGraph
 /// whose arrays are spans into the mapping (the mapping stays alive as
-/// long as the graph or any copy of it). v2 snapshots are rejected with
-/// an upgrade hint — their arrays are not page-aligned.
+/// long as the graph or any copy of it). Validates the magic (naming
+/// byte-swapped files), version (naming the retired v1 and v2 formats),
+/// flags, array layout and exact file size, and throws std::runtime_error
+/// on any mismatch.
 ///
 /// Checksum policy: the payload checksum (and the O(V+E) CSR invariant
 /// scan) runs on the FIRST load of a given file per process and the
 /// verdict is cached by (device, inode, size, mtime), so hot restarts of
-/// the same snapshot are O(1); set PGCH_MMAP_VERIFY=0 to skip
-/// verification entirely. Corrupt files are rejected whenever
-/// verification runs.
+/// the same snapshot are O(1). There is no opt-out.
 CsrGraph load_binary_mmap(const std::string& path);
 
-/// How load_any picks the snapshot loader: kAuto maps v3 snapshots and
-/// heap-loads everything else; kOn/kOff force the choice (a forced kOn
-/// still heap-loads v2 snapshots and text files — back-compat beats the
-/// preference). PGCH_MMAP=1/0 selects kOn/kOff; unset is kAuto.
-enum class MmapMode { kAuto, kOff, kOn };
-MmapMode mmap_mode_from_env();
-
-/// Load either format through one open(2): the magic is sniffed from the
-/// descriptor, which is then either mapped (v3 + mmap selected), read
-/// into heap arrays (snapshots), or handed to the text parser.
+/// Load a snapshot or a text edge list through one open(2): the magic is
+/// sniffed from the descriptor, which is then either mapped (snapshots,
+/// exactly as load_binary_mmap) or handed to the text parser.
 CsrGraph load_any(const std::string& path);
-CsrGraph load_any(const std::string& path, MmapMode mode);
 
 /// Snapshot header introspection (graph_convert --stats): the format
-/// version and where each array sits in the file (v2 offsets are the
-/// implied packed layout). nullopt when the file is not a snapshot.
+/// version and where each array sits in the file. nullopt when the file
+/// is not a snapshot.
 struct SnapshotInfo {
   std::uint32_t version = 0;
   bool weighted = false;

@@ -14,11 +14,10 @@
 namespace pregel::runtime {
 
 /// Integer value of `text`, the setting of `name` (an environment
-/// variable, flag or field), clamped to [lo, INT_MAX]. Non-numeric or
-/// empty text, trailing junk or a value beyond the 64-bit range throws
+/// variable, flag, field or argument). Non-numeric or empty text,
+/// trailing junk or a value beyond the 64-bit range throws
 /// std::invalid_argument naming `name`.
-inline int parse_int(const std::string& name, const char* text,
-                     int lo = INT_MIN) {
+inline long long parse_int64(const std::string& name, const char* text) {
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(text, &end, 10);
@@ -26,7 +25,14 @@ inline int parse_int(const std::string& name, const char* text,
     throw std::invalid_argument(name + " must be an integer, got '" + text +
                                 "'");
   }
-  return static_cast<int>(std::clamp<long long>(v, lo, INT_MAX));
+  return v;
+}
+
+/// parse_int64, clamped to [lo, INT_MAX].
+inline int parse_int(const std::string& name, const char* text,
+                     int lo = INT_MIN) {
+  return static_cast<int>(
+      std::clamp<long long>(parse_int64(name, text), lo, INT_MAX));
 }
 
 /// Integer value of environment variable `name` (parse_int); `fallback`

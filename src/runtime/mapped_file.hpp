@@ -1,17 +1,17 @@
 #pragma once
 // runtime::MappedFile: RAII read-only memory mapping of a whole file.
 //
-// This is the storage substrate for zero-copy snapshot loading (DESIGN.md
-// section 5): `graph::load_binary_mmap` parses the v3 snapshot header out
-// of the mapping and hands `CsrGraph` spans straight into it — no heap
-// materialization, no copy. The mapping is MAP_PRIVATE + PROT_READ, so W
-// ranks on one host mapping the same snapshot share one physical copy of
-// the page cache, and "loading" a hot snapshot is a handful of page
-// faults instead of an O(bytes) read.
+// This is the storage substrate of the one snapshot loader (DESIGN.md
+// section 5): `graph::load_binary_mmap` (and `graph::load_any`) parses the
+// v3 snapshot header out of the mapping and hands `CsrGraph` spans
+// straight into it — no heap materialization, no copy. The mapping is
+// MAP_PRIVATE + PROT_READ, so W ranks on one host mapping the same
+// snapshot share one physical copy of the page cache, and "loading" a
+// hot snapshot is a handful of page faults instead of an O(bytes) read.
 //
 // The wrapper also records the file's identity (device, inode, size,
-// mtime) so the lazy checksum-verification cache can recognize "same
-// file, already verified" across repeated loads of one path.
+// mtime) so the verify-once checksum cache can recognize "same file,
+// already verified" across repeated loads of one path.
 
 #include <cstddef>
 #include <cstdint>

@@ -253,7 +253,7 @@ TEST(Snapshot, RoundTripIsBitIdentical) {
   const CsrGraph g = rmat(opts).finalize();
   const auto path = temp_path("pgch_csr_rt.bin");
   save_binary(g, path);
-  const CsrGraph h = load_binary(path);
+  const CsrGraph h = load_binary_mmap(path);
   EXPECT_EQ(g, h);  // array-level equality
   EXPECT_EQ(g.checksum(), h.checksum());
   std::remove(path.c_str());
@@ -269,7 +269,7 @@ TEST(Snapshot, UnweightedSnapshotSkipsWeightArray) {
   const auto dst_off = align64(64 + (g.num_vertices() + 1ull) * 8);
   const auto expect_bytes = dst_off + g.num_edges() * 4;
   EXPECT_EQ(std::filesystem::file_size(path), expect_bytes);
-  EXPECT_EQ(load_binary(path), g);
+  EXPECT_EQ(load_binary_mmap(path), g);
   std::remove(path.c_str());
 }
 
@@ -290,39 +290,39 @@ TEST(Snapshot, RejectsCorruptHeaderAndPayload) {
 
   save_binary(g, path);
   flip_byte(path, 0);  // magic
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
 
   save_binary(g, path);
   flip_byte(path, 4);  // version
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
 
   save_binary(g, path);
   flip_byte(path, 8);  // flags: unknown bits must be rejected
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
 
   save_binary(g, path);
   flip_byte(path, 23);  // num_edges high byte: must fail the size sanity
-  EXPECT_THROW(load_binary(path), std::runtime_error);  // check, not allocate
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);  // check first
 
   save_binary(g, path);
   flip_byte(path, 24);  // stored checksum itself
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
 
   save_binary(g, path);
   flip_byte(path, 40);  // dst_off header field: breaks the canonical
-  EXPECT_THROW(load_binary(path), std::runtime_error);  // aligned layout
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);  // layout
 
   save_binary(g, path);
   flip_byte(path, 64 + 9 * 8);  // an offsets entry (payload corruption)
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
 
   save_binary(g, path);
   const auto full = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full - 5);  // truncated arrays
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
 
   std::filesystem::resize_file(path, 10);  // truncated header
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
 
   std::remove(path.c_str());
 }
@@ -343,10 +343,10 @@ TEST(Snapshot, NamesByteSwappedMagicAsBigEndian) {
     f.seekp(0);
     f.write(magic, 4);
   }
-  for (const auto* loader : {"load_binary", "load_any"}) {
+  for (const auto* loader : {"load_binary_mmap", "load_any"}) {
     try {
-      if (std::string(loader) == "load_binary") {
-        (void)load_binary(path);
+      if (std::string(loader) == "load_binary_mmap") {
+        (void)load_binary_mmap(path);
       } else {
         (void)load_any(path);
       }
@@ -404,6 +404,38 @@ TEST(Converter, HeaderlessSnapStyleListsLoad) {
   }
   const Graph w = load_edge_list_auto(path);
   EXPECT_EQ(w.out(0)[0].weight, 5u);
+  std::remove(path.c_str());
+}
+
+TEST(Converter, MalformedHeaderedListsAreRefused) {
+  // Each would otherwise load with every weight silently dropped (or as
+  // an empty graph); the error names the offending flag or line.
+  struct Case {
+    const char* text;
+    const char* names;
+  };
+  const Case cases[] = {
+      {"3 wieghted\n0 1 5\n1 2 7\n", "wieghted"},     // unknown header flag
+      {"3 weighted sorted\n0 1 5\n", "sorted"},       // trailing header flag
+      {"x3 weighted\n0 1 5\n", "x3 weighted"},        // non-numeric header
+      {"3\n0 1\n0 1 5\n1 2 7\n", "0 1 5"},            // extra row token
+      {"3 weighted\n0 1 5 9\n", "0 1 5 9"},           // extra weighted token
+  };
+  const auto path = temp_path("pgch_bad_header.txt");
+  for (const Case& c : cases) {
+    std::ofstream(path) << c.text;
+    for (const auto* loader : {"load_edge_list", "load_edge_list_auto"}) {
+      try {
+        (void)(std::string(loader) == "load_edge_list"
+                   ? load_edge_list(path)
+                   : load_edge_list_auto(path));
+        ADD_FAILURE() << loader << " accepted: " << c.text;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
+            << loader << ": " << e.what();
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

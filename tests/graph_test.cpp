@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "graph/distributed.hpp"
 #include "graph/generators.hpp"
@@ -120,6 +121,10 @@ TEST(Generators, RmatRespectsEdgeBudgetAndSkew) {
     max_deg = std::max(max_deg, g.out_degree(v));
   }
   EXPECT_GT(max_deg, 10 * static_cast<std::uint32_t>(g.avg_degree() + 1));
+
+  // A vertex count that rounds up past 2^31 has no 32-bit power of two.
+  opts.num_vertices = (1u << 31) + 1;
+  EXPECT_THROW((void)rmat(opts), std::invalid_argument);
 }
 
 TEST(Generators, RmatWeightedProducesWeightsInRange) {
@@ -269,7 +274,7 @@ TEST(GraphIO, BinaryRoundTripPreservesWeights) {
   const auto path =
       (std::filesystem::temp_directory_path() / "pgch_bin_test.bin").string();
   save_binary(g, path);
-  const CsrGraph h = load_binary(path);
+  const CsrGraph h = load_binary_mmap(path);
   ASSERT_EQ(h.num_vertices(), g.num_vertices());
   ASSERT_EQ(h.num_edges(), g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -286,7 +291,8 @@ TEST(GraphIO, BinaryRoundTripPreservesWeights) {
 
 TEST(GraphIO, LoadMissingFileThrows) {
   EXPECT_THROW(load_edge_list("/nonexistent/nope.txt"), std::runtime_error);
-  EXPECT_THROW(load_binary("/nonexistent/nope.bin"), std::runtime_error);
+  EXPECT_THROW(load_binary_mmap("/nonexistent/nope.bin"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -1,17 +1,16 @@
-// Tests for the zero-copy snapshot path (DESIGN.md section 5): format-v3
-// mmap loads must be bitwise-identical to heap loads, v2 snapshots must
-// keep heap-loading (and be rejected by the mapper with an upgrade hint),
-// corrupt and truncated files must be rejected on the mmap path, the
-// verify-once checksum cache and its PGCH_MMAP_VERIFY=0 opt-out must do
-// what they claim, the mapping must outlive every copy of the graph, and
-// a 2-rank TCP run over one mapped snapshot must match the heap run
-// bitwise.
+// Tests for the one snapshot loader (DESIGN.md section 5): a mapped
+// format-v3 load must be bitwise-identical to the graph that was saved,
+// retired v2 snapshots must be refused by name, corrupt and truncated
+// files must be rejected, the verify-once checksum cache must do what it
+// claims, the mapping must outlive every copy of the graph, and a 2-rank
+// TCP run over one mapped snapshot must match the run over the owned
+// in-memory graph bitwise.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -31,7 +30,6 @@
 #include "graph/partition.hpp"
 #include "runtime/mapped_file.hpp"
 #include "runtime/team.hpp"
-#include "scoped_env.hpp"
 #include "tcp_mesh.hpp"
 
 namespace {
@@ -56,8 +54,8 @@ CsrGraph test_graph(std::uint64_t seed, bool weighted = true) {
 }
 
 /// Write `g` in the RETIRED v2 layout (32-byte header, arrays packed
-/// right behind it, no alignment) — the back-compat fixture the heap
-/// loader must keep accepting and the mapper must keep rejecting.
+/// right behind it, no alignment) — the fixture every loader must refuse
+/// by name.
 void save_binary_v2(const CsrGraph& g, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   ASSERT_TRUE(out);
@@ -91,22 +89,18 @@ void flip_byte(const std::string& path, std::size_t pos) {
   f.write(&c, 1);
 }
 
-using pregel::testing::ScopedEnv;
+// ------------------------------------------------------ bitwise loads --
 
-// ------------------------------------------------ heap/mmap equivalence --
-
-TEST(MmapLoad, MatchesHeapLoadBitwise) {
+TEST(MmapLoad, MatchesSavedGraphBitwise) {
   const CsrGraph g = test_graph(101);
   const auto path = temp_path("pgch_mmap_eq.bin");
   save_binary(g, path);
 
-  const CsrGraph heap = load_binary(path);
   const CsrGraph mapped = load_binary_mmap(path);
-  EXPECT_FALSE(heap.has_external_storage());
+  EXPECT_FALSE(g.has_external_storage());
   EXPECT_TRUE(mapped.has_external_storage());
-  EXPECT_EQ(heap, mapped);  // element-wise over all three arrays
-  EXPECT_EQ(heap.checksum(), mapped.checksum());
-  EXPECT_EQ(g, mapped);
+  EXPECT_EQ(g, mapped);  // element-wise over all three arrays
+  EXPECT_EQ(g.checksum(), mapped.checksum());
 
   // The v3 arrays really sit on 64-byte boundaries in the mapping.
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mapped.offsets().data()) % 64,
@@ -118,82 +112,43 @@ TEST(MmapLoad, MatchesHeapLoadBitwise) {
   std::remove(path.c_str());
 }
 
-TEST(MmapLoad, LoadAnyAutoPicksMmapForV3Only) {
+TEST(MmapLoad, LoadAnyMapsSnapshotsAndParsesText) {
   const CsrGraph g = test_graph(103, /*weighted=*/false);
-  const auto v3 = temp_path("pgch_mmap_any3.bin");
-  const auto v2 = temp_path("pgch_mmap_any2.bin");
-  save_binary(g, v3);
-  save_binary_v2(g, v2);
+  const auto bin = temp_path("pgch_mmap_any.bin");
+  const auto txt = temp_path("pgch_mmap_any.txt");
+  save_binary(g, bin);
+  save_edge_list(g.to_graph(), txt);
 
-  EXPECT_TRUE(load_any(v3, MmapMode::kAuto).has_external_storage());
-  EXPECT_FALSE(load_any(v3, MmapMode::kOff).has_external_storage());
-  // A forced kOn cannot map the unaligned v2 layout — it heap-loads
-  // rather than failing (back-compat beats the preference).
-  EXPECT_FALSE(load_any(v2, MmapMode::kOn).has_external_storage());
-  EXPECT_EQ(load_any(v2, MmapMode::kOn), g);
+  const CsrGraph mapped = load_any(bin);
+  EXPECT_TRUE(mapped.has_external_storage());
+  EXPECT_EQ(mapped, g);
+  const CsrGraph parsed = load_any(txt);
+  EXPECT_FALSE(parsed.has_external_storage());
+  EXPECT_EQ(parsed, g);
 
-  std::remove(v3.c_str());
-  std::remove(v2.c_str());
+  std::remove(bin.c_str());
+  std::remove(txt.c_str());
 }
 
-TEST(MmapLoad, EnvModeParsesLikeTheOtherKnobs) {
-  {
-    const ScopedEnv env("PGCH_MMAP", nullptr);
-    EXPECT_EQ(mmap_mode_from_env(), MmapMode::kAuto);
-  }
-  {
-    const ScopedEnv env("PGCH_MMAP", "1");
-    EXPECT_EQ(mmap_mode_from_env(), MmapMode::kOn);
-  }
-  {
-    const ScopedEnv env("PGCH_MMAP", "0");
-    EXPECT_EQ(mmap_mode_from_env(), MmapMode::kOff);
-  }
-  {
-    const ScopedEnv env("PGCH_MMAP", "yes");
-    EXPECT_THROW(mmap_mode_from_env(), std::invalid_argument);
-  }
-}
+// ------------------------------------------------------- retired v2 --
 
-// ------------------------------------------------------ v2 back-compat --
-
-TEST(MmapLoad, V2HeapLoadsAndMapperRejectsWithUpgradeHint) {
+TEST(MmapLoad, V2SnapshotIsRefusedByName) {
   const CsrGraph g = test_graph(107);
   const auto path = temp_path("pgch_mmap_v2.bin");
   save_binary_v2(g, path);
 
-  EXPECT_EQ(load_binary(path), g);  // heap path keeps reading v2
-  try {
-    (void)load_binary_mmap(path);
-    FAIL() << "mapper accepted an unaligned v2 snapshot";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("--upgrade"), std::string::npos)
-        << "v2 rejection should name the upgrade path: " << e.what();
+  for (const auto* loader : {"load_binary_mmap", "load_any"}) {
+    try {
+      (void)(std::string(loader) == "load_any" ? load_any(path)
+                                               : load_binary_mmap(path));
+      ADD_FAILURE() << loader << " accepted a v2 snapshot";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("format v2"), std::string::npos) << what;
+      EXPECT_NE(what.find("graph_convert"), std::string::npos) << what;
+    }
   }
   std::remove(path.c_str());
-}
-
-TEST(MmapLoad, V2ToV3UpgradeRoundTripsExactly) {
-  // The --upgrade sequence: heap-load the v2 file, rewrite as v3, map it.
-  const CsrGraph g = test_graph(109);
-  const auto v2 = temp_path("pgch_mmap_up2.bin");
-  const auto v3 = temp_path("pgch_mmap_up3.bin");
-  save_binary_v2(g, v2);
-
-  const CsrGraph from_v2 = load_binary(v2);
-  save_binary(from_v2, v3);
-  const CsrGraph mapped = load_binary_mmap(v3);
-  EXPECT_EQ(mapped, g);
-  // Padding is excluded from the checksum, so the digest survives the
-  // format upgrade — snapshot identity is the graph, not the layout.
-  EXPECT_EQ(snapshot_info(v2)->checksum, snapshot_info(v3)->checksum);
-  EXPECT_EQ(snapshot_info(v2)->version, 2u);
-  EXPECT_EQ(snapshot_info(v3)->version, 3u);
-  EXPECT_EQ(snapshot_info(v3)->offsets_off % 64, 0u);
-  EXPECT_EQ(snapshot_info(v3)->dst_off % 64, 0u);
-
-  std::remove(v2.c_str());
-  std::remove(v3.c_str());
 }
 
 // ------------------------------------------------- corrupt-file rejection --
@@ -256,45 +211,6 @@ TEST(MmapLoad, MappedFileRejectsMissingEmptyAndDirectory) {
 }
 
 // ------------------------------------------------ verification policy --
-
-TEST(MmapLoad, VerifyOptOutLoadsWithoutChecksumming) {
-  const CsrGraph g = test_graph(127);
-  const auto path = temp_path("pgch_mmap_noverify.bin");
-  save_binary(g, path);
-  const auto dst_off = snapshot_info(path)->dst_off;
-  flip_byte(path, dst_off + 33);  // corrupt a dst entry
-
-  {
-    const ScopedEnv env("PGCH_MMAP_VERIFY", "0");
-    EXPECT_NO_THROW((void)load_binary_mmap(path));  // trusted-snapshot mode
-  }
-  // With verification back on, the same corrupt file is rejected (the
-  // in-place flip moved mtime, so no stale cache entry can match).
-  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(MmapLoad, VerifyKnobRejectsAnythingButZeroOrOne) {
-  const CsrGraph g = test_graph(129);
-  const auto path = temp_path("pgch_mmap_verify_junk.bin");
-  save_binary(g, path);
-  for (const char* junk : {"false", "off", "2"}) {
-    const ScopedEnv env("PGCH_MMAP_VERIFY", junk);
-    try {
-      (void)load_binary_mmap(path);
-      ADD_FAILURE() << "PGCH_MMAP_VERIFY='" << junk << "' was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("PGCH_MMAP_VERIFY"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  {
-    const ScopedEnv env("PGCH_MMAP_VERIFY", "1");
-    EXPECT_EQ(load_binary_mmap(path), g);
-  }
-  std::remove(path.c_str());
-}
 
 TEST(MmapLoad, ChecksumVerifiesOncePerFileUntilItChanges) {
   const CsrGraph g = test_graph(131);
@@ -372,7 +288,7 @@ TEST(MmapLoad, LocalizedViewOverMappingCopiesNothing) {
 
 // ------------------------------------- distributed parity over one map --
 
-TEST(MmapLoad, TwoRankTcpRunOverSharedMappingMatchesHeapBitwise) {
+TEST(MmapLoad, TwoRankTcpRunOverSharedMappingMatchesOwnedBitwise) {
   constexpr int kW = 2;
   const CsrGraph g = test_graph(149, /*weighted=*/false);
   const auto path = temp_path("pgch_mmap_tcp.bin");
@@ -394,15 +310,16 @@ TEST(MmapLoad, TwoRankTcpRunOverSharedMappingMatchesHeapBitwise) {
   };
 
   // Both ranks localize from ONE shared mapping (the page-cache-sharing
-  // deployment shape) vs both ranks localizing from a heap load.
-  std::vector<double> via_mmap, via_heap;
+  // deployment shape) vs both ranks localizing from the owned in-memory
+  // graph that was saved (localized() copies each rank's slice).
+  std::vector<double> via_mmap, via_owned;
   run_world(load_binary_mmap(path), via_mmap);
-  run_world(load_binary(path), via_heap);
+  run_world(g, via_owned);
 
-  ASSERT_EQ(via_mmap.size(), via_heap.size());
-  for (std::size_t i = 0; i < via_heap.size(); ++i) {
+  ASSERT_EQ(via_mmap.size(), via_owned.size());
+  for (std::size_t i = 0; i < via_owned.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(via_mmap[i]),
-              std::bit_cast<std::uint64_t>(via_heap[i]));
+              std::bit_cast<std::uint64_t>(via_owned[i]));
   }
   std::remove(path.c_str());
 }

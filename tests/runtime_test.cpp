@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/launch_config.hpp"
-#include "graph/io.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/checkpoint.hpp"
@@ -308,7 +307,6 @@ struct KnobCase {
 TEST(EnvKnobs, StrictNumericParsingTable) {
   namespace rt = pregel::runtime;
   namespace core = pregel::core;
-  namespace graph = pregel::graph;
   const std::function<long long()> compute = [] {
     return rt::compute_threads_from_env();
   };
@@ -337,9 +335,6 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
   });
   const auto attempts =
       launch([](const core::LaunchConfig& c) { return c.recovery_attempts; });
-  const std::function<long long()> mmap = [] {
-    return static_cast<long long>(graph::mmap_mode_from_env());
-  };
   const std::function<long long()> io_timeout = [] {
     // A one-rank transport parses its knobs and opens no socket.
     const rt::TcpTransport t(0, 1, rt::TcpEndpoint{});
@@ -383,9 +378,6 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
       {"PGCH_RECOVERY_ATTEMPTS", "99999999999999999999", attempts, 0, true},
       {"PGCH_IO_TIMEOUT_MS", "500", io_timeout, 0, false},
       {"PGCH_IO_TIMEOUT_MS", "fast", io_timeout, 0, true},
-      {"PGCH_MMAP", "1", mmap, static_cast<long long>(graph::MmapMode::kOn),
-       false},
-      {"PGCH_MMAP", "2", mmap, 0, true},
   };
   for (const KnobCase& c : cases) {
     const ScopedEnv env(c.var, c.value);

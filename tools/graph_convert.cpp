@@ -7,8 +7,6 @@
 //   graph_convert --info <input>                       print graph stats
 //   graph_convert --stats <input>                      + snapshot layout and
 //                                                        degree distribution
-//   graph_convert --upgrade <snapshot.bin>             rewrite v2 as v3 in
-//                                                        place
 //   graph_convert --rmat <V> <E> <seed> <out.bin>      synthesize an R-MAT
 //                                                        snapshot
 //
@@ -19,31 +17,32 @@
 // ScatterCombine) and predict how skewed a range partition of the id
 // space will be.
 //
-// --upgrade exists because only format v3 (64-byte-aligned arrays) can be
-// loaded zero-copy: a v2 snapshot heap-loads fine but load_binary_mmap
-// rejects it. The upgrade writes the v3 file next to the original,
-// verifies the reloaded checksum, then renames it over the original —
-// a crash mid-upgrade never leaves a corrupt snapshot behind.
+// --rmat feeds CI and smoke tests that need a power-law snapshot without
+// the bench harness (the asan job builds with benches off). Its arguments
+// are parsed strictly: V must lie in 1..2^31 (R-MAT rounds it up to a
+// power of two, which must fit a 32-bit vertex id), and non-numeric text,
+// trailing junk or a value out of range exits 2 naming the argument.
 //
-// --rmat feeds CI and smoke tests that need a power-law v3 snapshot
-// without the bench harness (the asan job builds with benches off).
-//
-// The output snapshot reloads via graph::load_binary / load_binary_mmap /
-// graph::load_any; every example binary and the benches (PGCH_DATASET_*
-// environment overrides) accept it. Format spec: DESIGN.md section 5.
+// Snapshots are format v3, the only readable one; a retired v1 or v2
+// file is refused by name and is regenerated from its edge list. The
+// output reloads via graph::load_binary_mmap / graph::load_any; every
+// example binary and the benches (PGCH_DATASET_* environment overrides)
+// accept it. Format spec: DESIGN.md section 5.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "runtime/env.hpp"
 
 namespace {
 
@@ -104,69 +103,46 @@ void print_array_offset(const char* name, std::uint64_t off) {
 
 /// Snapshot-layout summary --stats adds for binary inputs: the format
 /// version and each array's file offset with its alignment status (the
-/// mmap loader needs v3's 64-byte alignment; v2 prints as unaligned,
-/// which is the cue to run --upgrade).
+/// mapped loader serves the arrays as 64-byte-aligned spans).
 void print_snapshot_layout(const std::string& path) {
   const auto info = pregel::graph::snapshot_info(path);
   if (!info) {
     std::printf("  snapshot: not a binary snapshot (text edge list)\n");
     return;
   }
-  std::printf("  snapshot: format v%u (%s)\n", info->version,
-              info->version >= 3 ? "mmap-capable"
-                                 : "heap-only — run --upgrade for mmap");
+  std::printf("  snapshot: format v%u\n", info->version);
   print_array_offset("offsets", info->offsets_off);
   print_array_offset("dst", info->dst_off);
   if (info->weighted) print_array_offset("weights", info->weights_off);
 }
 
-/// Rewrite a v2 snapshot as v3 next to the original and rename over it.
-/// The reloaded checksum is compared before the rename, so an interrupted
-/// or failed upgrade leaves the original untouched.
-int upgrade(const std::string& path) {
-  const auto info = pregel::graph::snapshot_info(path);
-  if (!info) {
-    std::fprintf(stderr, "graph_convert: %s is not a binary snapshot\n",
-                 path.c_str());
-    return 1;
+/// Value of --rmat argument `name`: an integer in [lo, hi], else
+/// std::invalid_argument naming the argument.
+long long rmat_arg(const char* name, const char* text, long long lo,
+                   long long hi) {
+  const std::string label = std::string("--rmat ") + name;
+  const long long v = pregel::runtime::parse_int64(label, text);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument(label + " must be in " + std::to_string(lo) +
+                                ".." + std::to_string(hi) + ", got '" + text +
+                                "'");
   }
-  if (info->version >= 3) {
-    std::printf("%s is already format v%u — nothing to do\n", path.c_str(),
-                info->version);
-    return 0;
-  }
-  const auto t0 = Clock::now();
-  const auto g = pregel::graph::load_binary(path);
-  const std::string tmp = path + ".v3.tmp";
-  pregel::graph::save_binary(g, tmp);
-  const auto back = pregel::graph::load_binary_mmap(tmp);
-  if (back.checksum() != g.checksum()) {
-    std::remove(tmp.c_str());
-    std::fprintf(stderr, "graph_convert: upgrade verification FAILED\n");
-    return 1;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    std::fprintf(stderr, "graph_convert: cannot rename %s over %s\n",
-                 tmp.c_str(), path.c_str());
-    return 1;
-  }
-  std::printf("upgraded %s: v%u -> v3 in %.1f ms (checksum %016llx)\n",
-              path.c_str(), info->version, ms_since(t0),
-              static_cast<unsigned long long>(g.checksum()));
-  return 0;
+  return v;
 }
 
 /// Deterministic R-MAT snapshot straight to disk (CI smoke input).
 int make_rmat(const char* n_str, const char* m_str, const char* seed_str,
               const std::string& out) {
+  constexpr long long kMaxVertices = 1LL << 31;  // rounded up: must fit
+  constexpr long long kMax = std::numeric_limits<long long>::max();
   pregel::graph::RmatOptions opts;
-  opts.num_vertices =
-      static_cast<pregel::graph::VertexId>(std::strtoull(n_str, nullptr, 10));
-  opts.num_edges = std::strtoull(m_str, nullptr, 10);
-  opts.seed = std::strtoull(seed_str, nullptr, 10);
-  if (opts.num_vertices == 0 || opts.num_edges == 0) {
-    std::fprintf(stderr, "graph_convert: --rmat needs V > 0 and E > 0\n");
+  try {
+    opts.num_vertices = static_cast<pregel::graph::VertexId>(
+        rmat_arg("V", n_str, 1, kMaxVertices));
+    opts.num_edges = static_cast<std::uint64_t>(rmat_arg("E", m_str, 1, kMax));
+    opts.seed = static_cast<std::uint64_t>(rmat_arg("seed", seed_str, 0, kMax));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "graph_convert: %s\n", e.what());
     return 2;
   }
   const auto t0 = Clock::now();
@@ -182,7 +158,6 @@ int usage() {
                "usage: graph_convert <input.txt|input.bin> <output.bin>\n"
                "       graph_convert --info <input>\n"
                "       graph_convert --stats <input>\n"
-               "       graph_convert --upgrade <snapshot.bin>\n"
                "       graph_convert --rmat <V> <E> <seed> <out.bin>\n");
   return 2;
 }
@@ -197,9 +172,6 @@ int main(int argc, char** argv) {
     };
     if (argc == 6 && std::string(argv[1]) == "--rmat") {
       return make_rmat(argv[2], argv[3], argv[4], argv[5]);
-    }
-    if (has_flag("--upgrade")) {
-      return upgrade(argv[1][0] == '-' ? argv[2] : argv[1]);
     }
     if (has_flag("--info") || has_flag("--stats")) {
       const bool stats = has_flag("--stats");
@@ -229,9 +201,10 @@ int main(int argc, char** argv) {
 
     // Paranoia that costs milliseconds: reload and compare checksums so a
     // bad disk or a format regression never produces a silently-wrong
-    // snapshot.
+    // snapshot. The reload is this process's first load of the new file,
+    // so the mapped loader checks its checksum and CSR invariants in full.
     const auto t_verify = Clock::now();
-    const auto back = pregel::graph::load_binary(argv[2]);
+    const auto back = pregel::graph::load_binary_mmap(argv[2]);
     if (back.checksum() != g.checksum()) {
       std::fprintf(stderr, "verification FAILED: reloaded checksum differs\n");
       return 1;

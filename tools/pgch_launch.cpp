@@ -10,10 +10,9 @@
 //
 // Usage:
 //   pgch_launch -n N [--transport tcp|inprocess] [--port-base P]
-//               [--hosts h0[:p0],h1[:p1],...] [--mmap]
-//               [--max-restarts R] [--checkpoint-dir D]
-//               [--checkpoint-every K] [--print-only]
-//               -- command [args...]
+//               [--hosts h0[:p0],h1[:p1],...] [--max-restarts R]
+//               [--checkpoint-dir D] [--checkpoint-every K]
+//               [--print-only] -- command [args...]
 //
 //   pgch_launch -n 2 --transport tcp -- ./example_quickstart 2000 2
 //
@@ -56,7 +55,6 @@ struct Options {
   std::string transport = "tcp";
   int port_base = 29500;
   std::string hosts;  // comma-separated, may be empty
-  bool mmap = false;  // PGCH_MMAP=1 for every rank
   bool print_only = false;
   int max_restarts = 0;         // respawn budget across all ranks
   std::string checkpoint_dir;   // PGCH_CHECKPOINT_DIR, may be empty
@@ -68,8 +66,7 @@ struct Options {
   if (error != nullptr) std::fprintf(stderr, "pgch_launch: %s\n", error);
   std::fprintf(stderr,
                "usage: %s -n N [--transport tcp|inprocess] [--port-base P]\n"
-               "       [--hosts h0[:p0],h1[:p1],...] [--mmap] "
-               "[--max-restarts R]\n"
+               "       [--hosts h0[:p0],h1[:p1],...] [--max-restarts R]\n"
                "       [--checkpoint-dir D] [--checkpoint-every K] "
                "[--print-only] -- command [args...]\n",
                argv0);
@@ -106,8 +103,6 @@ Options parse(int argc, char** argv) {
       opts.port_base = int_value();
     } else if (arg == "--hosts") {
       opts.hosts = value();
-    } else if (arg == "--mmap") {
-      opts.mmap = true;
     } else if (arg == "--max-restarts") {
       opts.max_restarts = int_value();
     } else if (arg == "--checkpoint-dir") {
@@ -141,10 +136,6 @@ std::string env_prefix(const Options& opts, int rank) {
     s += " PGCH_PORT_BASE=" + std::to_string(opts.port_base);
     if (!opts.hosts.empty()) s += " PGCH_HOSTS=" + opts.hosts;
   }
-  // Co-located ranks mapping the same v3 snapshot share one page-cache
-  // copy of it — the zero-copy loader is what makes -n 8 on one host not
-  // hold 8 heap copies of the graph.
-  if (opts.mmap) s += " PGCH_MMAP=1";
   if (!opts.checkpoint_dir.empty()) {
     s += " PGCH_CHECKPOINT_DIR=" + opts.checkpoint_dir;
   }
@@ -212,7 +203,6 @@ pid_t spawn_rank(const Options& opts, int r, bool resume) {
       setenv("PGCH_PORT_BASE", std::to_string(opts.port_base).c_str(), 1);
       if (!opts.hosts.empty()) setenv("PGCH_HOSTS", opts.hosts.c_str(), 1);
     }
-    if (opts.mmap) setenv("PGCH_MMAP", "1", 1);
     if (!opts.checkpoint_dir.empty()) {
       setenv("PGCH_CHECKPOINT_DIR", opts.checkpoint_dir.c_str(), 1);
     }
