@@ -361,7 +361,7 @@ inline DistributedGraph voronoi_dg(CsrGraph&& g) {
 //    "msg_bytes": ..., "supersteps": ..., "comm_rounds": ...,
 //    "serialize_s": ..., "exchange_s": ..., "deliver_s": ...,
 //    "rank_imbalance": ..., "slot_imbalance": ...,
-//    "threads": ..., "comm_threads": ..., "transport": ...}
+//    "threads": ..., "transport": ...}
 // The path comes from --json=<path> (stripped before google-benchmark
 // sees the argv) or the PGCH_BENCH_JSON environment variable; records are
 // appended as JSON lines.
@@ -428,7 +428,6 @@ inline void record_json(const std::string& name,
      << ", \"rank_imbalance\": " << stats.rank_imbalance()
      << ", \"slot_imbalance\": " << stats.slot_imbalance()
      << ", \"threads\": " << pregel::runtime::compute_threads_from_env()
-     << ", \"comm_threads\": " << pregel::runtime::comm_threads_from_env()
      << ", \"workers\": " << num_workers();
   // How the dataset got into memory (make_dataset, or a load bench's own
   // re-timing): seconds + array bytes ride every row of that dataset.

@@ -12,7 +12,8 @@
 // symmetrized, since S-V requires undirected input)
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "algorithms/runner.hpp"
 #include "algorithms/sv.hpp"
@@ -45,10 +46,19 @@ void run_variant(const char* name, const graph::DistributedGraph& dg,
 
 int main(int argc, char** argv) {
   const auto loaded = examples::graph_arg(argc, argv);
-  const graph::VertexId n =
-      argc > 1 && !loaded ? static_cast<graph::VertexId>(std::atoi(argv[1]))
-                          : 200'000;
-  const double avg_degree = argc > 2 ? std::atof(argv[2]) : 3.1;
+  const auto n = static_cast<graph::VertexId>(
+      loaded ? 0
+             : examples::int_arg(argc, argv, 1, "num_vertices", 1,
+                                 examples::kMaxVertices, 200'000));
+  const double avg_degree =
+      examples::arg_or(argc, argv, 2, 3.1, [](const char* text) {
+        const double d = runtime::parse_double("avg_degree", text);
+        if (d < 0.0) {
+          throw std::invalid_argument("avg_degree must be >= 0, got '" +
+                                      std::string(text) + "'");
+        }
+        return d;
+      });
   const int workers = examples::num_workers_arg(argc, argv, 3, 4);
 
   const graph::Graph g = loaded ? loaded->symmetrized()

@@ -7,30 +7,60 @@
 // milliseconds. The loaded graph is expanded to the builder form so each
 // example can keep symmetrizing / bidirecting exactly as it does for its
 // synthetic input.
+//
+// Numeric arguments are parsed strictly: non-numeric text, trailing junk
+// or a value out of range prints a message naming the argument and exits
+// 2, instead of silently running some other configuration.
 
 #include <cctype>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 
 #include "core/launch_config.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "runtime/env.hpp"
 
 namespace examples {
 
-/// Worker count for an example run. A multi-process run (tools/
-/// pgch_launch sets PGCH_WORLD) dictates the partition's worker count —
-/// every rank must build the identical partition — so it overrides the
-/// positional argument; otherwise argv[index] (when present), else
-/// `fallback`.
-inline int num_workers_arg(int argc, char** argv, int index, int fallback) {
-  const int world = pregel::core::LaunchConfig::from_env().world_size;
-  if (world > 0) return world;
-  if (argc > index) {
-    const int w = std::atoi(argv[index]);
-    if (w > 0) return w;
+/// Largest synthetic vertex count: rmat() rounds V up to a power of two,
+/// which must fit a 32-bit vertex id.
+inline constexpr long long kMaxVertices = 1LL << 31;
+
+/// parse(argv[index]), or `fallback` when the argument is absent. The
+/// std::invalid_argument a runtime::parse_* call throws for bad text
+/// ends the program: its message, which names the argument, then exit 2.
+template <typename T, typename Parse>
+T arg_or(int argc, char** argv, int index, T fallback, Parse parse) {
+  if (argc <= index) return fallback;
+  try {
+    return static_cast<T>(parse(argv[index]));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::exit(2);
   }
-  return fallback;
+}
+
+/// argv[index] as an integer in [lo, hi] (arg_or).
+inline long long int_arg(int argc, char** argv, int index, const char* name,
+                         long long lo, long long hi, long long fallback) {
+  return arg_or(argc, argv, index, fallback, [&](const char* text) {
+    return pregel::runtime::parse_int64(name, text, lo, hi);
+  });
+}
+
+/// Worker count for an example run: argv[index] (1..INT_MAX), else
+/// `fallback`. A multi-process run (tools/pgch_launch sets PGCH_WORLD)
+/// dictates the partition's worker count — every rank must build the
+/// identical partition — so it overrides the positional argument.
+inline int num_workers_arg(int argc, char** argv, int index, int fallback) {
+  const auto workers = static_cast<int>(
+      int_arg(argc, argv, index, "num_workers", 1, INT_MAX, fallback));
+  const int world = pregel::core::LaunchConfig::from_env().world_size;
+  return world > 0 ? world : workers;
 }
 
 inline bool numeric(const char* s) {

@@ -71,9 +71,10 @@ int main(int argc, char** argv) {
   // Dataset-path mode loads straight into the CSR form (a snapshot needs
   // no builder round-trip — this example runs no builder operations).
   const bool from_file = argc > 1 && !examples::numeric(argv[1]);
-  const graph::VertexId n =
-      argc > 1 && !from_file ? static_cast<graph::VertexId>(std::atoi(argv[1]))
-                             : 100'000;
+  const auto n = static_cast<graph::VertexId>(
+      from_file ? 0
+                : examples::int_arg(argc, argv, 1, "num_vertices", 1,
+                                    examples::kMaxVertices, 100'000));
   const int workers = examples::num_workers_arg(argc, argv, 2, 4);
 
   // A skewed web-like graph, or the dataset named on the command line.

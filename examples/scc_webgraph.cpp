@@ -41,9 +41,10 @@ void run_variant(const char* name, const graph::DistributedGraph& dg,
 
 int main(int argc, char** argv) {
   auto loaded = examples::graph_arg(argc, argv);
-  const graph::VertexId n =
-      argc > 1 && !loaded ? static_cast<graph::VertexId>(std::atoi(argv[1]))
-                          : 60'000;
+  const auto n = static_cast<graph::VertexId>(
+      loaded ? 0
+             : examples::int_arg(argc, argv, 1, "num_vertices", 1,
+                                 examples::kMaxVertices, 60'000));
   const int workers = examples::num_workers_arg(argc, argv, 2, 4);
 
   // Web-like digraph: skewed in/out degrees, a large central SCC and many

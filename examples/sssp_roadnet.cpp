@@ -21,17 +21,18 @@ using namespace pregel;
 
 int main(int argc, char** argv) {
   auto loaded = examples::graph_arg(argc, argv);
-  const graph::VertexId side =
-      argc > 1 && !loaded ? static_cast<graph::VertexId>(std::atoi(argv[1]))
-                          : 250;
+  // side * side vertices must fit a 32-bit vertex id.
+  const auto side = static_cast<graph::VertexId>(
+      loaded ? 0
+             : examples::int_arg(argc, argv, 1, "grid_side", 1, 65535, 250));
   const int workers = examples::num_workers_arg(argc, argv, 2, 4);
-  const graph::VertexId source =
-      argc > 3 ? static_cast<graph::VertexId>(std::atoi(argv[3])) : 0;
 
   // Weighted mesh plus long-haul shortcuts: a synthetic road network — or
   // the (weighted) dataset named on the command line.
   const graph::Graph g = loaded ? std::move(*loaded)
                                 : graph::grid_road(side, side, side * 10, 7);
+  const auto source = static_cast<graph::VertexId>(examples::int_arg(
+      argc, argv, 3, "source", 0, g.num_vertices() - 1LL, 0));
   const graph::DistributedGraph dg(
       g, graph::hash_partition(g.num_vertices(), workers));
 

@@ -24,7 +24,7 @@ namespace pregel::core {
 
 /// Below this many staged/received items a channel's serialize/delivery
 /// runs its one code path inline as a single slot instead of forking the
-/// comm pool: every slot count produces identical bytes and results, so
+/// pool: every slot count produces identical bytes and results, so
 /// the switch is free, and tiny rounds (late sparse supersteps,
 /// propagation tails) skip the fork/join cost that would otherwise
 /// dominate them.
@@ -201,14 +201,14 @@ class Channel {
   virtual void deserialize() = 0;
 
   // Parallel communication phase (DESIGN.md section 8): serialize() and
-  // deserialize() are each ONE code path that fans over the worker's comm
+  // deserialize() are each ONE code path that fans over the worker's
   // pool through EngineBase::run_comm_partitioned — serialize over
   // contiguous destination-rank ranges writing into pre-sized buffer
   // segments, delivery over contiguous local-vertex ranges with every slot
   // scanning the peer inboxes in peer order and applying only its own
   // range (the per-vertex application order — peer order, then in-payload
   // order — is the one-slot order, so no atomics on values are needed).
-  // At comm_threads() == 1, or below kParallelCommMinItems, the same code
+  // At compute_threads() == 1, or below kParallelCommMinItems, the same code
   // runs inline as a single slot covering everything. Channels whose
   // delivery order feeds later wire bytes (Propagation's BFS queue) keep
   // a plain sequential deserialize().

@@ -10,11 +10,11 @@
 // destination vertex before serializing, and the receiver merges batches
 // from different workers.
 //
-// Staging is sharded per (compute slot, destination rank) — the parallel
+// Staging is sharded per (compute chunk, destination rank) — the parallel
 // communication phase of DESIGN.md section 8:
 //
 //  * Exact combiners (Combiner::exact — min/max/or, integer sums) combine
-//    AT STAGE TIME: each slot keeps a dense partial keyed by the
+//    AT STAGE TIME: each chunk keeps a dense partial keyed by the
 //    receiver's local index, so a send is an array write, not a hash
 //    lookup. The partial's value/flag arrays are dense — O(receiver
 //    slice) per (chunk, destination rank) pair that sends at all, lazily
@@ -206,7 +206,7 @@ class CombinedMessage : public Channel {
     return has_[w().current_local()] != 0;
   }
 
-  /// Fan the per-destination-rank merge + emit over the comm pool: each
+  /// Fan the per-destination-rank merge + emit over the pool: each
   /// slot owns a contiguous destination-rank range and writes into its
   /// ranks' outboxes exclusively, so the bytes are independent of the
   /// slot count.

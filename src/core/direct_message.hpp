@@ -9,7 +9,7 @@
 // concatenates the shards in chunk order — the sequential message order,
 // since compute chunks are contiguous and ascending, regardless of which
 // thread executed each chunk — fanning the per-destination-rank
-// emission over the comm pool when the engine runs the communication
+// emission over the pool when the engine runs the communication
 // phase with threads. Delivery range-partitions the local vertex space
 // (DESIGN.md section 8); per-vertex arrival order stays (peer order, then
 // in-payload order), exactly the sequential one.

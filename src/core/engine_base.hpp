@@ -66,18 +66,20 @@ class EngineBase {
     return stats_;
   }
 
-  // ---- parallel communication phase (DESIGN.md section 8) ---------------
+  // ---- intra-rank parallelism (DESIGN.md sections 3 and 8) --------------
 
-  /// Intra-rank parallelism of the communication phase: how many comm
-  /// pool slots run_comm_partitioned fans channel serialize and delivery
-  /// over. Defaults to PGCH_COMM_THREADS (which itself defaults to
-  /// PGCH_COMPUTE_THREADS); 1 runs every comm path inline as one slot.
-  /// Results and wire bytes are identical for any value. Must be set
-  /// before run().
-  void set_comm_threads(int threads) {
-    comm_threads_ = threads > 1 ? threads : 1;
+  /// Intra-rank parallelism: the channel Worker's compute chunks and every
+  /// engine's comm fan-out (run_comm_partitioned) run over this many pool
+  /// slots. Defaults to PGCH_COMPUTE_THREADS; 1 runs everything inline on
+  /// the rank thread. Results and wire bytes are identical for any value.
+  /// Must be set before run().
+  void set_compute_threads(int threads) {
+    compute_threads_ = threads > 1 ? threads : 1;
+    pool_.reset();
   }
-  [[nodiscard]] int comm_threads() const noexcept { return comm_threads_; }
+  [[nodiscard]] int compute_threads() const noexcept {
+    return compute_threads_;
+  }
 
   // ---- direction-optimizing compute (DESIGN.md section 9) ----------------
 
@@ -91,35 +93,28 @@ class EngineBase {
     return direction_mode_;
   }
 
-  /// The rank's shared thread pool (compute chunks and the parallel
-  /// communication phase both run on it), grown to at least `slots`
-  /// slots. Callers must guard their per-slot work with
-  /// `slot >= their_thread_count` — the pool may be larger than either
-  /// phase's request.
-  runtime::ComputePool& pool(int slots) {
-    if (!pool_ || pool_->slots() < slots) {
-      pool_ = std::make_unique<runtime::ComputePool>(slots < 2 ? 2 : slots);
+  /// The rank's thread pool, created on first use with exactly
+  /// compute_threads() slots. Only call with compute_threads() > 1.
+  runtime::ComputePool& pool() {
+    if (!pool_) {
+      pool_ = std::make_unique<runtime::ComputePool>(compute_threads_);
     }
     return *pool_;
   }
 
-  /// The pool sized for the communication phase. Only call with
-  /// comm_threads() > 1.
-  runtime::ComputePool& comm_pool() { return pool(comm_threads_); }
-
   /// The shared shape of every parallel comm path: run
   /// `apply(lo, hi, slot)` over the contiguous range partition of
-  /// [0, n_items) — on the calling thread as apply(0, n_items, 0) when
-  /// comm is sequential or `total_work` is below the parallel threshold
-  /// (both paths must produce identical bytes, so the switch is free),
-  /// else fanned over the comm pool. `touched` (optional) is grown to
-  /// one list per slot first — the per-slot receive-touched bookkeeping
+  /// [0, n_items) — on the calling thread as apply(0, n_items, 0) at one
+  /// thread or when `total_work` is below the parallel threshold (both
+  /// paths must produce identical bytes, so the switch is free), else
+  /// fanned over the pool. `touched` (optional) is grown to one list per
+  /// slot first — the per-slot receive-touched bookkeeping
   /// delivery paths key by their slot argument.
   template <typename ApplyRange>
   void run_comm_partitioned(std::uint64_t total_work, std::uint32_t n_items,
                             std::vector<std::vector<std::uint32_t>>* touched,
                             ApplyRange&& apply) {
-    const int threads = comm_threads();
+    const int threads = compute_threads_;
     if (threads <= 1 || total_work < kParallelCommMinItems) {
       apply(std::uint32_t{0}, n_items, 0);
       return;
@@ -128,8 +123,7 @@ class EngineBase {
         static_cast<int>(touched->size()) < threads) {
       touched->resize(static_cast<std::size_t>(threads));
     }
-    comm_pool().run([&](int slot) {
-      if (slot >= threads) return;  // pool may outsize the comm phase
+    pool().run([&](int slot) {
       const auto [lo, hi] = detail::item_range(n_items, threads, slot);
       apply(static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi),
             slot);
@@ -370,7 +364,7 @@ class EngineBase {
   /// Compute-phase CPU seconds this rank burned (engines that meter their
   /// compute phases accumulate here; feeds rank_compute_seconds).
   double compute_cpu_seconds_ = 0.0;
-  int comm_threads_ = runtime::comm_threads_from_env();
+  int compute_threads_ = runtime::compute_threads_from_env();
   DirectionMode direction_mode_ = direction_mode_from_env();
   std::unique_ptr<runtime::ComputePool> pool_;
 

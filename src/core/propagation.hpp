@@ -16,7 +16,7 @@
 // Parallel communication phase (DESIGN.md section 8): the worker-local
 // BFS drain is inherently sequential (its FIFO order defines the staged
 // updates AND the next round's wire bytes), so only the payload write-out
-// fans over the comm pool — each thread owns a contiguous destination-rank
+// fans over the pool — each thread owns a contiguous destination-rank
 // range and fills pre-sized buffer segments. Delivery stays sequential on
 // purpose: received updates push into the BFS queue, whose order feeds the
 // following round's bytes, so a range-partitioned delivery would change
@@ -106,7 +106,7 @@ class Propagation : public Channel {
     return vals_[w().current_local()];
   }
 
-  /// Sequential drain, payload write-out fanned over the comm pool (see
+  /// Sequential drain, payload write-out fanned over the pool (see
   /// header note).
   void serialize() override {
     drain();
@@ -183,7 +183,7 @@ class Propagation : public Channel {
 
   /// Ship the staged remote updates: counts and pre-sized segments first,
   /// then the (lidx, value) records in touched order — filled over the
-  /// comm pool by contiguous destination-rank range, so the bytes do not
+  /// pool by contiguous destination-rank range, so the bytes do not
   /// depend on the slot count.
   void emit() {
     const int num_workers = w().num_workers();

@@ -18,7 +18,7 @@
 
 // Parallel communication phase: like Propagation, the label-correcting
 // drain stays sequential (its order defines the next round's bytes) and
-// only the payload write-out fans over the comm pool; delivery stays
+// only the payload write-out fans over the pool; delivery stays
 // sequential (received updates feed the BFS queue).
 
 #include <cstdint>
@@ -97,7 +97,7 @@ class PropagationW : public Channel {
     par_.replay([this](std::uint32_t lidx) { push(lidx); });
   }
 
-  /// Sequential drain, payload write-out fanned over the comm pool (see
+  /// Sequential drain, payload write-out fanned over the pool (see
   /// header note).
   void serialize() override {
     drain();
@@ -181,7 +181,7 @@ class PropagationW : public Channel {
     head_ = 0;
   }
 
-  /// Counts + pre-sized segments, filled over the comm pool by contiguous
+  /// Counts + pre-sized segments, filled over the pool by contiguous
   /// destination-rank range (identical bytes for any slot count).
   void emit() {
     const int num_workers = w().num_workers();

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -35,10 +36,9 @@ class RequestRespond : public Channel {
  public:
   /// Produces the response for a requested vertex. CONTRACT: must only
   /// READ vertex/worker state — whenever the worker runs with more than
-  /// one comm thread (PGCH_COMM_THREADS, which defaults to
-  /// PGCH_COMPUTE_THREADS) it is invoked concurrently from the comm pool,
-  /// so a respond function that mutates shared state (memoization tables,
-  /// counters) races. Keep such state out of respond functions. The
+  /// one thread (PGCH_COMPUTE_THREADS) it is invoked concurrently from the
+  /// pool, so a respond function that mutates shared state (memoization
+  /// tables, counters) races. Keep such state out of respond functions. The
   /// respond functions in this repository (algorithms/sv.hpp,
   /// algorithms/pointer_jumping.hpp) only read the requested vertex.
   using RespondFn = std::function<RespT(const VertexT&)>;
@@ -112,8 +112,8 @@ class RequestRespond : public Channel {
 
   /// Delivery (DESIGN.md section 8). The request round's hot half is
   /// producing the responses — one respond_fn_ call per deduplicated
-  /// request — so that fans over the comm pool by contiguous
-  /// request-index ranges per peer (each reply lands at its fixed
+  /// request — so that fans over the pool by contiguous ranges of the
+  /// peers' concatenated request lists (each reply lands at its fixed
   /// position; the wire order is the same for any slot count).
   /// respond_fn_ is then invoked concurrently and must only READ vertex
   /// state — true for the attribute lookups the paradigm is for. The
@@ -168,12 +168,12 @@ class RequestRespond : public Channel {
     }
   }
 
-  /// Produce the responses with the comm pool: each slot fills contiguous
-  /// index ranges of every peer's (pre-sized) reply list from the raw
-  /// request-id spans, so the reply order — and therefore the wire — is
-  /// the same for any slot count. The requested vertex is "automatically
-  /// involved": its response is produced here, no compute() needed
-  /// (Section IV-C2).
+  /// Produce the responses over the pool: the peers' pre-sized reply
+  /// lists, laid end to end in peer order, form one index space that
+  /// run_comm_partitioned splits into contiguous ranges, so the reply
+  /// order — and therefore the wire — is the same for any slot count. The
+  /// requested vertex is "automatically involved": its response is
+  /// produced here, no compute() needed (Section IV-C2).
   void deserialize_requests() {
     const int num_workers = w().num_workers();
     if (req_spans_.empty()) {
@@ -190,35 +190,34 @@ class RequestRespond : public Channel {
       replies.resize(n);
       total += n;
     }
-    const int threads = w().comm_threads();
-    if (threads <= 1 || total < kParallelCommMinItems) {
-      produce_replies(0, 1);
-      return;
+    if (total > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error(name() + ": over 2^32-1 requests in a round");
     }
-    w().comm_pool().run([&](int slot) {
-      if (slot >= threads) return;
-      produce_replies(slot, threads);
-    });
+    w().run_comm_partitioned(
+        total, static_cast<std::uint32_t>(total), nullptr,
+        [this](std::uint32_t lo, std::uint32_t hi, int) {
+          produce_replies(lo, hi);
+        });
   }
 
-  /// Fill reply index range [n*slot/threads, n*(slot+1)/threads) of every
-  /// peer's reply list.
-  void produce_replies(int slot, int threads) {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
+  /// Fill replies [lo, hi) of the peers' reply lists laid end to end.
+  void produce_replies(std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t base = 0;
+    for (int from = 0; from < w().num_workers() && base < hi; ++from) {
       const auto& [ptr, n] = req_spans_[static_cast<std::size_t>(from)];
       auto& replies = pending_replies_[static_cast<std::size_t>(from)];
-      const auto [lo, hi] = detail::item_range(n, threads, slot);
-      for (std::uint64_t i = lo; i < hi; ++i) {
+      for (std::uint64_t i = std::max(lo, base); i < std::min(hi, base + n);
+           ++i) {
         std::uint32_t lidx;
-        std::memcpy(&lidx, ptr + i * sizeof(std::uint32_t),
+        std::memcpy(&lidx, ptr + (i - base) * sizeof(std::uint32_t),
                     sizeof(std::uint32_t));
         detail::check_local_index(lidx, worker_->num_local(), name());
         // local_vertex returns a handle by value; respond_fn_ takes it as
         // const VertexT&, which binds to the temporary for this call.
-        replies[static_cast<std::size_t>(i)] =
+        replies[static_cast<std::size_t>(i - base)] =
             respond_fn_(worker_->local_vertex(lidx));
       }
+      base += n;
     }
   }
 

@@ -21,7 +21,7 @@
 // Parallel communication phase (DESIGN.md section 8): the steady-state
 // value scan is embarrassingly parallel over destination runs — each
 // unique destination's value lands at a fixed offset of its worker's
-// payload, so serialize pre-sizes every outbox segment and the comm pool
+// payload, so serialize pre-sizes every outbox segment and the pool
 // folds disjoint run ranges (split on run boundaries by edge count)
 // directly into the segments. Per-run fold order is the registration
 // order, the same left fold on every thread count and schedule, so even

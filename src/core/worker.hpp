@@ -151,8 +151,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   using Columns = VertexColumns<VertexT>;
   using ValueT = typename VertexT::value_type;
 
-  Worker() : compute_threads_(runtime::compute_threads_from_env()) {}
-
   /// The algorithm kernel, executed once per active vertex per superstep.
   virtual void compute(VertexT& v) = 0;
 
@@ -164,16 +162,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// decisions must be based on globally consistent state (step_num(),
   /// aggregator results) so every rank transitions identically.
   virtual void begin_superstep() {}
-
-  /// Override the intra-rank compute parallelism (default: the
-  /// PGCH_COMPUTE_THREADS environment variable, else 1). Must be called
-  /// before run(); 1 restores the exact sequential compute path.
-  void set_compute_threads(int threads) {
-    compute_threads_ = threads > 1 ? threads : 1;
-  }
-  [[nodiscard]] int compute_threads() const noexcept {
-    return compute_threads_;
-  }
 
   /// Enable work stealing between compute slots (default: the PGCH_STEAL
   /// environment variable, else off). Takes effect only with
@@ -367,7 +355,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       return;
     }
 
-    runtime::ComputePool& pool = this->pool(threads);
+    runtime::ComputePool& pool = this->pool();
     // Pinned schedule: one chunk per slot (chunk index == slot index).
     // Stealing schedule: over-decompose so a thief has grain to take.
     const int chunks =
@@ -422,7 +410,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     if (steal_enabled_) {
       runtime::ChunkScheduler sched(threads, chunks);
       pool.run([&](int slot) {
-        if (slot >= threads) return;  // pool may outsize the compute phase
         const double s0 = runtime::thread_cpu_seconds();
         detail::t_compute_slot = slot;
         for (int chunk; (chunk = sched.next(slot)) >= 0;) run_chunk(chunk);
@@ -433,7 +420,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       });
     } else {
       pool.run([&](int slot) {
-        if (slot >= threads) return;  // pool may outsize the compute phase
         const double s0 = runtime::thread_cpu_seconds();
         detail::t_compute_slot = slot;
         run_chunk(slot);
@@ -496,7 +482,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// channel's payloads ride in its own frame lane; the exchange accounts
   /// the payload bytes per channel and validates the reads.
   ///
-  /// Channels fan their serialize and delivery over comm_threads() pool
+  /// Channels fan their serialize and delivery over compute_threads() pool
   /// slots themselves; the result is byte- and result-identical for any
   /// slot count (DESIGN.md §8).
   void communicate() {
@@ -545,8 +531,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     stats_.deliver_seconds += seconds_between(t2, Clock::now());
     return next_mask;
   }
-
-  int compute_threads_ = 1;
 
   /// Work stealing between compute slots (PGCH_STEAL / set_steal()); only
   /// meaningful with compute_threads_ > 1.

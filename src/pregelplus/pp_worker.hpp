@@ -25,7 +25,7 @@
 //
 // Parallel communication phase (DESIGN.md section 8): the plain message
 // batch is applied range-partitioned over the local vertex space, fanned
-// over comm_threads() pool slots (per-vertex arrival order — peer order,
+// over compute_threads() pool slots (per-vertex arrival order — peer order,
 // then in-payload order — is the same for any slot count, so combined
 // floats stay bitwise identical). Ghost mode keeps a sequential loop: its
 // mirror scatter interleaves with the plain wires per peer, an order a

@@ -1,6 +1,7 @@
 #pragma once
 // ComputePool: a small persistent thread pool for the intra-rank parallel
-// compute phase (PGCH_COMPUTE_THREADS, see DESIGN.md section 3).
+// compute and communication phases (PGCH_COMPUTE_THREADS, see DESIGN.md
+// sections 3 and 8).
 //
 // One pool belongs to exactly one worker rank. run(fn) executes fn(slot)
 // for every slot in [0, slots): slot 0 runs on the calling (rank) thread,
@@ -32,22 +33,10 @@ inline int compute_threads_from_env() {
   return env_int("PGCH_COMPUTE_THREADS", 1, 1);
 }
 
-/// Intra-rank parallelism of the communication phase (sharded channel
-/// serialize and range-partitioned delivery), requested via
-/// PGCH_COMM_THREADS. Defaults to the compute parallelism, so setting
-/// PGCH_COMPUTE_THREADS alone parallelizes both phases; PGCH_COMM_THREADS=1
-/// runs every comm path inline as one slot, for A/B comparison. On a
-/// single-core host the *default* stays one slot — comm fan-out there
-/// only buys fork/join and cache contention — while an explicit
-/// PGCH_COMM_THREADS is honored verbatim.
-inline int comm_threads_from_env() {
-  // hardware_concurrency() == 0 means "unknown", not "one core" — only a
-  // definite single-core report forces the sequential default.
-  const int fallback = std::thread::hardware_concurrency() == 1
-                           ? 1
-                           : compute_threads_from_env();
-  return env_int("PGCH_COMM_THREADS", fallback, 1);
-}
+/// Intra-rank parallelism of the communication phase: the same count as
+/// the compute phase (one pool serves both). Kept under this name for the
+/// perfbench config record, which prints it.
+inline int comm_threads_from_env() { return compute_threads_from_env(); }
 
 /// Work stealing between compute slots, requested via PGCH_STEAL=1 (off
 /// by default; needs compute threads > 1 to take effect). The compute

@@ -2,11 +2,12 @@
 // Strict parsing of the numeric and boolean PGCH_* environment knobs. A
 // typo must fail loudly: atoi("abc") is 0, which silently turns a
 // misspelled thread count or port into a default the user never asked
-// for, and atoi("true") is 0 too.
+// for, atoi("true") is 0 too, and atof("90MB") is 90.
 
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -15,15 +16,36 @@ namespace pregel::runtime {
 
 /// Integer value of `text`, the setting of `name` (an environment
 /// variable, flag, field or argument). Non-numeric or empty text,
-/// trailing junk or a value beyond the 64-bit range throws
-/// std::invalid_argument naming `name`.
-inline long long parse_int64(const std::string& name, const char* text) {
+/// trailing junk or a value outside [lo, hi] throws std::invalid_argument
+/// naming `name`.
+inline long long parse_int64(const std::string& name, const char* text,
+                             long long lo = LLONG_MIN,
+                             long long hi = LLONG_MAX) {
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument(name + " must be an integer, got '" + text +
                                 "'");
+  }
+  if (v < lo || v > hi) {
+    throw std::invalid_argument(name + " must be in " + std::to_string(lo) +
+                                ".." + std::to_string(hi) + ", got '" + text +
+                                "'");
+  }
+  return v;
+}
+
+/// Finite floating-point value of `text`, the setting of `name`. Empty
+/// text, trailing junk ("90MB"), nan, inf or a value beyond the double
+/// range throws std::invalid_argument naming `name`.
+inline double parse_double(const std::string& name, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    throw std::invalid_argument(name + " must be a finite number, got '" +
+                                text + "'");
   }
   return v;
 }

@@ -29,6 +29,7 @@
 #include "runtime/barrier.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/chunk.hpp"
+#include "runtime/env.hpp"
 
 namespace pregel::runtime {
 
@@ -45,10 +46,12 @@ class TransportError : public ProtocolError {
 /// buffers cross real sockets.
 enum class TransportKind { kInProcess, kTcp };
 
-/// Parse a PGCH_SIM_NET_MBPS value into bytes/second (0 = disabled).
+/// Parse a PGCH_SIM_NET_MBPS value into bytes/second (unset, empty or
+/// <= 0 = disabled). Anything but a finite number throws
+/// std::invalid_argument (parse_double).
 inline double parse_sim_net_mbps(const char* text) {
-  if (text == nullptr) return 0.0;
-  const double mbps = std::atof(text);
+  if (text == nullptr || *text == '\0') return 0.0;
+  const double mbps = parse_double("PGCH_SIM_NET_MBPS", text);
   return mbps > 0.0 ? mbps * 1024.0 * 1024.0 : 0.0;
 }
 

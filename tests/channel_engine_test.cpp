@@ -347,19 +347,20 @@ TEST(Engine, ScatterCombineFoldsInRegistrationOrder) {
     }
     // Runs above 16 edges are where an unstable sort reorders equal keys.
     ASSERT_GT(longest_run, 16u) << "workers=" << workers;
-    for (const int comm : {1, 3}) {
-      const auto pin = [comm](ScatterFoldOrderWorker& w) {
-        w.set_compute_threads(1);
-        w.set_comm_threads(comm);
+    for (const int threads : {1, 3}) {
+      const auto pin = [threads](ScatterFoldOrderWorker& w) {
+        w.set_compute_threads(threads);
       };
       std::vector<FoldValue> got;
       algo::run_collect<ScatterFoldOrderWorker>(
           dg, got, [](const FoldVertex& v) { return v.value(); }, pin);
       for (graph::VertexId d = 0; d < n; ++d) {
         ASSERT_EQ(got[d].got, want_got[d] != 0)
-            << "workers=" << workers << " comm=" << comm << " vertex " << d;
+            << "workers=" << workers << " threads=" << threads << " vertex "
+            << d;
         ASSERT_EQ(got[d].combined, want[d])
-            << "workers=" << workers << " comm=" << comm << " vertex " << d;
+            << "workers=" << workers << " threads=" << threads << " vertex "
+            << d;
       }
     }
   }

@@ -39,26 +39,23 @@ using pregel::runtime::WorkerTeam;
 /// One engine configuration of the direction parity matrix.
 struct Mode {
   DirectionMode direction;
-  int compute;
-  int comm;
+  int threads;
 };
 
 constexpr Mode kModes[] = {
-    {DirectionMode::kPush, 1, 1},  // the seed path (baseline)
-    {DirectionMode::kPush, 3, 3},
-    {DirectionMode::kPull, 1, 1},
-    {DirectionMode::kPull, 3, 1},
-    {DirectionMode::kPull, 1, 3},
-    {DirectionMode::kAdaptive, 1, 1},
-    {DirectionMode::kAdaptive, 3, 3},
+    {DirectionMode::kPush, 1},  // the seed path (baseline)
+    {DirectionMode::kPush, 3},
+    {DirectionMode::kPull, 1},
+    {DirectionMode::kPull, 3},
+    {DirectionMode::kAdaptive, 1},
+    {DirectionMode::kAdaptive, 3},
 };
 
 std::string mode_name(const Mode& m) {
   const char* dir = m.direction == DirectionMode::kPush     ? "push"
                     : m.direction == DirectionMode::kPull   ? "pull"
                                                             : "adaptive";
-  return std::string(dir) + " compute=" + std::to_string(m.compute) +
-         " comm=" + std::to_string(m.comm);
+  return std::string(dir) + " threads=" + std::to_string(m.threads);
 }
 
 /// Pin every knob so the matrix is deterministic regardless of the PGCH_*
@@ -68,8 +65,7 @@ std::function<void(WorkerT&)> pin(const Mode& m,
                                   std::function<void(WorkerT&)> extra = {}) {
   return [m, extra](WorkerT& w) {
     w.set_direction_mode(m.direction);
-    w.set_compute_threads(m.compute);
-    w.set_comm_threads(m.comm);
+    w.set_compute_threads(m.threads);
     if (extra) extra(w);
   };
 }
@@ -150,11 +146,11 @@ TEST(Direction, PullShipsZeroChannelPayloadOnSingleRank) {
   std::vector<std::uint64_t> push_bits;
   const RunStats push = algo::run_collect<algo::PageRankCombined>(
       dg, push_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPush, 1}, tune));
   std::vector<std::uint64_t> pull_bits;
   const RunStats pull = algo::run_collect<algo::PageRankCombined>(
       dg, pull_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPull, 1, 1}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPull, 1}, tune));
 
   EXPECT_EQ(pull_bits, push_bits);
   EXPECT_GT(push.bytes_by_channel.at("pr"), 0u);
@@ -177,10 +173,10 @@ TEST(Direction, PullCutsChannelBytesAcrossRanks) {
   };
   const RunStats push = algo::run_collect<algo::PageRankCombined>(
       dg, push_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPush, 1}, tune));
   const RunStats pull = algo::run_collect<algo::PageRankCombined>(
       dg, pull_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPull, 1, 1}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPull, 1}, tune));
 
   EXPECT_EQ(pull_bits, push_bits);
   EXPECT_LT(pull.bytes_by_channel.at("pr"), push.bytes_by_channel.at("pr"));
@@ -189,8 +185,7 @@ TEST(Direction, PullCutsChannelBytesAcrossRanks) {
   std::vector<std::uint64_t> adaptive_bits;
   const RunStats adaptive = algo::run_collect<algo::PageRankCombined>(
       dg, adaptive_bits, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kAdaptive, 1, 1},
-                                  tune));
+      pin<algo::PageRankCombined>({DirectionMode::kAdaptive, 1}, tune));
   EXPECT_EQ(adaptive_bits, push_bits);
   EXPECT_EQ(adaptive.bytes_by_channel.at("pr"),
             pull.bytes_by_channel.at("pr"));
@@ -229,13 +224,13 @@ TEST(Direction, AdaptiveSwitchesPushPullPush) {
   std::vector<std::uint64_t> want;
   algo::run_collect<algo::Sssp>(
       dg, want, extract,
-      pin<algo::Sssp>({DirectionMode::kPush, 1, 1},
+      pin<algo::Sssp>({DirectionMode::kPush, 1},
                       [](algo::Sssp& w) { w.source = 0; }));
 
   std::vector<std::uint64_t> got;
   const RunStats stats = algo::run_collect<algo::Sssp>(
       dg, got, extract,
-      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1},
+      pin<algo::Sssp>({DirectionMode::kAdaptive, 1},
                       [](algo::Sssp& w) { w.source = 0; }));
 
   EXPECT_EQ(got, want);
@@ -311,12 +306,12 @@ TEST(Direction, TcpParityAcrossDirections) {
   std::vector<std::uint64_t> expect;
   const RunStats inproc = algo::run_collect<algo::PageRankCombined>(
       dg, expect, extract,
-      pin<algo::PageRankCombined>({DirectionMode::kPush, 1, 1}, tune));
+      pin<algo::PageRankCombined>({DirectionMode::kPush, 1}, tune));
 
-  for (const Mode m : {Mode{DirectionMode::kPull, 1, 1},
-                       Mode{DirectionMode::kPull, 3, 3},
-                       Mode{DirectionMode::kAdaptive, 1, 1},
-                       Mode{DirectionMode::kAdaptive, 3, 3}}) {
+  for (const Mode m : {Mode{DirectionMode::kPull, 1},
+                       Mode{DirectionMode::kPull, 3},
+                       Mode{DirectionMode::kAdaptive, 1},
+                       Mode{DirectionMode::kAdaptive, 3}}) {
     std::vector<std::uint64_t> got;
     const RunStats tcp = run_tcp<algo::PageRankCombined>(
         dg, 2, got, extract, pin<algo::PageRankCombined>(m, tune));
@@ -335,12 +330,12 @@ TEST(Direction, TcpAdaptiveSwitchMatchesInProcess) {
   std::vector<std::uint64_t> expect;
   const RunStats inproc = algo::run_collect<algo::Sssp>(
       dg, expect, extract,
-      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1}, tune));
+      pin<algo::Sssp>({DirectionMode::kAdaptive, 1}, tune));
 
   std::vector<std::uint64_t> got;
   const RunStats tcp = run_tcp<algo::Sssp>(
       dg, 2, got, extract,
-      pin<algo::Sssp>({DirectionMode::kAdaptive, 1, 1}, tune));
+      pin<algo::Sssp>({DirectionMode::kAdaptive, 1}, tune));
 
   EXPECT_EQ(got, expect);
   EXPECT_EQ(tcp.direction_per_superstep, inproc.direction_per_superstep);

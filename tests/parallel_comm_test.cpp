@@ -2,9 +2,9 @@
 // sharded channel serialize, stage-time combining and range-partitioned
 // delivery must be invisible in every observable — vertex
 // results (bitwise, floats included), per-channel payload bytes,
-// superstep and communication-round counts — across compute/comm thread
-// counts (comm = 1 runs every channel's one code path inline as a single
-// slot, comm > 1 fans it over the pool) and both transports.
+// superstep and communication-round counts — across thread counts (1 runs
+// every channel's one code path inline as a single slot, more fans it
+// over the pool) and both transports.
 
 #include <gtest/gtest.h>
 
@@ -38,35 +38,21 @@ using pregel::runtime::TcpEndpoint;
 using pregel::runtime::TcpTransport;
 using pregel::runtime::WorkerTeam;
 
-/// One communication-phase configuration of the parity matrix.
-struct Mode {
-  int compute;
-  int comm;
-};
+/// The thread counts of the parity matrix: one slot everywhere (the
+/// baseline), then the pool at an odd and an even slot count.
+constexpr int kThreads[] = {1, 3, 4};
 
-constexpr Mode kModes[] = {
-    {1, 1},  // one slot everywhere (baseline)
-    {3, 1},  // parallel compute, one-slot comm
-    {1, 3},  // one-slot compute, pool serialize + delivery
-    {3, 3},  // everything parallel
-    {4, 2},  // mismatched pool sizes exercise the slot guards
-};
-
-std::string mode_name(const Mode& m) {
-  return "compute=" + std::to_string(m.compute) +
-         " comm=" + std::to_string(m.comm);
+std::string mode_name(int threads) {
+  return "threads=" + std::to_string(threads);
 }
 
-/// Pin every knob so the matrix is deterministic regardless of the
+/// Pin the thread count so the matrix is deterministic regardless of the
 /// PGCH_* variables the CI legs set.
 template <typename WorkerT>
-std::function<void(WorkerT&)> pin(const Mode& m,
+std::function<void(WorkerT&)> pin(int threads,
                                   std::function<void(WorkerT&)> extra = {}) {
-  return [m, extra](WorkerT& w) {
-    if constexpr (requires(WorkerT& x) { x.set_compute_threads(1); }) {
-      w.set_compute_threads(m.compute);
-    }
-    w.set_comm_threads(m.comm);
+  return [threads, extra](WorkerT& w) {
+    w.set_compute_threads(threads);
     if (extra) extra(w);
   };
 }
@@ -90,13 +76,13 @@ void run_matrix(const graph::DistributedGraph& dg, Extract extract,
                 std::function<void(WorkerT&)> extra = {}) {
   std::vector<OutT> baseline;
   const RunStats want = algo::run_collect<WorkerT>(
-      dg, baseline, extract, pin<WorkerT>(kModes[0], extra));
-  for (std::size_t i = 1; i < std::size(kModes); ++i) {
+      dg, baseline, extract, pin<WorkerT>(kThreads[0], extra));
+  for (std::size_t i = 1; i < std::size(kThreads); ++i) {
     std::vector<OutT> got;
     const RunStats stats = algo::run_collect<WorkerT>(
-        dg, got, extract, pin<WorkerT>(kModes[i], extra));
-    EXPECT_EQ(got, baseline) << mode_name(kModes[i]);
-    expect_identical_traffic(stats, want, mode_name(kModes[i]));
+        dg, got, extract, pin<WorkerT>(kThreads[i], extra));
+    EXPECT_EQ(got, baseline) << mode_name(kThreads[i]);
+    expect_identical_traffic(stats, want, mode_name(kThreads[i]));
   }
 }
 
@@ -245,8 +231,7 @@ TEST(ParallelComm, RequestRespondParallelReplies) {
   std::vector<std::uint64_t> fetched;
   algo::run_collect<ParFetchWorker>(
       dg, fetched, [](const FetchVertex& v) { return v.value().fetched; },
-      pin<ParFetchWorker>(Mode{3, 3},
-                          [](ParFetchWorker& w) { w.n = kN; }));
+      pin<ParFetchWorker>(3, [](ParFetchWorker& w) { w.n = kN; }));
   for (graph::VertexId v = 0; v < kN; ++v) {
     ASSERT_EQ(fetched[v], 5000u + (v + 7) % kN);
   }
@@ -300,12 +285,12 @@ TEST(ParallelComm, TcpParityPageRankParallelEverything) {
   std::vector<std::uint64_t> expect;
   const RunStats inproc = algo::run_collect<algo::PageRankCombined>(
       dg, expect, extract,
-      pin<algo::PageRankCombined>(Mode{3, 3}, tune));
+      pin<algo::PageRankCombined>(3, tune));
 
   std::vector<std::uint64_t> got;
   const RunStats tcp = run_tcp<algo::PageRankCombined>(
       dg, 2, got, extract,
-      pin<algo::PageRankCombined>(Mode{3, 3}, tune));
+      pin<algo::PageRankCombined>(3, tune));
 
   EXPECT_EQ(got, expect);
   expect_identical_traffic(tcp, inproc, "tcp vs inprocess");
@@ -314,7 +299,7 @@ TEST(ParallelComm, TcpParityPageRankParallelEverything) {
   std::vector<std::uint64_t> seq;
   const RunStats tcp_seq = run_tcp<algo::PageRankCombined>(
       dg, 2, seq, extract,
-      pin<algo::PageRankCombined>(Mode{1, 1}, tune));
+      pin<algo::PageRankCombined>(1, tune));
   EXPECT_EQ(seq, got);
   expect_identical_traffic(tcp_seq, tcp, "tcp seq vs tcp parallel");
 }
@@ -327,11 +312,11 @@ TEST(ParallelComm, TcpParityWccExactCombiner) {
 
   std::vector<graph::VertexId> expect;
   const RunStats inproc = algo::run_collect<algo::WccBasic>(
-      dg, expect, extract, pin<algo::WccBasic>(Mode{1, 1}));
+      dg, expect, extract, pin<algo::WccBasic>(1));
 
   std::vector<graph::VertexId> got;
   const RunStats tcp = run_tcp<algo::WccBasic>(
-      dg, 2, got, extract, pin<algo::WccBasic>(Mode{3, 3}));
+      dg, 2, got, extract, pin<algo::WccBasic>(3));
 
   EXPECT_EQ(got, expect);
   expect_identical_traffic(tcp, inproc, "tcp parallel vs inprocess seq");

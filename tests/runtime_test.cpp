@@ -310,9 +310,6 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
   const std::function<long long()> compute = [] {
     return rt::compute_threads_from_env();
   };
-  const std::function<long long()> comm = [] {
-    return rt::comm_threads_from_env();
-  };
   const std::function<long long()> steal = [] {
     return static_cast<long long>(rt::steal_from_env());
   };
@@ -347,9 +344,6 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
       {"PGCH_COMPUTE_THREADS", "", compute, 1, false},
       {"PGCH_COMPUTE_THREADS", "abc", compute, 0, true},
       {"PGCH_COMPUTE_THREADS", "3x", compute, 0, true},
-      {"PGCH_COMM_THREADS", "2", comm, 2, false},
-      {"PGCH_COMM_THREADS", "-4", comm, 1, false},
-      {"PGCH_COMM_THREADS", "two", comm, 0, true},
       {"PGCH_STEAL", "1", steal, 1, false},
       {"PGCH_STEAL", "0", steal, 0, false},
       {"PGCH_STEAL", "", steal, 0, false},

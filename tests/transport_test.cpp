@@ -13,10 +13,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "algorithms/blogel_wcc.hpp"
 #include "algorithms/pagerank.hpp"
+#include "algorithms/pp_simple.hpp"
 #include "algorithms/runner.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/wcc.hpp"
@@ -53,7 +56,16 @@ TEST(SimulatedNetwork, ParsesMbpsEnvironmentValues) {
   EXPECT_EQ(runtime::parse_sim_net_mbps(nullptr), 0.0);
   EXPECT_EQ(runtime::parse_sim_net_mbps("0"), 0.0);
   EXPECT_EQ(runtime::parse_sim_net_mbps("-5"), 0.0);
-  EXPECT_EQ(runtime::parse_sim_net_mbps("not a number"), 0.0);
+  EXPECT_EQ(runtime::parse_sim_net_mbps(""), 0.0);
+  for (const char* bad : {"not a number", "90MB", "inf", "nan"}) {
+    try {
+      runtime::parse_sim_net_mbps(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PGCH_SIM_NET_MBPS"),
+                std::string::npos);
+    }
+  }
   EXPECT_DOUBLE_EQ(runtime::parse_sim_net_mbps("90"), 90.0 * 1024.0 * 1024.0);
   EXPECT_DOUBLE_EQ(runtime::parse_sim_net_mbps("0.5"), 0.5 * 1024.0 * 1024.0);
 }
@@ -312,28 +324,23 @@ void expect_identical_traffic(const RunStats& tcp, const RunStats& inproc) {
   EXPECT_EQ(tcp.bytes_per_superstep, inproc.bytes_per_superstep);
 }
 
-/// The pinned (compute threads, comm threads) cells every TCP parity run
-/// covers: everything on one slot, and everything on a 3-slot pool.
-struct ThreadCell {
-  int compute;
-  int comm;
-};
-constexpr ThreadCell kThreadCells[] = {{1, 1}, {3, 3}};
+/// The pinned thread counts every TCP parity run covers: everything on one
+/// slot, then the pool at an odd and an even slot count.
+constexpr int kThreadCounts[] = {1, 3, 4};
 
-/// Pin the thread knobs so the parity runs do not depend on the PGCH_*
+/// Pin the thread count so the parity runs do not depend on the PGCH_*
 /// variables a CI leg sets, then apply the algorithm's own settings.
 template <typename WorkerT>
-std::function<void(WorkerT&)> pinned(ThreadCell cell,
+std::function<void(WorkerT&)> pinned(int threads,
                                      std::function<void(WorkerT&)> extra) {
-  return [cell, extra](WorkerT& w) {
-    w.set_compute_threads(cell.compute);
-    w.set_comm_threads(cell.comm);
+  return [threads, extra](WorkerT& w) {
+    w.set_compute_threads(threads);
     if (extra) extra(w);
   };
 }
 
 /// Run WorkerT over `g` at 2 and 4 ranks. The oracle per world size is
-/// the in-process run on one slot; the TCP run at every thread cell must
+/// the in-process run on one slot; the TCP run at every thread count must
 /// reproduce its vertex results exactly (callers hand floats as bit
 /// patterns) and its traffic.
 template <typename WorkerT, typename OutT, typename Extract>
@@ -344,14 +351,13 @@ void expect_tcp_parity(const graph::Graph& g, Extract extract,
         g, graph::hash_partition(g.num_vertices(), world));
     std::vector<OutT> want;
     const RunStats oracle = algo::run_collect<WorkerT>(
-        dg, want, extract, pinned<WorkerT>(kThreadCells[0], extra));
-    for (const ThreadCell cell : kThreadCells) {
+        dg, want, extract, pinned<WorkerT>(kThreadCounts[0], extra));
+    for (const int threads : kThreadCounts) {
       SCOPED_TRACE("world=" + std::to_string(world) +
-                   " compute=" + std::to_string(cell.compute) +
-                   " comm=" + std::to_string(cell.comm));
+                   " threads=" + std::to_string(threads));
       std::vector<OutT> got;
       const RunStats tcp = run_tcp<WorkerT>(dg, world, got, extract,
-                                            pinned<WorkerT>(cell, extra));
+                                            pinned<WorkerT>(threads, extra));
       EXPECT_EQ(got, want);
       expect_identical_traffic(tcp, oracle);
     }
@@ -391,6 +397,15 @@ TEST(TcpParity, WccMatchesInProcessBackend) {
       [](const algo::WccVertex& v) { return v.value().label; }, {});
 }
 
+TEST(TcpParity, BaselineEnginesMatchInProcessBackend) {
+  expect_tcp_parity<algo::PPPageRank, std::uint64_t>(
+      parity_rmat(false), pagerank_bits,
+      [](algo::PPPageRank& w) { w.iterations = 5; });
+  expect_tcp_parity<algo::BlogelWcc, graph::VertexId>(
+      parity_rmat(true),
+      [](const algo::WccVertex& v) { return v.value().label; }, {});
+}
+
 TEST(TcpParity, BulkPhaseSumStaysInsideCommWall) {
   // Serialize, exchange and deliver are disjoint sub-intervals of the comm
   // wall (which additionally covers the votes), so their sum cannot
@@ -402,7 +417,7 @@ TEST(TcpParity, BulkPhaseSumStaysInsideCommWall) {
   const RunStats s = run_tcp<algo::PageRankCombined>(
       dg, 2, out, pagerank_bits,
       pinned<algo::PageRankCombined>(
-          kThreadCells[0],
+          kThreadCounts[0],
           [](algo::PageRankCombined& w) { w.iterations = 5; }));
   constexpr double kEps = 1e-3;
   EXPECT_LE(s.serialize_seconds + s.exchange_seconds + s.deliver_seconds,

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -116,31 +115,19 @@ void print_snapshot_layout(const std::string& path) {
   if (info->weighted) print_array_offset("weights", info->weights_off);
 }
 
-/// Value of --rmat argument `name`: an integer in [lo, hi], else
-/// std::invalid_argument naming the argument.
-long long rmat_arg(const char* name, const char* text, long long lo,
-                   long long hi) {
-  const std::string label = std::string("--rmat ") + name;
-  const long long v = pregel::runtime::parse_int64(label, text);
-  if (v < lo || v > hi) {
-    throw std::invalid_argument(label + " must be in " + std::to_string(lo) +
-                                ".." + std::to_string(hi) + ", got '" + text +
-                                "'");
-  }
-  return v;
-}
-
 /// Deterministic R-MAT snapshot straight to disk (CI smoke input).
 int make_rmat(const char* n_str, const char* m_str, const char* seed_str,
               const std::string& out) {
   constexpr long long kMaxVertices = 1LL << 31;  // rounded up: must fit
-  constexpr long long kMax = std::numeric_limits<long long>::max();
+  using pregel::runtime::parse_int64;
   pregel::graph::RmatOptions opts;
   try {
     opts.num_vertices = static_cast<pregel::graph::VertexId>(
-        rmat_arg("V", n_str, 1, kMaxVertices));
-    opts.num_edges = static_cast<std::uint64_t>(rmat_arg("E", m_str, 1, kMax));
-    opts.seed = static_cast<std::uint64_t>(rmat_arg("seed", seed_str, 0, kMax));
+        parse_int64("--rmat V", n_str, 1, kMaxVertices));
+    opts.num_edges =
+        static_cast<std::uint64_t>(parse_int64("--rmat E", m_str, 1));
+    opts.seed =
+        static_cast<std::uint64_t>(parse_int64("--rmat seed", seed_str, 0));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "graph_convert: %s\n", e.what());
     return 2;
