@@ -42,9 +42,9 @@ class PageRankCombined : public Worker<PRVertex> {
     if (step_num() <= iterations) {
       const auto edges = v.edges();
       if (!edges.empty()) {
-        // One value per vertex, every out-edge carries it: publish() runs
-        // the paper's per-edge send loop in push supersteps and feeds the
-        // gather path in pull supersteps.
+        // One value per vertex, every out-edge carries it: publish()
+        // stands for the paper's per-edge send loop, which push
+        // supersteps expand at serialize time and pull supersteps gather.
         msg_.publish(v.value().rank / static_cast<double>(edges.size()));
       } else {
         agg_.add(v.value().rank);

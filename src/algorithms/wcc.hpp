@@ -42,17 +42,15 @@ class WccBasic : public Worker<WccVertex> {
         changed = true;
       }
     }
-    if (changed) {
-      for (const auto& e : v.edges()) {
-        msg_.send_message(e.dst, v.value().label);
-      }
-    }
+    // Every out-edge carries the label unchanged: the identity transform.
+    if (changed) msg_.publish(v.value().label);
     v.vote_to_halt();
   }
 
  private:
   CombinedMessage<WccVertex, VertexId> msg_{
-      this, make_combiner(c_min, graph::kInvalidVertex), "label"};
+      this, make_combiner(c_min, graph::kInvalidVertex),
+      [](const VertexId& label, graph::Weight) { return label; }, "label"};
 };
 
 /// The same algorithm with the min-label fixpoint run by the Propagation

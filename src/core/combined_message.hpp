@@ -10,8 +10,8 @@
 // destination vertex before serializing, and the receiver merges batches
 // from different workers.
 //
-// Staging is sharded per (compute chunk, destination rank) — the parallel
-// communication phase of DESIGN.md section 8:
+// send_message() staging is sharded per (compute chunk, destination rank)
+// — the parallel communication phase of DESIGN.md section 8:
 //
 //  * Exact combiners (Combiner::exact — min/max/or, integer sums) combine
 //    AT STAGE TIME: each chunk keeps a dense partial keyed by the
@@ -29,36 +29,50 @@
 //    bitwise identical across thread counts and schedules. Trade-off: the
 //    logs stage O(messages) per superstep rather than O(unique
 //    destinations) — combining them earlier would regroup the float fold
-//    and break the bitwise invariant. (Parallel compute already staged
-//    O(messages) in the slot-keyed staging era; what changed is that the
-//    sequential path now does too.)
+//    and break the bitwise invariant.
 //
-// serialize() merges the shards per destination rank — in parallel over
-// contiguous destination-rank ranges when the engine runs the comm phase
-// with threads — and emits one combined (lidx, value) pair per unique
+// The logs and partials carry only send_message() traffic. A push-mode
+// publish(value) (below) stages nothing per edge: it stores one value per
+// vertex and appends the vertex to its chunk's publish list.
+//
+// serialize() merges per destination rank — in parallel over contiguous
+// destination-rank ranges when the engine runs the comm phase with
+// threads — and emits one combined (lidx, value) pair per unique
 // destination in first-touch order, which is itself independent of the
 // thread count. Delivery range-partitions the local vertex space; each
 // slot scans the peer inboxes in peer order and applies only its own
 // range, preserving the sequential per-vertex application order without
 // atomics on values.
 //
-// Pull protocol (DESIGN.md section 9): a CombinedMessage constructed with
-// an edge transform f(value, weight) additionally supports gather-mode
-// supersteps. The algorithm calls publish(value) once per vertex instead
-// of looping its out-edges; in push mode publish() expands to the classic
-// per-edge send_message(e.dst, f(value, e.weight)) loop (byte-identical
-// wire traffic), while in pull mode it just stores the value in an
-// epoch-stamped column and every destination vertex gathers f(published,
-// weight) from its in-neighbors during deserialize — rank-local edges
-// ship ZERO wire bytes; remote in-neighbors arrive via a compact
-// boundary exchange of (src lidx, value) pairs per peer rank. The
-// in-edge index is served by the cached CsrGraph::transpose() of per-rank
-// forward slices; remote ranks' slices are learned through a one-time
-// structure handshake prepended to the first pull-round payload (a
-// localized TCP rank has no other way to know its remote in-edges). The
-// gather replays the push fold order exactly — per source rank a sub-fold
-// in (src lidx, edge position) order, sub-results folded in rank order —
-// so results are bitwise identical to push even for float-sum combiners.
+// publish() (DESIGN.md section 9): a CombinedMessage constructed with an
+// edge transform f(value, weight) lets the algorithm call publish(value)
+// once per vertex instead of looping its out-edges. The value lands in a
+// per-vertex published column in either direction.
+//
+//  * Push superstep: serialize() expands the publish lists over a cached
+//    index of this rank's out-edges grouped by destination rank (built
+//    once per run), folding f(published[src], w) into the same per-rank
+//    merge a per-edge send_message(e.dst, f(value, e.weight)) loop would
+//    feed. The lists concatenate in chunk order to ascending lidx, so the
+//    fold and first-touch order — hence the wire bytes and float bits —
+//    are exactly the hand-written loop's, at no per-edge cost in compute.
+//  * Pull superstep: every destination vertex gathers f(published,
+//    weight) from its in-neighbors during deserialize — rank-local edges
+//    ship ZERO wire bytes; remote in-neighbors arrive via a compact
+//    boundary exchange of (src lidx, value) pairs per peer rank. The
+//    in-edge index is served by the cached CsrGraph::transpose() of
+//    per-rank forward slices (this rank's own from the out-edge index);
+//    remote ranks' slices are learned through a one-time structure
+//    handshake prepended to the first pull-round payload (a localized TCP
+//    rank has no other way to know its remote in-edges). The gather
+//    replays the push fold order exactly — per source rank a sub-fold in
+//    (src lidx, edge position) order, sub-results folded in rank order —
+//    so results are bitwise identical to push even for float-sum
+//    combiners.
+//
+// Both expansions call f per edge (push evaluates f(value, 1) once per
+// source when every weight is 1), so f must be a pure function of its
+// arguments.
 
 #include <algorithm>
 #include <cstdint>
@@ -100,26 +114,29 @@ class CombinedMessage : public Channel {
 
   /// Pull-capable form: the edge transform makes the channel's messaging
   /// pattern explicit (one value per vertex, expanded per out-edge), which
-  /// is what lets the engine run dense supersteps in gather mode.
-  /// Algorithms using this form call publish() instead of the per-edge
-  /// send_message() loop.
+  /// is what lets the channel expand it at serialize time and the engine
+  /// run dense supersteps in gather mode. Algorithms using this form call
+  /// publish() instead of the per-edge send_message() loop.
   CombinedMessage(Worker<VertexT>* w, Combiner<ValT> combiner, EdgeFn f,
                   std::string name = "combined")
       : CombinedMessage(w, std::move(combiner), std::move(name)) {
     edge_fn_ = std::move(f);
+    published_.assign(num_local_limit(), ValT{});
+    pub_epoch_.assign(num_local_limit(), 0);
   }
 
   /// Send m to dst; values for the same destination are combined. Safe
   /// from parallel compute threads: staging is keyed by the caller's
   /// current compute chunk (run by exactly one thread). Only valid in
-  /// push supersteps — during a pull
-  /// superstep senders publish and receivers gather, so a stray per-edge
-  /// send would silently vanish; throw instead.
+  /// push supersteps — during a pull superstep senders publish and
+  /// receivers gather, so a stray per-edge send would silently vanish;
+  /// throw instead.
   void send_message(KeyT dst, const ValT& m) {
     if (direction_ == Direction::kPull) {
       throw std::logic_error(
-          "CombinedMessage::send_message called during a pull superstep — "
-          "pull-capable channels must stage per-vertex values via publish()");
+          "CombinedMessage '" + name() +
+          "': send_message called during a pull superstep — pull-capable "
+          "channels must stage per-vertex values via publish()");
     }
     Shard& shard =
         shards_[static_cast<std::size_t>(detail::t_compute_chunk)];
@@ -147,25 +164,36 @@ class CombinedMessage : public Channel {
   }
 
   /// Publish the current vertex's value for this superstep (pull-capable
-  /// channels only). Push superstep: expands to the per-edge
-  /// send_message(e.dst, f(value, e.weight)) loop — wire bytes identical
-  /// to hand-written sends. Pull superstep: stores the value in the
-  /// epoch-stamped published column (one exclusive slot per vertex, so
-  /// parallel compute threads need no staging) for receivers to gather.
+  /// channels only): every out-edge carries f(value, e.weight). Compute
+  /// does per-vertex work only — the value goes into the epoch-stamped
+  /// published column (one exclusive slot per vertex, so parallel compute
+  /// threads need no staging). Push superstep: the vertex also joins its
+  /// chunk's publish list, which serialize() expands over the out-edge
+  /// index — wire bytes identical to a hand-written per-edge
+  /// send_message(e.dst, f(value, e.weight)) loop. Pull superstep:
+  /// receivers gather from the column.
+  ///
+  /// One publish per vertex per superstep, and no send_message() on the
+  /// same channel in a push superstep that publishes: the deferred
+  /// expansion would drop a value or reorder the fold, so both throw.
   void publish(const ValT& value) {
     if (!pull_capable()) {
       throw std::logic_error(
-          "CombinedMessage::publish requires the pull-capable constructor "
-          "(the one taking an edge transform)");
+          "CombinedMessage '" + name() +
+          "': publish requires the pull-capable constructor (the one "
+          "taking an edge transform)");
     }
     const std::uint32_t lidx = w().current_local();
-    if (direction_ == Direction::kPull) {
-      published_[lidx] = value;
-      pub_epoch_[lidx] = cur_epoch_;
-      return;
+    if (pub_epoch_[lidx] == cur_epoch_) {
+      throw std::logic_error("CombinedMessage '" + name() +
+                             "': publish called twice for one vertex in "
+                             "one superstep");
     }
-    for (const graph::Edge e : worker_->dgraph().out(w().rank(), lidx)) {
-      send_message(e.dst, edge_fn_(value, e.weight));
+    published_[lidx] = value;
+    pub_epoch_[lidx] = cur_epoch_;
+    if (direction_ == Direction::kPush) {
+      shards_[static_cast<std::size_t>(detail::t_compute_chunk)]
+          .published.push_back(lidx);
     }
   }
 
@@ -173,12 +201,14 @@ class CombinedMessage : public Channel {
     return static_cast<bool>(edge_fn_);
   }
 
-  /// Engine announcement of this superstep's collective direction. The
-  /// first pull superstep lazily builds the sender-side pull state (the
-  /// published columns, the per-peer boundary lists and the self in-edge
-  /// slice); remote slices follow via the wire handshake.
+  /// Engine announcement of this superstep's collective direction, made
+  /// before every compute phase: it opens a new publish epoch. The first
+  /// pull superstep lazily builds the sender-side pull state (the per-peer
+  /// boundary lists and the self in-edge slice); remote slices follow via
+  /// the wire handshake.
   void set_direction(Direction dir) override {
     direction_ = dir;
+    ++cur_epoch_;
     if (dir == Direction::kPull) ensure_pull_ready();
   }
 
@@ -224,11 +254,24 @@ class CombinedMessage : public Channel {
           });
       return;
     }
+    std::uint64_t published = 0;
+    for (const Shard& s : shards_) published += s.published.size();
+    const std::uint64_t sent = staged_items();
+    const bool expand = published != 0;
+    if (expand) {
+      if (sent != 0) {
+        throw std::logic_error(
+            "CombinedMessage '" + name() +
+            "': publish and send_message both used in one push superstep");
+      }
+      ensure_out_index();
+    }
     w().run_comm_partitioned(
-        staged_items(), static_cast<std::uint32_t>(w().num_workers()),
-        nullptr, [this](std::uint32_t begin, std::uint32_t end, int) {
-          emit_ranks(static_cast<int>(begin), static_cast<int>(end));
+        published + sent, static_cast<std::uint32_t>(w().num_workers()),
+        nullptr, [this, expand](std::uint32_t begin, std::uint32_t end, int) {
+          emit_ranks(static_cast<int>(begin), static_cast<int>(end), expand);
         });
+    for (Shard& s : shards_) s.published.clear();
   }
 
   /// Range-partitioned delivery: record each peer payload's raw span,
@@ -245,7 +288,6 @@ class CombinedMessage : public Channel {
           [this](std::uint32_t lo, std::uint32_t hi, int slot) {
             gather_range(lo, hi, slot);
           });
-      ++cur_epoch_;
       return;
     }
     const int num_workers = w().num_workers();
@@ -274,10 +316,21 @@ class CombinedMessage : public Channel {
     std::vector<std::uint32_t> touched;  ///< first-touch order
   };
 
-  /// One compute slot's staging, sharded by destination rank.
+  /// One compute chunk's staging: send_message() traffic sharded by
+  /// destination rank, plus the chunk's publish() list.
   struct Shard {
     std::vector<Partial> partial;          ///< exact combiners
     std::vector<std::vector<Wire>> log;    ///< inexact combiners
+    std::vector<std::uint32_t> published;  ///< push publish(), lidx asc
+  };
+
+  /// This rank's out-edges into one destination rank, in (src lidx, edge
+  /// position) order: CSR rows over the sender's local indices, columns
+  /// in the receiver's.
+  struct PeerEdges {
+    std::vector<std::uint64_t> offsets;  ///< num_local() + 1
+    std::vector<std::uint32_t> dst;      ///< receiver-rank local index
+    std::vector<graph::Weight> weights;  ///< empty when every weight is 1
   };
 
   void init_shard(Shard& s) {
@@ -341,16 +394,17 @@ class CombinedMessage : public Channel {
     }
   }
 
-  /// Merge every shard's staging for destination ranks [begin, end) and
-  /// emit one combined wire pair per unique destination. Walking shards
-  /// in chunk order makes both the fold sequence (raw logs: message by
-  /// message) and the first-touch wire order exactly the sequential ones,
-  /// so bytes and float bits are independent of the thread count and of
-  /// which slot executed each chunk.
-  void emit_ranks(int begin, int end) {
+  /// Merge every shard's staging for destination ranks [begin, end) —
+  /// the send_message() staging, or with `expand` the publish() lists —
+  /// and emit one combined wire pair per unique destination. Walking
+  /// shards in chunk order makes both the fold sequence (raw logs:
+  /// message by message) and the first-touch wire order exactly the
+  /// sequential ones, so bytes and float bits are independent of the
+  /// thread count and of which slot executed each chunk.
+  void emit_ranks(int begin, int end, bool expand) {
     for (int to = begin; to < end; ++to) {
       const auto peer = static_cast<std::size_t>(to);
-      if (combiner_.exact && shards_.size() == 1) {
+      if (!expand && combiner_.exact && shards_.size() == 1) {
         // Single-shard exact staging: the chunk partial already holds the
         // final combined values in first-touch order — emit it directly.
         Partial& p = shards_[0].partial[peer];
@@ -372,6 +426,10 @@ class CombinedMessage : public Channel {
         m.has.assign(n, 0);
       }
       for (Shard& shard : shards_) {
+        if (expand) {
+          expand_published(shard.published, out_index_[peer], m);
+          continue;
+        }
         Partial& p = shard.partial[peer];
         for (const std::uint32_t lidx : p.touched) {
           fold_into(m, lidx, p.vals[lidx]);
@@ -391,6 +449,30 @@ class CombinedMessage : public Channel {
         m.has[lidx] = 0;
       }
       m.touched.clear();
+    }
+  }
+
+  /// Fold f(published[src], w) over every out-edge of every src in
+  /// `published` into one destination rank's merge. The list ascends and
+  /// each peer's edges sit in (src lidx, edge position) order, so this is
+  /// the fold — and first-touch order — of the per-edge send loop.
+  void expand_published(const std::vector<std::uint32_t>& published,
+                        const PeerEdges& edges, Partial& m) {
+    for (const std::uint32_t src : published) {
+      const std::uint64_t first = edges.offsets[src];
+      const std::uint64_t last = edges.offsets[src + 1];
+      if (first == last) continue;
+      const ValT& value = published_[src];
+      if (edges.weights.empty()) {
+        const ValT contrib = edge_fn_(value, graph::Weight{1});
+        for (std::uint64_t i = first; i < last; ++i) {
+          fold_into(m, edges.dst[i], contrib);
+        }
+      } else {
+        for (std::uint64_t i = first; i < last; ++i) {
+          fold_into(m, edges.dst[i], edge_fn_(value, edges.weights[i]));
+        }
+      }
     }
   }
 
@@ -428,21 +510,55 @@ class CombinedMessage : public Channel {
     graph::Weight weight;
   };
 
-  /// First pull superstep: build everything derivable from the rank's own
-  /// adjacency — the published columns, the per-peer boundary vertex
-  /// lists, the per-peer handshake edge lists, and the self in-edge slice
-  /// (a forward CSR over the rank-local edges whose cached transpose is
-  /// the gather index). Works identically on a localized TCP view: only
-  /// out(rank, lidx) and the global partition id maps are touched.
+  /// Build the out-edge index once (the CSR is immutable): a counting
+  /// pass over this rank's adjacency sizes every peer's arrays exactly,
+  /// then a fill pass appends the edges grouped by destination rank in
+  /// (src lidx, edge position) order. Works identically on a localized
+  /// TCP view: only out(rank, lidx) and the global partition id maps are
+  /// touched.
+  void ensure_out_index() {
+    if (!out_index_.empty()) return;
+    const int me = w().rank();
+    const std::uint32_t n = num_local_limit();
+    out_index_.resize(static_cast<std::size_t>(w().num_workers()));
+    for (PeerEdges& peer : out_index_) peer.offsets.assign(n + 1, 0);
+    const auto peer_of = [this](graph::VertexId dst) -> PeerEdges& {
+      return out_index_[static_cast<std::size_t>(w().owner_of(dst))];
+    };
+    bool unit = true;
+    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
+      for (const graph::Edge e : worker_->dgraph().out(me, lidx)) {
+        ++peer_of(e.dst).offsets[lidx + 1];
+        unit = unit && e.weight == 1;
+      }
+    }
+    for (PeerEdges& peer : out_index_) {
+      for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
+        peer.offsets[lidx + 1] += peer.offsets[lidx];
+      }
+      peer.dst.reserve(peer.offsets[n]);
+      if (!unit) peer.weights.reserve(peer.offsets[n]);
+    }
+    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
+      for (const graph::Edge e : worker_->dgraph().out(me, lidx)) {
+        PeerEdges& peer = peer_of(e.dst);
+        peer.dst.push_back(w().local_of(e.dst));
+        if (!unit) peer.weights.push_back(e.weight);
+      }
+    }
+  }
+
+  /// First pull superstep: derive the pull state from the out-edge index —
+  /// the per-peer boundary vertex lists, the per-peer handshake edge
+  /// lists, and the self in-edge slice (a forward CSR over the rank-local
+  /// edges whose cached transpose is the gather index).
   void ensure_pull_ready() {
     if (pull_ready_) return;
     pull_ready_ = true;
+    ensure_out_index();
     const int num_workers = w().num_workers();
     const int me = w().rank();
     const std::uint32_t n = num_local_limit();
-    published_.assign(n, ValT{});
-    pub_epoch_.assign(n, 0);
-    cur_epoch_ = 1;
     boundary_.assign(static_cast<std::size_t>(num_workers), {});
     handshake_out_.assign(static_cast<std::size_t>(num_workers), {});
     slices_.assign(static_cast<std::size_t>(num_workers), {});
@@ -450,33 +566,27 @@ class CombinedMessage : public Channel {
     peer_vals_.resize(static_cast<std::size_t>(num_workers));
     peer_epoch_.resize(static_cast<std::size_t>(num_workers));
 
-    std::vector<std::uint64_t> self_offsets(n + 1, 0);
-    std::vector<graph::VertexId> self_dst;
-    std::vector<graph::Weight> self_weights;
-    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
-      for (const graph::Edge e : worker_->dgraph().out(me, lidx)) {
-        const int to = w().owner_of(e.dst);
-        const std::uint32_t dst_lidx = w().local_of(e.dst);
-        if (to == me) {
-          self_dst.push_back(dst_lidx);
-          self_weights.push_back(e.weight);
-          continue;
-        }
-        const auto peer = static_cast<std::size_t>(to);
-        handshake_out_[peer].push_back(PullEdge{lidx, dst_lidx, e.weight});
-        if (boundary_[peer].empty() || boundary_[peer].back() != lidx) {
-          boundary_[peer].push_back(lidx);  // lidx ascending by construction
+    for (int p = 0; p < num_workers; ++p) {
+      const auto peer = static_cast<std::size_t>(p);
+      const PeerEdges& edges = out_index_[peer];
+      if (p == me) {
+        install_slice(me, edges.offsets, edges.dst, edges.weights);
+        continue;
+      }
+      handshake_out_[peer].reserve(edges.dst.size());
+      for (std::uint32_t src = 0; src < n; ++src) {
+        const std::uint64_t first = edges.offsets[src];
+        const std::uint64_t last = edges.offsets[src + 1];
+        if (first == last) continue;
+        boundary_[peer].push_back(src);  // lidx ascending by construction
+        for (std::uint64_t i = first; i < last; ++i) {
+          handshake_out_[peer].push_back(PullEdge{
+              src, edges.dst[i],
+              edges.weights.empty() ? graph::Weight{1} : edges.weights[i]});
         }
       }
-      self_offsets[lidx + 1] = self_dst.size();
-    }
-    install_slice(me, std::move(self_offsets), std::move(self_dst),
-                  std::move(self_weights));
-    for (int p = 0; p < num_workers; ++p) {
-      if (p == me) continue;
-      peer_vals_[static_cast<std::size_t>(p)].assign(peer_local_count(p),
-                                                     ValT{});
-      peer_epoch_[static_cast<std::size_t>(p)].assign(peer_local_count(p), 0);
+      peer_vals_[peer].assign(peer_local_count(p), ValT{});
+      peer_epoch_[peer].assign(peer_local_count(p), 0);
     }
   }
 
@@ -656,21 +766,23 @@ class CombinedMessage : public Channel {
   std::vector<std::vector<std::uint32_t>> recv_touched_;
   detail::WireSpans<Wire> spans_;
 
-  // Pull protocol state (edge_fn_ set by the pull-capable constructor;
-  // the rest lazily built on the first pull superstep and kept for the
-  // run — direction flips back and forth reuse it).
+  // publish() state (edge_fn_ and the published columns set up by the
+  // pull-capable constructor; the out-edge index built on first use and
+  // the pull state on the first pull superstep, both kept for the run —
+  // direction flips back and forth reuse them).
   EdgeFn edge_fn_;
   Direction direction_ = Direction::kPush;
+  /// Publish epoch: one per superstep, opened by set_direction(). Stamps
+  /// distinguish "published THIS superstep" from stale values (0 = never)
+  /// without any per-superstep clearing.
+  std::uint32_t cur_epoch_ = 0;
+  std::vector<ValT> published_;            ///< one slot per local vertex
+  std::vector<std::uint32_t> pub_epoch_;
+  std::vector<PeerEdges> out_index_;       ///< per destination rank
   bool pull_ready_ = false;
   bool handshake_sent_ = false;       ///< structure shipped to all peers
   bool handshake_done_pending_ = false;
   bool handshake_received_ = false;   ///< all peer slices installed
-  /// Publish epoch: one per pull superstep, bumped after its gather.
-  /// Stamps distinguish "published THIS pull superstep" from stale values
-  /// (0 = never) without any per-superstep clearing.
-  std::uint32_t cur_epoch_ = 1;
-  std::vector<ValT> published_;            ///< one slot per local vertex
-  std::vector<std::uint32_t> pub_epoch_;
   std::vector<std::vector<std::uint32_t>> boundary_;  ///< per peer, lidx asc
   std::vector<std::vector<PullEdge>> handshake_out_;
   std::vector<graph::CsrGraph> slices_;    ///< forward slice per source rank

@@ -16,6 +16,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "algorithms/pagerank.hpp"
@@ -40,22 +41,27 @@ using pregel::runtime::WorkerTeam;
 struct Mode {
   DirectionMode direction;
   int threads;
+  bool steal = false;
 };
 
 constexpr Mode kModes[] = {
     {DirectionMode::kPush, 1},  // the seed path (baseline)
     {DirectionMode::kPush, 3},
+    {DirectionMode::kPush, 3, true},
     {DirectionMode::kPull, 1},
     {DirectionMode::kPull, 3},
+    {DirectionMode::kPull, 3, true},
     {DirectionMode::kAdaptive, 1},
     {DirectionMode::kAdaptive, 3},
+    {DirectionMode::kAdaptive, 3, true},
 };
 
 std::string mode_name(const Mode& m) {
   const char* dir = m.direction == DirectionMode::kPush     ? "push"
                     : m.direction == DirectionMode::kPull   ? "pull"
                                                             : "adaptive";
-  return std::string(dir) + " threads=" + std::to_string(m.threads);
+  return std::string(dir) + " threads=" + std::to_string(m.threads) +
+         (m.steal ? " steal" : "");
 }
 
 /// Pin every knob so the matrix is deterministic regardless of the PGCH_*
@@ -66,6 +72,7 @@ std::function<void(WorkerT&)> pin(const Mode& m,
   return [m, extra](WorkerT& w) {
     w.set_direction_mode(m.direction);
     w.set_compute_threads(m.threads);
+    w.set_steal(m.steal);
     if (extra) extra(w);
   };
 }
@@ -81,19 +88,35 @@ void expect_identical_run_shape(const RunStats& got, const RunStats& want,
 }
 
 /// Run WorkerT across the direction matrix and require bitwise-identical
-/// results against the push sequential baseline.
-template <typename WorkerT, typename OutT, typename Extract>
+/// results against the push sequential baseline. SendT, when given, is
+/// WorkerT with publish() written out as the per-edge send_message() loop
+/// it stands for, on a push-only channel of the same name: on every push
+/// mode it must match WorkerT's results bitwise and its bytes per
+/// channel exactly.
+template <typename WorkerT, typename OutT, typename SendT = void,
+          typename Extract, typename Configure>
 void run_matrix(const graph::DistributedGraph& dg, Extract extract,
-                std::function<void(WorkerT&)> extra = {}) {
+                Configure configure) {
   std::vector<OutT> baseline;
   const RunStats want = algo::run_collect<WorkerT>(
-      dg, baseline, extract, pin<WorkerT>(kModes[0], extra));
-  for (std::size_t i = 1; i < std::size(kModes); ++i) {
+      dg, baseline, extract, pin<WorkerT>(kModes[0], configure));
+  for (const Mode& mode : kModes) {
     std::vector<OutT> got;
     const RunStats stats = algo::run_collect<WorkerT>(
-        dg, got, extract, pin<WorkerT>(kModes[i], extra));
-    EXPECT_EQ(got, baseline) << mode_name(kModes[i]);
-    expect_identical_run_shape(stats, want, mode_name(kModes[i]));
+        dg, got, extract, pin<WorkerT>(mode, configure));
+    EXPECT_EQ(got, baseline) << mode_name(mode);
+    expect_identical_run_shape(stats, want, mode_name(mode));
+    if constexpr (!std::is_void_v<SendT>) {
+      if (mode.direction != DirectionMode::kPush) continue;
+      const std::string label = "per-edge sends, " + mode_name(mode);
+      std::vector<OutT> sent;
+      const RunStats send_stats = algo::run_collect<SendT>(
+          dg, sent, extract, pin<SendT>(mode, configure));
+      EXPECT_EQ(sent, baseline) << label;
+      EXPECT_EQ(send_stats.bytes_by_channel, stats.bytes_by_channel)
+          << label;
+      expect_identical_run_shape(send_stats, stats, label);
+    }
   }
 }
 
@@ -110,25 +133,93 @@ graph::DistributedGraph rmat_dg(int workers, bool symmetric = false) {
 
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
+/// algo::PageRankCombined with publish() written out as the per-edge
+/// send_message() loop on a push-only channel.
+class PageRankSend : public Worker<algo::PRVertex> {
+ public:
+  int iterations = 30;
+
+  void compute(algo::PRVertex& v) override {
+    const double n = static_cast<double>(get_vnum());
+    if (step_num() == 1) {
+      v.value().rank = 1.0 / n;
+    } else {
+      const double s = agg_.result() / n;
+      v.value().rank = 0.15 / n + 0.85 * (msg_.get_message() + s);
+    }
+    if (step_num() <= iterations) {
+      const auto edges = v.edges();
+      if (!edges.empty()) {
+        const double share =
+            v.value().rank / static_cast<double>(edges.size());
+        for (const auto& e : edges) msg_.send_message(e.dst, share);
+      } else {
+        agg_.add(v.value().rank);
+      }
+    } else {
+      v.vote_to_halt();
+    }
+  }
+
+ private:
+  CombinedMessage<algo::PRVertex, double> msg_{
+      this, make_combiner(c_sum, 0.0), "pr"};
+  Aggregator<algo::PRVertex, double> agg_{this, make_combiner(c_sum, 0.0),
+                                          "sink"};
+};
+
+/// algo::Sssp with publish() written out as the per-edge send_message()
+/// loop on a push-only channel.
+class SsspSend : public Worker<algo::SsspVertex> {
+ public:
+  VertexId source = 0;
+
+  void compute(algo::SsspVertex& v) override {
+    bool improved = false;
+    if (step_num() == 1) {
+      v.value().dist = (v.id() == source) ? 0 : graph::kInfWeight;
+      improved = (v.id() == source);
+    } else {
+      const std::uint64_t m = msg_.get_message();
+      if (m < v.value().dist) {
+        v.value().dist = m;
+        improved = true;
+      }
+    }
+    if (improved) {
+      for (const auto& e : v.edges()) {
+        msg_.send_message(e.dst, v.value().dist + e.weight);
+      }
+    }
+    v.vote_to_halt();
+  }
+
+ private:
+  CombinedMessage<algo::SsspVertex, std::uint64_t> msg_{
+      this, make_combiner(c_min, std::uint64_t{graph::kInfWeight}), "dist"};
+};
+
 // --------------------------------------------------------- parity matrix --
 
 TEST(Direction, PageRankFloatSumParityMatrix) {
   // Double-sum combiner: the gather must replay push's nested per-rank
-  // fold order or the float bits drift.
+  // fold order or the float bits drift, and so must push's serialize-time
+  // expansion of publish().
   const auto dg = rmat_dg(4);
-  run_matrix<algo::PageRankCombined, std::uint64_t>(
+  run_matrix<algo::PageRankCombined, std::uint64_t, PageRankSend>(
       dg, [](const algo::PRVertex& v) { return bits(v.value().rank); },
-      [](algo::PageRankCombined& w) { w.iterations = 6; });
+      [](auto& w) { w.iterations = 6; });
 }
 
 TEST(Direction, SsspExactMinParityMatrix) {
   // Weighted min combiner: exercises f(dist, w) = dist + w through the
-  // handshake-shipped edge weights, and a frontier that actually moves.
+  // stored edge weights of the out-edge index and the handshake, and a
+  // frontier that actually moves.
   const auto dg = graph::DistributedGraph(
       graph::grid_road(48, 48, 600, 7), graph::hash_partition(48 * 48, 4));
-  run_matrix<algo::Sssp, std::uint64_t>(
+  run_matrix<algo::Sssp, std::uint64_t, SsspSend>(
       dg, [](const algo::SsspVertex& v) { return v.value().dist; },
-      [](algo::Sssp& w) { w.source = 0; });
+      [](auto& w) { w.source = 0; });
 }
 
 // ------------------------------------------------------- byte accounting --
@@ -365,6 +456,45 @@ class SendDuringPullWorker : public Worker<GuardVertex> {
       [](const std::uint64_t& x, graph::Weight) { return x; }, "guard"};
 };
 
+/// Publishes twice for one vertex in one superstep: the second value would
+/// silently replace the first, so publish() must throw. (Superstep 1
+/// only, so the run still halts if the guard ever goes missing.)
+class DoublePublishWorker : public Worker<GuardVertex> {
+ public:
+  void compute(GuardVertex& v) override {
+    if (step_num() == 1) {
+      msg_.publish(1);
+      msg_.publish(2);
+    }
+    v.vote_to_halt();
+  }
+
+ private:
+  CombinedMessage<GuardVertex, std::uint64_t> msg_{
+      this, make_combiner(c_sum, std::uint64_t{0}),
+      [](const std::uint64_t& x, graph::Weight) { return x; }, "guard"};
+};
+
+/// Even vertices publish, odd ones send per edge on the same channel in
+/// one push superstep: the deferred expansion would reorder the fold.
+/// (Superstep 1 only, so the run still halts without the guard.)
+class PublishAndSendWorker : public Worker<GuardVertex> {
+ public:
+  void compute(GuardVertex& v) override {
+    if (step_num() == 1 && v.id() % 2 == 0) {
+      msg_.publish(1);
+    } else if (step_num() == 1) {
+      for (const auto& e : v.edges()) msg_.send_message(e.dst, 1);
+    }
+    v.vote_to_halt();
+  }
+
+ private:
+  CombinedMessage<GuardVertex, std::uint64_t> msg_{
+      this, make_combiner(c_sum, std::uint64_t{0}),
+      [](const std::uint64_t& x, graph::Weight) { return x; }, "guard"};
+};
+
 /// Calls publish() on a channel constructed without an edge transform.
 class PublishWithoutEdgeFnWorker : public Worker<GuardVertex> {
  public:
@@ -388,6 +518,39 @@ TEST(Direction, SendMessageDuringPullThrows) {
             w.set_direction_mode(DirectionMode::kPull);
           }),
       std::logic_error);
+}
+
+/// Runs WorkerT on one rank under `mode` and returns the logic_error
+/// message it must throw ("" when it throws none).
+template <typename WorkerT>
+std::string logic_error_of(const graph::DistributedGraph& dg,
+                           DirectionMode mode) {
+  try {
+    algo::run_only<WorkerT>(
+        dg, [mode](WorkerT& w) { w.set_direction_mode(mode); });
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Direction, PublishTwiceForOneVertexThrows) {
+  const auto dg = rmat_dg(1);
+  for (const DirectionMode mode : {DirectionMode::kPush,
+                                   DirectionMode::kPull}) {
+    const std::string what = logic_error_of<DoublePublishWorker>(dg, mode);
+    EXPECT_NE(what.find("'guard'"), std::string::npos) << what;
+    EXPECT_NE(what.find("twice"), std::string::npos) << what;
+  }
+}
+
+TEST(Direction, PublishAndSendMessageInOnePushSuperstepThrows) {
+  const auto dg = rmat_dg(1);
+  const std::string what =
+      logic_error_of<PublishAndSendWorker>(dg, DirectionMode::kPush);
+  EXPECT_NE(what.find("'guard'"), std::string::npos) << what;
+  EXPECT_NE(what.find("publish and send_message"), std::string::npos)
+      << what;
 }
 
 TEST(Direction, PublishRequiresPullCapableConstructor) {
