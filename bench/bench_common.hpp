@@ -416,9 +416,6 @@ inline void record_json(const std::string& name,
      << "\", \"name\": \"" << name << "\", \"wall_s\": " << stats.seconds
      << ", \"msg_bytes\": " << stats.message_bytes
      << ", \"supersteps\": " << stats.supersteps
-     << ", \"pull_supersteps\": "
-     << std::count(stats.direction_per_superstep.begin(),
-                   stats.direction_per_superstep.end(), std::uint8_t{1})
      << ", \"comm_rounds\": " << stats.comm_rounds
      << ", \"compute_s\": " << stats.compute_seconds
      << ", \"comm_s\": " << stats.comm_seconds

@@ -74,20 +74,6 @@ void PR_Wikipedia_Channel(benchmark::State& s) {
   bench::run_case<algo::PageRankCombined>(s, __func__, wikipedia());
 }
 
-// Direction-optimized rows (DESIGN.md section 9): PageRank's frontier is
-// all-dense every superstep, so adaptive mode runs the whole job in pull
-// direction — zero channel payload for rank-local edges, one compact
-// boundary exchange for the rest.
-void adaptive(algo::PageRankCombined& w) {
-  w.set_direction_mode(core::DirectionMode::kAdaptive);
-}
-void PR_WebUK_ChannelAdaptive(benchmark::State& s) {
-  bench::run_case<algo::PageRankCombined>(s, __func__, webuk(), adaptive);
-}
-void PR_Wikipedia_ChannelAdaptive(benchmark::State& s) {
-  bench::run_case<algo::PageRankCombined>(s, __func__, wikipedia(), adaptive);
-}
-
 // ---- snapshot-load row (zero-copy loading, DESIGN.md section 5) ----------
 // One v3 snapshot of the WebUK stand-in, written once per binary into the
 // temp directory. The row re-maps it each iteration with the page cache
@@ -234,8 +220,6 @@ PGCH_BENCH(PR_WebUK_Pregel);
 PGCH_BENCH(PR_WebUK_Channel);
 PGCH_BENCH(PR_Wikipedia_Pregel);
 PGCH_BENCH(PR_Wikipedia_Channel);
-PGCH_BENCH(PR_WebUK_ChannelAdaptive);
-PGCH_BENCH(PR_Wikipedia_ChannelAdaptive);
 PGCH_BENCH(PR_WebUK_MmapLoad);
 PGCH_BENCH(PR_Rmat_Range);
 PGCH_BENCH(PR_Rmat_RangeSteal);

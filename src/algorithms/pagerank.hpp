@@ -43,8 +43,8 @@ class PageRankCombined : public Worker<PRVertex> {
       const auto edges = v.edges();
       if (!edges.empty()) {
         // One value per vertex, every out-edge carries it: publish()
-        // stands for the paper's per-edge send loop, which push
-        // supersteps expand at serialize time and pull supersteps gather.
+        // stands for the paper's per-edge send loop, which the channel
+        // expands at serialize time.
         msg_.publish(v.value().rank / static_cast<double>(edges.size()));
       } else {
         agg_.add(v.value().rank);

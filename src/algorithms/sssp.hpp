@@ -35,8 +35,8 @@ class Sssp : public Worker<SsspVertex> {
       }
     }
     if (improved) {
-      // f(dist, w) = dist + w: push supersteps expand this per out-edge
-      // at serialize time, pull supersteps let the neighbors gather it.
+      // f(dist, w) = dist + w: the channel expands this per out-edge at
+      // serialize time.
       msg_.publish(v.value().dist);
     }
     v.vote_to_halt();  // re-activated by incoming distance offers

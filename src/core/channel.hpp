@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/direction.hpp"
 #include "graph/distributed.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/exchange.hpp"
@@ -232,23 +231,6 @@ class Channel {
   virtual void begin_compute(int /*num_chunks*/) {}
   /// Merge per-chunk staging (in chunk order) and leave parallel mode.
   virtual void end_compute() {}
-
-  // ---- direction-optimizing compute (DESIGN.md section 9) ----------------
-  // A pull-capable channel can run a superstep in gather mode: instead of
-  // staging/serializing per-edge messages, senders publish one value and
-  // every destination vertex reads its in-neighbors' published values
-  // directly (rank-local edges ship zero wire bytes; remote publishers
-  // arrive via a compact per-rank boundary exchange). The engine decides
-  // the direction collectively each superstep and announces it here
-  // BEFORE the compute phase; channels that never pull ignore the call.
-
-  /// True when this channel implements the pull protocol. Must be a
-  /// constant for the channel's lifetime and identical on every rank (the
-  /// engine's collective direction decision keys off it).
-  [[nodiscard]] virtual bool pull_capable() const { return false; }
-  /// Announce this superstep's direction (only ever kPull on channels
-  /// whose pull_capable() is true).
-  virtual void set_direction(Direction /*dir*/) {}
 
   // ---- checkpoint/restore (DESIGN.md section 12) -------------------------
   // A checkpointable channel persists every bit of state that outlives a

@@ -81,18 +81,6 @@ class EngineBase {
     return compute_threads_;
   }
 
-  // ---- direction-optimizing compute (DESIGN.md section 9) ----------------
-
-  /// How pull-capable channels choose their per-superstep direction:
-  /// forced push (the default — the seed engine's behaviour), forced pull,
-  /// or the frontier-density heuristic of core/direction.hpp. Defaults to
-  /// PGCH_DIRECTION. Must be identical on every rank (the adaptive
-  /// decision is collective) and set before run().
-  void set_direction_mode(DirectionMode mode) { direction_mode_ = mode; }
-  [[nodiscard]] DirectionMode direction_mode() const noexcept {
-    return direction_mode_;
-  }
-
   /// The rank's thread pool, created on first use with exactly
   /// compute_threads() slots. Only call with compute_threads() > 1.
   runtime::ComputePool& pool() {
@@ -365,7 +353,6 @@ class EngineBase {
   /// compute phases accumulate here; feeds rank_compute_seconds).
   double compute_cpu_seconds_ = 0.0;
   int compute_threads_ = runtime::compute_threads_from_env();
-  DirectionMode direction_mode_ = direction_mode_from_env();
   std::unique_ptr<runtime::ComputePool> pool_;
 
   /// Checkpoint knobs (re-read from env on every engine construction, so

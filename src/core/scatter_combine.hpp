@@ -29,14 +29,12 @@
 // receiver's vertex space and applies positionally (peer order, then
 // payload order).
 //
-// Deliberately NOT pull-capable (DESIGN.md section 9): the channel's whole
-// value is already the pull win applied to the wire — after the handshake
-// it ships one bare value per unique destination, which is exactly the
-// per-in-neighbor traffic a gather would read, and its edge registry is
-// built dynamically by add_edge() during compute, so there is no static
-// f(value, weight) expansion for a gather to replay. A program that wants
-// direction switching uses the pull-capable CombinedMessage; a program
-// whose pattern is static every superstep is already served best here.
+// Unlike CombinedMessage::publish() (DESIGN.md section 9), which expands
+// one value per vertex over a static out-edge index but still ships one
+// (lidx, value) pair per unique destination, this channel's edge
+// registry is built by add_edge() during compute and, after the
+// handshake, ships one bare value per unique destination: a program whose
+// pattern is static every superstep is served best here.
 
 #include <algorithm>
 #include <atomic>

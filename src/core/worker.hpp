@@ -193,7 +193,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     const auto c0 = Clock::now();
     begin_superstep();
     stats_.note_active(this->active_.count());
-    decide_direction();
     // The compute phase is the one window where this thread touches no
     // socket, so the transport may emit control-lane heartbeats there
     // (keeping peers' silence deadlines fed through a long compute).
@@ -214,19 +213,16 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
 
   // ---- checkpoint/restore (DESIGN.md section 12) -------------------------
   // The superstep boundary carries forward: the value column, the
-  // frontier, the adaptive-direction hysteresis (an input of a collective
-  // decision — restoring it on every rank keeps that decision, and so the
-  // wire, bitwise identical to a failure-free run), the accumulated
-  // stats, and each channel's receive-side state. Everything else
-  // (staging shards, pull handshake epochs) is rebuilt from scratch by the
-  // fresh worker every rank constructs after recovery.
+  // frontier, the accumulated stats, and each channel's receive-side
+  // state. Everything else (staging shards, publish epochs, the out-edge
+  // index) is rebuilt from scratch by the fresh worker every rank
+  // constructs after recovery.
 
   void checkpoint_save(runtime::Buffer& out) override {
     if constexpr (runtime::TriviallySerializable<ValueT>) {
       out.write<std::uint32_t>(num_local());
       out.write_vector(this->values_);
       this->active_.serialize(out);
-      out.write<std::uint8_t>(static_cast<std::uint8_t>(direction_));
       stats_.serialize(out);
       out.write<std::uint32_t>(static_cast<std::uint32_t>(channels_.size()));
       for (Channel* c : channels_) {
@@ -254,7 +250,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       }
       this->values_ = in.read_vector<ValueT>();
       this->active_.deserialize(in);
-      direction_ = static_cast<Direction>(in.read<std::uint8_t>());
       stats_ = runtime::RunStats::deserialize(in);
       const auto n_channels = in.read<std::uint32_t>();
       if (n_channels != channels_.size()) {
@@ -442,40 +437,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     return this->active_.any();
   }
 
-  /// Collective per-superstep direction decision (DESIGN.md section 9),
-  /// made BEFORE the compute phase so publish() already knows whether to
-  /// stage per-edge messages (push) or store one published value (pull).
-  /// Forced modes need no communication; the adaptive heuristic folds the
-  /// frontier size across the team (pull_capable() is a lifetime constant
-  /// identical on every rank, so every rank enters this collective — or
-  /// skips it — in lock-step). The chosen direction is recorded per
-  /// superstep; merge_from() asserts the ranks agreed.
-  void decide_direction() {
-    bool any_pull = false;
-    for (Channel* c : channels_) any_pull |= c->pull_capable();
-    Direction dir = Direction::kPush;
-    if (any_pull) {
-      switch (direction_mode()) {
-        case DirectionMode::kPush:
-          break;
-        case DirectionMode::kPull:
-          dir = Direction::kPull;
-          break;
-        case DirectionMode::kAdaptive: {
-          const std::uint64_t global_active =
-              env_.transport->allreduce_sum(env_.rank, this->active_.count());
-          dir = adaptive_direction(direction_, global_active, get_vnum());
-          break;
-        }
-      }
-    }
-    direction_ = dir;
-    for (Channel* c : channels_) {
-      if (c->pull_capable()) c->set_direction(dir);
-    }
-    stats_.note_direction(static_cast<std::uint8_t>(dir));
-  }
-
   /// The communication loop of Fig. 4: all channels start the superstep
   /// active; a channel remains in the loop while any worker's again() says
   /// so. Every round ends with one collective buffer exchange. Each active
@@ -535,10 +496,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// Work stealing between compute slots (PGCH_STEAL / set_steal()); only
   /// meaningful with compute_threads_ > 1.
   bool steal_enabled_ = runtime::steal_from_env();
-
-  /// Previous superstep's direction — the hysteresis state of the
-  /// adaptive heuristic (collective inputs, so identical on every rank).
-  Direction direction_ = Direction::kPush;
 
   // Degree-aware chunking state (parallel compute phase only).
   std::vector<std::uint64_t> degree_prefix_;    ///< all-vertex weights

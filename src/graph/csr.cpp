@@ -77,38 +77,6 @@ CsrGraph CsrGraph::from_view(std::span<const std::uint64_t> offsets,
   return g;
 }
 
-const CsrGraph& CsrGraph::transpose() const {
-  std::lock_guard<std::mutex> lock(transpose_mutex_);
-  if (transpose_cache_ == nullptr) {
-    transpose_cache_ = std::make_shared<const CsrGraph>(build_transpose());
-  }
-  return *transpose_cache_;
-}
-
-CsrGraph CsrGraph::build_transpose() const {
-  const VertexId n = num_vertices();
-  const std::uint64_t m = num_edges();
-
-  OwnedArrays t;
-  t.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  // Counting pass: in-degree of every vertex...
-  for (const VertexId d : dst_) ++t.offsets[d + 1];
-  // ...prefix-summed into the transpose's offsets.
-  for (VertexId v = 0; v < n; ++v) t.offsets[v + 1] += t.offsets[v];
-
-  t.dst.resize(m);
-  if (!weights_.empty()) t.weights.resize(m);
-  std::vector<std::uint64_t> cursor(t.offsets.begin(), t.offsets.end() - 1);
-  for (VertexId u = 0; u < n; ++u) {
-    for (std::uint64_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
-      const std::uint64_t pos = cursor[dst_[i]]++;
-      t.dst[pos] = u;
-      if (!weights_.empty()) t.weights[pos] = weights_[i];
-    }
-  }
-  return adopt(std::move(t));
-}
-
 Graph CsrGraph::to_graph() const {
   Graph g(num_vertices());
   for (VertexId u = 0; u < num_vertices(); ++u) {

@@ -21,9 +21,8 @@
 // The mutable builder API stays on graph::Graph; `Graph::finalize()` packs
 // it into a CsrGraph. Engines, partitioners and I/O all consume the CSR
 // form: neighbor iteration is a linear scan of one contiguous array
-// instead of a pointer chase through per-vertex heap blocks, and
-// `transpose()` / `sorted_by_dst()` are O(V+E) counting passes instead of
-// per-list sorts. The on-disk snapshot (graph/io.hpp) is these three
+// instead of a pointer chase through per-vertex heap blocks. The on-disk
+// snapshot (graph/io.hpp) is these three
 // arrays written raw behind a checksummed header — see DESIGN.md section 5.
 
 #include <algorithm>
@@ -31,7 +30,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -136,52 +134,10 @@ class EdgeSpan {
 };
 
 /// Immutable CSR graph. Construct via Graph::finalize(), the from_arrays
-/// factory (I/O), or the O(V+E) structural passes below.
+/// factory (I/O), or a from_view over mapped storage.
 class CsrGraph {
  public:
   CsrGraph() = default;
-
-  // The lazily-built transpose cache carries a mutex, so the special
-  // members are hand-written: copies share the storage handle, the spans
-  // and the (immutable) cached transpose, moves steal them, and each
-  // instance owns a fresh mutex.
-  CsrGraph(const CsrGraph& other)
-      : offsets_(other.offsets_),
-        dst_(other.dst_),
-        weights_(other.weights_),
-        storage_(other.storage_),
-        external_storage_(other.external_storage_),
-        transpose_cache_(other.cached_transpose()) {}
-  CsrGraph(CsrGraph&& other) noexcept
-      : offsets_(other.offsets_),
-        dst_(other.dst_),
-        weights_(other.weights_),
-        storage_(std::move(other.storage_)),
-        external_storage_(other.external_storage_),
-        transpose_cache_(std::move(other.transpose_cache_)) {}
-  CsrGraph& operator=(const CsrGraph& other) {
-    if (this != &other) {
-      offsets_ = other.offsets_;
-      dst_ = other.dst_;
-      weights_ = other.weights_;
-      storage_ = other.storage_;
-      external_storage_ = other.external_storage_;
-      transpose_cache_ = other.cached_transpose();
-    }
-    return *this;
-  }
-  CsrGraph& operator=(CsrGraph&& other) noexcept {
-    if (this != &other) {
-      offsets_ = other.offsets_;
-      dst_ = other.dst_;
-      weights_ = other.weights_;
-      storage_ = std::move(other.storage_);
-      external_storage_ = other.external_storage_;
-      transpose_cache_ = std::move(other.transpose_cache_);
-    }
-    return *this;
-  }
-  ~CsrGraph() = default;
 
   /// Takes ownership of pre-built CSR arrays, validating the invariants
   /// (monotone offsets ending at dst.size(), in-range destinations,
@@ -258,26 +214,6 @@ class CsrGraph {
                     static_cast<std::size_t>(offsets_[u + 1] - offsets_[u]));
   }
 
-  /// Graph with every edge direction flipped, in one stable counting pass
-  /// over the edge array (O(V+E), no per-list sorting). The transpose's
-  /// adjacency lists come out sorted by destination as a side effect of
-  /// the counting sort's stability.
-  ///
-  /// Built lazily ONCE and cached (thread-safe): repeat callers — the
-  /// pull gather path reads it every dense superstep — get the same
-  /// object back, so take it by reference. The reference is valid for
-  /// this graph's lifetime; copies of the graph share the cache.
-  [[nodiscard]] const CsrGraph& transpose() const;
-
-  /// Same graph with every adjacency list sorted by destination id
-  /// (duplicates keep their relative order): two stable counting passes,
-  /// i.e. transpose twice — still O(V+E), unlike the builder's
-  /// per-list comparison sorts. Served from the transpose cache (each
-  /// pass built at most once); same lifetime rule as transpose().
-  [[nodiscard]] const CsrGraph& sorted_by_dst() const {
-    return transpose().transpose();
-  }
-
   /// Expand back into the mutable builder form (symmetrize/simplify
   /// workflows on loaded snapshots).
   [[nodiscard]] Graph to_graph() const;
@@ -287,10 +223,10 @@ class CsrGraph {
   /// "same checksum" means "byte-identical CSR arrays".
   [[nodiscard]] std::uint64_t checksum() const noexcept;
 
-  /// Structural equality over the three CSR arrays (the transpose cache
-  /// and the storage backing are derived/incidental state and do not
-  /// participate — a heap-loaded and an mmap-loaded snapshot compare
-  /// equal when their arrays match byte for byte).
+  /// Structural equality over the three CSR arrays (the storage backing
+  /// is incidental and does not participate — a heap-loaded and an
+  /// mmap-loaded snapshot compare equal when their arrays match byte for
+  /// byte).
   friend bool operator==(const CsrGraph& a, const CsrGraph& b) {
     return std::equal(a.offsets_.begin(), a.offsets_.end(),
                       b.offsets_.begin(), b.offsets_.end()) &&
@@ -337,15 +273,6 @@ class CsrGraph {
     if (u >= num_vertices()) throw std::out_of_range("CsrGraph: bad vertex id");
   }
 
-  /// The transpose arrays themselves (one counting pass; no caching).
-  [[nodiscard]] CsrGraph build_transpose() const;
-
-  /// Snapshot of the cache pointer under the lock (copy/assign helpers).
-  [[nodiscard]] std::shared_ptr<const CsrGraph> cached_transpose() const {
-    std::lock_guard<std::mutex> lock(transpose_mutex_);
-    return transpose_cache_;
-  }
-
   /// What a default-constructed (empty) graph's offsets span points at.
   static constexpr std::uint64_t kEmptyOffsets[1] = {0};
 
@@ -359,12 +286,6 @@ class CsrGraph {
   /// snapshots), or null (the empty graph). Copies share it.
   std::shared_ptr<const void> storage_;
   bool external_storage_ = false;
-
-  // Lazily-built transpose (mutable: building it does not change the
-  // graph observably). shared_ptr so copies of the graph share one
-  // transpose instead of re-running the counting pass.
-  mutable std::mutex transpose_mutex_;
-  mutable std::shared_ptr<const CsrGraph> transpose_cache_;
 };
 
 }  // namespace pregel::graph

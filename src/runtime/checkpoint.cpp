@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -28,9 +29,11 @@ namespace {
 // "PGCP" little-endian, next to the snapshot's "PGCH": same family,
 // never confusable with a graph snapshot.
 constexpr std::uint32_t kCheckpointMagic = 0x50434750u;
-// Version 2: the embedded RunStats record lost its five pipelined-round
-// fields, so a version-1 payload would misparse.
-constexpr std::uint32_t kCheckpointVersion = 2;
+// Version 3: the worker payload lost its push/pull direction byte and the
+// embedded RunStats record its per-superstep direction vector, so a
+// version-2 payload would misparse (version 2 had already dropped
+// RunStats' five pipelined-round fields from version 1).
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 // On-disk header, all fields little-endian (the repo targets
 // little-endian hosts; the byteswapped-magic check below catches a
@@ -142,8 +145,12 @@ CheckpointConfig CheckpointConfig::from_env() {
   if (const char* resume = std::getenv("PGCH_RESUME")) {
     if (resume[0] != '\0') {
       cfg.resume = true;
-      cfg.resume_epoch =
-          std::strcmp(resume, "auto") == 0 ? -1 : env_int("PGCH_RESUME", -1);
+      // Exactly "auto" or an epoch: a negative number would read as the
+      // "scan everything" hint, so it is refused rather than taken as auto.
+      cfg.resume_epoch = std::strcmp(resume, "auto") == 0
+                             ? -1
+                             : static_cast<int>(parse_int64(
+                                   "PGCH_RESUME", resume, 0, INT_MAX));
     }
   }
   return cfg;

@@ -63,8 +63,9 @@ struct CheckpointConfig {
   /// engine proposes its best locally valid committed epoch to the team
   /// instead of starting from superstep 0.
   bool resume = false;
-  /// Epoch hint from PGCH_RESUME=<n>; -1 for "auto" (scan the
-  /// directory). Only consulted when `resume` is true.
+  /// Epoch hint from PGCH_RESUME=<n>, n in 0..INT_MAX; -1 for "auto"
+  /// (scan the directory). Anything else throws std::invalid_argument.
+  /// Only consulted when `resume` is true.
   int resume_epoch = -1;
 
   [[nodiscard]] bool enabled() const noexcept { return every > 0; }

@@ -26,13 +26,6 @@
 // ship no headers: the writer logs (channel_id, byte_len) in its own lane
 // and the reader validates against that log — same loud failure, zero
 // protocol overhead on the loopback path.
-//
-// Direction-optimized supersteps (DESIGN.md section 9) need nothing new
-// from this layer: a pull-capable channel's boundary values ride its
-// ordinary frame lane like any payload, and the rank's own edges produce
-// a zero-byte self payload — a valid frame, costing no wire bytes, which
-// is exactly how pull's "local edges are free" shows up in the
-// per-channel byte accounting.
 
 #include <algorithm>
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
-#include <stdexcept>
 
 namespace pregel::runtime {
 
@@ -67,19 +66,6 @@ void RunStats::merge_from(const RunStats& other) {
   merge_per_superstep(active_per_superstep, other.active_per_superstep);
   merge_per_superstep(bytes_per_superstep, other.bytes_per_superstep);
   active_vertex_total += other.active_vertex_total;
-  // The per-superstep direction is a collective decision broadcast over
-  // the control lane: every rank must have recorded the identical
-  // sequence. A divergence means the direction collective broke (e.g.
-  // PGCH_DIRECTION set differently across TCP rank processes) — fail
-  // loudly rather than report a record that describes no actual run.
-  if (direction_per_superstep.empty()) {
-    direction_per_superstep = other.direction_per_superstep;
-  } else if (!other.direction_per_superstep.empty() &&
-             direction_per_superstep != other.direction_per_superstep) {
-    throw std::logic_error(
-        "RunStats::merge_from: ranks disagree on the per-superstep "
-        "direction — the push/pull decision must be collective");
-  }
   // Per-slot compute time is a wall quantity like the phase split above:
   // the team figure for slot s is the slowest rank's slot s.
   if (other.compute_slot_seconds.size() > compute_slot_seconds.size()) {
@@ -118,7 +104,6 @@ void RunStats::serialize(Buffer& out) const {
   out.write_vector(active_per_superstep);
   out.write(active_vertex_total);
   out.write_vector(bytes_per_superstep);
-  out.write_vector(direction_per_superstep);
   out.write_vector(compute_slot_seconds);
   out.write_vector(rank_compute_seconds);
 }
@@ -144,7 +129,6 @@ RunStats RunStats::deserialize(Buffer& in) {
   s.active_per_superstep = in.read_vector<std::uint64_t>();
   s.active_vertex_total = in.read<std::uint64_t>();
   s.bytes_per_superstep = in.read_vector<std::uint64_t>();
-  s.direction_per_superstep = in.read_vector<std::uint8_t>();
   s.compute_slot_seconds = in.read_vector<double>();
   s.rank_compute_seconds = in.read_vector<double>();
   return s;
@@ -196,35 +180,6 @@ std::string RunStats::detailed() const {
     os << "  active vertices: " << active_vertex_total << " total, "
        << active_vertex_total / active_per_superstep.size()
        << " avg/superstep\n";
-  }
-  if (!direction_per_superstep.empty()) {
-    // Run-length encoded alongside the frontier sizes: each segment shows
-    // the direction, how many consecutive supersteps ran it, and the
-    // frontier-size range those supersteps saw.
-    os << "  direction/superstep:";
-    std::size_t i = 0;
-    while (i < direction_per_superstep.size()) {
-      std::size_t j = i;
-      while (j < direction_per_superstep.size() &&
-             direction_per_superstep[j] == direction_per_superstep[i]) {
-        ++j;
-      }
-      os << " " << (direction_per_superstep[i] != 0 ? "pull" : "push") << "x"
-         << (j - i);
-      if (i < active_per_superstep.size()) {
-        std::uint64_t lo = active_per_superstep[i], hi = lo;
-        for (std::size_t k = i; k < j && k < active_per_superstep.size();
-             ++k) {
-          lo = std::min(lo, active_per_superstep[k]);
-          hi = std::max(hi, active_per_superstep[k]);
-        }
-        os << "(active " << lo;
-        if (hi != lo) os << ".." << hi;
-        os << ")";
-      }
-      i = j;
-    }
-    os << "\n";
   }
   if (!bytes_per_superstep.empty()) {
     std::uint64_t total = 0, peak = 0;

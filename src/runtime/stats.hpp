@@ -54,12 +54,6 @@ struct RunStats {
   /// their sum). Merged element-wise across ranks.
   std::vector<std::uint64_t> bytes_per_superstep;
 
-  /// Direction the engine chose for each superstep (channel engine only;
-  /// index 0 = superstep 1): 0 = push, 1 = pull — the numeric values of
-  /// core::Direction. The decision is collective, so every rank records
-  /// the identical sequence; merge_from() asserts that.
-  std::vector<std::uint8_t> direction_per_superstep;
-
   /// CPU seconds each ComputePool slot burned in compute phases over the
   /// run (index = slot; empty for sequential compute; CPU rather than
   /// wall time so the figure survives an oversubscribed host). Skew
@@ -92,11 +86,6 @@ struct RunStats {
   void note_active(std::uint64_t n) {
     active_per_superstep.push_back(n);
     active_vertex_total += n;
-  }
-
-  /// Record one superstep's chosen direction (0 = push, 1 = pull).
-  void note_direction(std::uint8_t dir) {
-    direction_per_superstep.push_back(dir);
   }
 
   /// Fold another rank's stats of the same run into this one, explicitly

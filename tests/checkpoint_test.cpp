@@ -119,29 +119,33 @@ TEST_F(Checkpoint, LatestValidEpochWalksPastDamage) {
 
 TEST_F(Checkpoint, OlderFormatVersionIsRefusedByName) {
   const std::string dir = scratch_dir("version");
-  runtime::write_checkpoint(dir, 0, 2, 2, payload_of("current"));
-  runtime::write_checkpoint(dir, 0, 2, 4, payload_of("from an old build"));
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    const std::string label = "version " + std::to_string(old_version);
+    // Fresh files each pass: the previous pass patched epoch 4.
+    runtime::write_checkpoint(dir, 0, 2, 2, payload_of("current"));
+    runtime::write_checkpoint(dir, 0, 2, 4, payload_of("from an old build"));
 
-  // Patch the epoch-4 header's version field (the u32 after the magic) to
-  // 1. The payload and its checksum are untouched, so only the version
-  // check can reject the file.
-  const std::string path = runtime::checkpoint_path(dir, 0, 4);
-  FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  const std::uint32_t old_version = 1;
-  ASSERT_EQ(std::fseek(f, sizeof(std::uint32_t), SEEK_SET), 0);
-  ASSERT_EQ(std::fwrite(&old_version, sizeof old_version, 1, f), 1u);
-  std::fclose(f);
+    // Patch the epoch-4 header's version field (the u32 after the magic)
+    // to the older version. The payload and its checksum are untouched,
+    // so only the version check can reject the file.
+    const std::string path = runtime::checkpoint_path(dir, 0, 4);
+    FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr) << label;
+    ASSERT_EQ(std::fseek(f, sizeof(std::uint32_t), SEEK_SET), 0) << label;
+    ASSERT_EQ(std::fwrite(&old_version, sizeof old_version, 1, f), 1u)
+        << label;
+    std::fclose(f);
 
-  try {
-    (void)runtime::load_checkpoint(dir, 0, 2, 4);
-    ADD_FAILURE() << "a version-1 checkpoint was accepted";
-  } catch (const runtime::CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
-              std::string::npos)
-        << e.what();
+    try {
+      (void)runtime::load_checkpoint(dir, 0, 2, 4);
+      ADD_FAILURE() << "a " << label << " checkpoint was accepted";
+    } catch (const runtime::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported " + label),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(runtime::latest_valid_epoch(dir, 0, 2, INT_MAX), 2) << label;
   }
-  EXPECT_EQ(runtime::latest_valid_epoch(dir, 0, 2, INT_MAX), 2);
 }
 
 TEST_F(Checkpoint, MarkerCommitsAnEpochPerWorldSize) {

@@ -1,7 +1,7 @@
 // Tests for the CSR graph core and the binary snapshot pipeline:
-// builder→CSR equivalence, the O(E) structural passes (transpose, sort),
-// array validation, snapshot round-trips with corrupt-file rejection, the
-// edge-list converter path, and the partitioners over CSR views.
+// builder→CSR equivalence, the to_graph round trip, array validation,
+// snapshot round-trips with corrupt-file rejection, the edge-list
+// converter path, and the partitioners over CSR views.
 
 #include <gtest/gtest.h>
 
@@ -90,7 +90,6 @@ TEST(Csr, EmptyGraph) {
   EXPECT_EQ(c.num_vertices(), 0u);
   EXPECT_EQ(c.num_edges(), 0u);
   EXPECT_EQ(c.avg_degree(), 0.0);
-  EXPECT_EQ(c.transpose().num_vertices(), 0u);
 }
 
 TEST(Csr, EdgeSpanSupportsStandardAlgorithms) {
@@ -114,97 +113,7 @@ TEST(Csr, EdgeSpanSupportsStandardAlgorithms) {
   EXPECT_EQ((span.end() - span.begin()), 3);
 }
 
-// ------------------------------------------------- structural passes ------
-
-TEST(Csr, TransposeMatchesBuilderReversed) {
-  RmatOptions opts;
-  opts.num_vertices = 256;
-  opts.num_edges = 2048;
-  opts.weighted = true;
-  opts.seed = 9;
-  const Graph g = rmat(opts);
-  const CsrGraph t = g.finalize().transpose();
-
-  Graph rev = g.reversed();
-  rev.sort_adjacency();
-  // The counting-sort transpose emits each vertex's in-edges in source
-  // order; reversed()+sort gives dst-then-weight order. Compare as
-  // multisets per vertex.
-  ASSERT_EQ(rev.num_edges(), t.num_edges());
-  for (VertexId u = 0; u < t.num_vertices(); ++u) {
-    std::vector<Edge> got(t.out(u).begin(), t.out(u).end());
-    std::sort(got.begin(), got.end(), [](const Edge& a, const Edge& b) {
-      return a.dst != b.dst ? a.dst < b.dst : a.weight < b.weight;
-    });
-    const auto expect = rev.out(u);
-    ASSERT_EQ(expect.size(), got.size()) << "vertex " << u;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(expect[i].dst, got[i].dst);
-      EXPECT_EQ(expect[i].weight, got[i].weight);
-    }
-  }
-}
-
-TEST(Csr, DoubleTransposeIsIdentityUpToOrder) {
-  const Graph g = erdos_renyi(200, 1000, 77);
-  const CsrGraph c = g.finalize();
-  const CsrGraph round = c.transpose().transpose();
-  ASSERT_EQ(round.num_edges(), c.num_edges());
-  for (VertexId u = 0; u < c.num_vertices(); ++u) {
-    std::vector<VertexId> a(c.neighbors(u).begin(), c.neighbors(u).end());
-    std::vector<VertexId> b(round.neighbors(u).begin(),
-                            round.neighbors(u).end());
-    std::sort(a.begin(), a.end());
-    ASSERT_TRUE(std::is_sorted(b.begin(), b.end()));  // counting sort sorts
-    EXPECT_EQ(a, b);
-  }
-}
-
-TEST(Csr, TransposeIsCachedAndSharedAcrossCopies) {
-  const CsrGraph c = erdos_renyi(200, 1000, 78).finalize();
-  // Lazy once: two calls hand back the same object, not two passes.
-  const CsrGraph* first = &c.transpose();
-  const CsrGraph* second = &c.transpose();
-  EXPECT_EQ(first, second);
-  // Copies share the already-built cache instead of rebuilding it.
-  const CsrGraph copy = c;
-  EXPECT_EQ(&copy.transpose(), first);
-  // Equality ignores the derived cache: a fresh (cache-less) copy of the
-  // same arrays still compares equal.
-  const CsrGraph fresh = erdos_renyi(200, 1000, 78).finalize();
-  EXPECT_TRUE(fresh == c);
-}
-
-TEST(Csr, TransposeOfTransposeRoundTripsSortedGraph) {
-  // On a graph whose lists are already destination-sorted, transposing
-  // twice is the identity — byte-identical arrays.
-  const CsrGraph c =
-      erdos_renyi(150, 900, 79).finalize().sorted_by_dst();
-  const CsrGraph& round = c.transpose().transpose();
-  EXPECT_TRUE(round == c);
-  // And sorted_by_dst() of a sorted graph is served from the same cache
-  // chain — same object on every call.
-  EXPECT_EQ(&c.sorted_by_dst(), &round);
-}
-
-TEST(Csr, SortedByDstSortsEveryList) {
-  RmatOptions opts;
-  opts.num_vertices = 128;
-  opts.num_edges = 1024;
-  opts.weighted = true;
-  opts.seed = 31;
-  const CsrGraph c = rmat(opts).finalize();
-  const CsrGraph s = c.sorted_by_dst();
-  ASSERT_EQ(s.num_edges(), c.num_edges());
-  std::uint64_t weight_sum_c = 0, weight_sum_s = 0;
-  for (VertexId u = 0; u < c.num_vertices(); ++u) {
-    const auto nb = s.neighbors(u);
-    EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
-    for (const Edge& e : c.out(u)) weight_sum_c += e.weight;
-    for (const Edge& e : s.out(u)) weight_sum_s += e.weight;
-  }
-  EXPECT_EQ(weight_sum_c, weight_sum_s);
-}
+// ------------------------------------------- round trip and validation ------
 
 TEST(Csr, ToGraphRoundTrips) {
   RmatOptions opts;

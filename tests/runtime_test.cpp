@@ -354,6 +354,8 @@ TEST(EnvKnobs, StrictNumericParsingTable) {
       {"PGCH_CHECKPOINT_EVERY", "x", every, 0, true},
       {"PGCH_RESUME", "7", resume, 7, false},
       {"PGCH_RESUME", "auto", resume, -1, false},
+      {"PGCH_RESUME", "0", resume, 0, false},
+      {"PGCH_RESUME", "-7", resume, 0, true},
       {"PGCH_RESUME", "latest", resume, 0, true},
       {"PGCH_RANK", "2", rank, 2, false},
       {"PGCH_RANK", "r2", rank, 0, true},
