@@ -11,7 +11,9 @@
 // channels instead of the monolithic 16-byte message) but can be slightly
 // SLOWER than Pregel+ (channel-round overhead across the many nearly-empty
 // supersteps — the one case the paper reports a loss); the propagation
-// version is ~2x faster unpartitioned and ~4x faster partitioned.
+// version is ~2x faster unpartitioned and ~4x faster partitioned. Here
+// both basic programs halt and compute only their frontier (DESIGN.md
+// section 6), which narrows the propagation version's lead.
 
 #include <benchmark/benchmark.h>
 

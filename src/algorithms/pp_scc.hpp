@@ -6,6 +6,9 @@
 // global combiner is legal, so the degree deltas travel uncombined
 // (one message per edge instead of one combined value per receiver).
 // This is the monolithic-message overhead Table IV quantifies for SCC.
+// The frontier follows SccBasic's rule (scc.hpp header): vertices halt
+// in every compute() and the phases that need everyone wake everyone, so
+// Table VII compares like with like.
 
 #include <cstdint>
 
@@ -28,37 +31,42 @@ class PPScc : public plus::PPWorker<SccVertex, PPSccMsg> {
 
   void begin_superstep() override {
     if (step_num() == 1) {
-      phase_ = Phase::kTrivSeed;
+      phase_ = Phase::kTrivSeed;  // every vertex starts active
       return;
     }
     switch (phase_) {
       case Phase::kTrivSeed:
-        phase_ = Phase::kTrivLoop;
+        enter(Phase::kTrivLoop);
         break;
       case Phase::kTrivLoop:
-        if (agg_result(0) == 0) phase_ = Phase::kFwdSeed;
+        if (agg_result(0) == 0) enter(Phase::kFwdSeed);
         break;
       case Phase::kFwdSeed:
-        phase_ = Phase::kFwdLoop;
+        enter(Phase::kFwdLoop);
         break;
       case Phase::kFwdLoop:
-        if (agg_result(0) == 0) phase_ = Phase::kBwdSeed;
+        if (agg_result(0) == 0) enter(Phase::kBwdSeed);
         break;
       case Phase::kBwdSeed:
-        phase_ = Phase::kBwdLoop;
+        enter(Phase::kBwdLoop);
         break;
       case Phase::kBwdLoop:
-        if (agg_result(0) == 0) phase_ = Phase::kDetect;
+        if (agg_result(0) == 0) enter(Phase::kDetect);
         break;
       case Phase::kDetect:
-        phase_ = (agg_result(1) == 0) ? Phase::kDone : Phase::kTrivSeed;
+        enter(agg_result(1) == 0 ? Phase::kDone : Phase::kTrivSeed);
         break;
       default:
         break;
     }
   }
 
+  [[nodiscard]] bool wants_next_superstep() const override {
+    return phase_ != Phase::kDone;
+  }
+
   void compute(SccVertex& v, std::span<const PPSccMsg> msgs) override {
+    v.vote_to_halt();  // a message, or the next phase change, wakes it
     auto& val = v.value();
     switch (phase_) {
       case Phase::kTrivSeed: {
@@ -123,15 +131,17 @@ class PPScc : public plus::PPWorker<SccVertex, PPSccMsg> {
         }
         break;
       }
-      case Phase::kDone:
-        v.vote_to_halt();
-        break;
       default:
         break;
     }
   }
 
  private:
+  void enter(Phase next) {
+    phase_ = next;
+    if (scc_detail::wakes_everyone(next)) this->activate_all();
+  }
+
   void send_deltas(SccVertex& v, std::int32_t delta) {
     for (const auto& e : v.edges()) {
       send_message(e.dst, PPSccMsg{e.weight == kFwdTag ? 0u : 1u, delta, 0,

@@ -27,6 +27,20 @@
 // SccPropagation spends one superstep exchanging colors, prunes the
 // propagation channels to same-color live edges, and lets the Propagation
 // channel finish each labelling in a constant number of supersteps.
+//
+// Frontier (SccBasic and the Pregel+ PPScc): every vertex votes to halt
+// at the top of compute(), so a superstep computes only the vertices a
+// message woke — in the label waves and the trivial-removal cascade only
+// a message receiver can change anything. begin_superstep() wakes every
+// vertex when it enters a phase that starts work no message announces
+// (scc_detail::wakes_everyone): kTrivSeed, kFwdSeed and kBwdSeed (every
+// live vertex seeds), kDetect (every live vertex compares its labels),
+// and the first kTrivLoop superstep (a vertex with no live neighbour in
+// one direction gets no delta there, yet must be removed). Dead vertices
+// are woken too and return at once; skipping them would cost a
+// per-vertex pass to save little. The program keeps the team running
+// through message-free supersteps with wants_next_superstep() until
+// kDone, so the superstep count is that of the all-active program.
 
 #include <algorithm>
 #include <cstdint>
@@ -94,6 +108,22 @@ enum class Phase {
   kDone,       ///< global halt
 };
 
+/// True for the phases whose first superstep must compute every vertex
+/// (see the header comment); the other phases compute message receivers
+/// only.
+inline bool wakes_everyone(Phase entered) {
+  switch (entered) {
+    case Phase::kTrivSeed:
+    case Phase::kTrivLoop:
+    case Phase::kFwdSeed:
+    case Phase::kBwdSeed:
+    case Phase::kDetect:
+      return true;
+    default:
+      return false;
+  }
+}
+
 inline Combiner<std::int32_t> sum_i32() {
   return make_combiner(c_sum, std::int32_t{0});
 }
@@ -118,30 +148,30 @@ class SccBasic : public Worker<SccVertex> {
 
   void begin_superstep() override {
     if (step_num() == 1) {
-      phase_ = Phase::kTrivSeed;
+      phase_ = Phase::kTrivSeed;  // every vertex starts active
       return;
     }
     switch (phase_) {
       case Phase::kTrivSeed:
-        phase_ = Phase::kTrivLoop;
+        enter(Phase::kTrivLoop);
         break;
       case Phase::kTrivLoop:
-        if (act_.result() == 0) phase_ = Phase::kFwdSeed;
+        if (act_.result() == 0) enter(Phase::kFwdSeed);
         break;
       case Phase::kFwdSeed:
-        phase_ = Phase::kFwdLoop;
+        enter(Phase::kFwdLoop);
         break;
       case Phase::kFwdLoop:
-        if (act_.result() == 0) phase_ = Phase::kBwdSeed;
+        if (act_.result() == 0) enter(Phase::kBwdSeed);
         break;
       case Phase::kBwdSeed:
-        phase_ = Phase::kBwdLoop;
+        enter(Phase::kBwdLoop);
         break;
       case Phase::kBwdLoop:
-        if (act_.result() == 0) phase_ = Phase::kDetect;
+        if (act_.result() == 0) enter(Phase::kDetect);
         break;
       case Phase::kDetect:
-        phase_ = (alive_.result() == 0) ? Phase::kDone : Phase::kTrivSeed;
+        enter(alive_.result() == 0 ? Phase::kDone : Phase::kTrivSeed);
         break;
       case Phase::kDone:
       case Phase::kColorXchg:
@@ -149,7 +179,19 @@ class SccBasic : public Worker<SccVertex> {
     }
   }
 
+  [[nodiscard]] bool wants_next_superstep() const override {
+    return phase_ != Phase::kDone;
+  }
+
+  void save_program_state(runtime::Buffer& out) const override {
+    out.write<Phase>(phase_);
+  }
+  void restore_program_state(runtime::Buffer& in) override {
+    phase_ = in.read<Phase>();
+  }
+
   void compute(SccVertex& v) override {
+    v.vote_to_halt();  // a message, or the next phase change, wakes it
     auto& val = v.value();
     switch (phase_) {
       case Phase::kTrivSeed: {
@@ -225,14 +267,17 @@ class SccBasic : public Worker<SccVertex> {
         break;
       }
       case Phase::kDone:
-        v.vote_to_halt();
-        break;
       case Phase::kColorXchg:
         break;
     }
   }
 
  private:
+  void enter(Phase next) {
+    phase_ = next;
+    if (scc_detail::wakes_everyone(next)) activate_all();
+  }
+
   static void assign(SccValue& val, VertexId id) {
     val.scc = id;
     val.live = false;
@@ -326,6 +371,13 @@ class SccPropagation : public Worker<SccVertex> {
       default:
         break;
     }
+  }
+
+  void save_program_state(runtime::Buffer& out) const override {
+    out.write<Phase>(phase_);
+  }
+  void restore_program_state(runtime::Buffer& in) override {
+    phase_ = in.read<Phase>();
   }
 
   void compute(SccVertex& v) override {

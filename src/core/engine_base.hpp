@@ -5,7 +5,8 @@
 // Pregel+-style PPWorker baseline and the Blogel-style BlockWorker
 // baseline — run the same outer loop: acquire the runtime Env, load the
 // rank's vertex slice, then repeat supersteps until a global quiescence
-// vote says no worker has active work, collecting wall-clock time and
+// vote says no worker has active work (and no program asked for another
+// superstep, wants_next_superstep()), collecting wall-clock time and
 // exchange statistics at the end. EngineBase owns that loop; engines
 // implement prepare() (per-rank loading before the first superstep) and
 // superstep() (one superstep's compute + communication, returning whether
@@ -152,7 +153,10 @@ class EngineBase {
       const bool any_local_active = superstep();
       stats_.bytes_per_superstep.push_back(
           env_.exchange->sent_bytes(env_.rank) - sent_before);
-      if (!env_.transport->vote_any(env_.rank, any_local_active)) break;
+      if (!env_.transport->vote_any(
+              env_.rank, any_local_active || wants_next_superstep())) {
+        break;
+      }
       maybe_checkpoint();
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -200,6 +204,15 @@ class EngineBase {
 
   /// Hook for engine-specific stats finalization after the loop.
   virtual void finish_stats() {}
+
+  /// Pregel's master-compute "continue" bit: a program whose next
+  /// superstep starts work no message announces (a phase change that
+  /// re-activates vertices in begin_superstep()) returns true so the
+  /// team runs that superstep even when every vertex has halted. It
+  /// rides in the existing quiescence vote — no extra collective — and
+  /// must agree on every rank (decide it from globally consistent state:
+  /// step_num(), aggregator results, the program's phase).
+  [[nodiscard]] virtual bool wants_next_superstep() const { return false; }
 
   // ---- checkpoint hooks (DESIGN.md section 12) ---------------------------
   // Engines that support checkpointing freeze every bit of state a

@@ -134,6 +134,28 @@ class Propagation : public Channel {
 
   bool again() override { return head_ < queue_.size(); }
 
+  // ---- checkpoint/restore ------------------------------------------------
+  // At the superstep boundary the propagation is quiescent (queue
+  // drained, nothing staged), so what outlives it is the converged values
+  // get_value() reads next superstep and the registered edges.
+
+  void save_state(runtime::Buffer& out) override {
+    out.write_vector(vals_);
+    for (const auto& adj : local_adj_) out.write_vector(adj);
+    for (const auto& adj : remote_adj_) out.write_vector(adj);
+  }
+
+  void restore_state(runtime::Buffer& in) override {
+    vals_ = in.read_vector<ValT>();
+    if (vals_.size() != local_adj_.size()) {
+      throw runtime::ProtocolError(
+          "Propagation restore: checkpoint shape does not match this "
+          "rank's vertex count");
+    }
+    for (auto& adj : local_adj_) adj = in.read_vector<std::uint32_t>();
+    for (auto& adj : remote_adj_) adj = in.read_vector<RemoteEdge>();
+  }
+
  private:
   struct RemoteEdge {
     int owner;

@@ -127,6 +127,12 @@ class VertexColumns {
     active_.reset(dg.num_local(rank), /*value=*/true);
   }
 
+  /// Wake every local vertex. Programs call it from begin_superstep()
+  /// only — the frontier is quiescent there (no compute or delivery
+  /// slot is running) — when a new phase starts work that no message
+  /// announces.
+  void activate_all() { active_.fill(true); }
+
   [[nodiscard]] std::uint32_t num_columns() const noexcept {
     return static_cast<std::uint32_t>(values_.size());
   }

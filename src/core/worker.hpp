@@ -163,6 +163,14 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// aggregator results) so every rank transitions identically.
   virtual void begin_superstep() {}
 
+  /// Program members a superstep boundary carries forward beyond the
+  /// vertex values, the frontier and the channels — a multi-phase
+  /// program's phase, say. A checkpoint stores them after the channel
+  /// state and a restore hands them back, so a resumed run replays the
+  /// uninterrupted one (DESIGN.md section 12). Default: none.
+  virtual void save_program_state(runtime::Buffer& /*out*/) const {}
+  virtual void restore_program_state(runtime::Buffer& /*in*/) {}
+
   /// Enable work stealing between compute slots (default: the PGCH_STEAL
   /// environment variable, else off). Takes effect only with
   /// compute_threads() > 1: the compute phase over-decomposes into
@@ -213,10 +221,12 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
 
   // ---- checkpoint/restore (DESIGN.md section 12) -------------------------
   // The superstep boundary carries forward: the value column, the
-  // frontier, the accumulated stats, and each channel's receive-side
-  // state. Everything else (staging shards, publish epochs, the out-edge
-  // index) is rebuilt from scratch by the fresh worker every rank
-  // constructs after recovery.
+  // frontier, the accumulated stats, each channel's receive-side state
+  // and the program's own state (save_program_state()). Everything else
+  // (staging shards, publish epochs, the out-edge index) is rebuilt from
+  // scratch by the fresh worker every rank constructs after recovery.
+  // Channel and program sections are length-prefixed, so a restore that
+  // reads a different size than was saved throws ProtocolError.
 
   void checkpoint_save(runtime::Buffer& out) override {
     if constexpr (runtime::TriviallySerializable<ValueT>) {
@@ -227,11 +237,9 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       out.write<std::uint32_t>(static_cast<std::uint32_t>(channels_.size()));
       for (Channel* c : channels_) {
         out.write_string(c->name());
-        const std::size_t patch = out.reserve_u32();
-        const std::size_t before = out.size();
-        c->save_state(out);
-        out.patch_u32(patch, static_cast<std::uint32_t>(out.size() - before));
+        save_section(out, [&] { c->save_state(out); });
       }
+      save_section(out, [&] { save_program_state(out); });
     } else {
       throw std::logic_error(
           "checkpointing requires a trivially serializable vertex value "
@@ -263,15 +271,11 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
               "checkpoint restore: expected channel '" + c->name() +
               "', found '" + name + "' (registration order changed?)");
         }
-        const auto len = in.read<std::uint32_t>();
-        const std::size_t before = in.remaining();
-        c->restore_state(in);
-        if (before - in.remaining() != len) {
-          throw runtime::ProtocolError(
-              "checkpoint restore: channel '" + c->name() +
-              "' consumed a different size than it saved");
-        }
+        restore_section(in, "channel '" + c->name() + "'",
+                        [&] { c->restore_state(in); });
       }
+      restore_section(in, "program state",
+                      [&] { restore_program_state(in); });
     } else {
       throw std::logic_error(
           "checkpointing requires a trivially serializable vertex value "
@@ -280,6 +284,30 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   }
 
  private:
+  /// One length-prefixed checkpoint section: `save` appends it to `out`.
+  template <typename Save>
+  static void save_section(runtime::Buffer& out, Save&& save) {
+    const std::size_t patch = out.reserve_u32();
+    const std::size_t before = out.size();
+    save();
+    out.patch_u32(patch, static_cast<std::uint32_t>(out.size() - before));
+  }
+
+  /// Read back a section written by save_section(); `restore` must
+  /// consume exactly the saved length.
+  template <typename Restore>
+  static void restore_section(runtime::Buffer& in, const std::string& what,
+                              Restore&& restore) {
+    const auto len = in.read<std::uint32_t>();
+    const std::size_t before = in.remaining();
+    restore();
+    if (before - in.remaining() != len) {
+      throw runtime::ProtocolError("checkpoint restore: " + what +
+                                   " consumed a different size than it "
+                                   "saved");
+    }
+  }
+
   void load_vertices() {
     this->init_columns(*env_.dg, env_.rank);
     const std::uint32_t n = num_local();
@@ -645,10 +673,13 @@ runtime::RunStats launch(
   runtime::Exchange exchange(transport);
   std::vector<runtime::RunStats> per_rank(
       static_cast<std::size_t>(num_workers));
-  runtime::WorkerTeam::run(num_workers, [&](int rank) {
-    per_rank[static_cast<std::size_t>(rank)] = detail::run_rank<WorkerT>(
-        dg, exchange, transport, rank, configure, collect);
-  });
+  runtime::WorkerTeam::run(
+      num_workers,
+      [&](int rank) {
+        per_rank[static_cast<std::size_t>(rank)] = detail::run_rank<WorkerT>(
+            dg, exchange, transport, rank, configure, collect);
+      },
+      [&transport] { transport.abort(); });
 
   runtime::RunStats merged = per_rank[0];
   for (int r = 1; r < num_workers; ++r) {

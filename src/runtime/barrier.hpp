@@ -16,7 +16,18 @@
 #include <type_traits>
 #include <vector>
 
+#include "runtime/buffer.hpp"  // ProtocolError
+
 namespace pregel::runtime {
+
+/// The transport layer failed to move bytes (peer disappeared, malformed
+/// wire message, endpoint unreachable, or an in-process team aborted
+/// because one of its ranks failed). Distinct from FrameMismatchError,
+/// which means the bytes arrived but a channel misread them.
+class TransportError : public ProtocolError {
+ public:
+  using ProtocolError::ProtocolError;
+};
 
 /// Reusable counting barrier for a fixed-size worker team.
 ///
@@ -37,6 +48,7 @@ class Barrier {
   template <typename Completion>
   void arrive_and_wait(Completion&& completion) {
     std::unique_lock<std::mutex> lock(mutex_);
+    if (aborted_) throw_aborted();
     const std::uint64_t my_gen = generation_;
     if (++arrived_ == num_threads_) {
       if constexpr (!std::is_same_v<std::decay_t<Completion>,
@@ -47,18 +59,36 @@ class Barrier {
       ++generation_;
       cv_.notify_all();
     } else {
-      cv_.wait(lock, [&] { return generation_ != my_gen; });
+      cv_.wait(lock, [&] { return generation_ != my_gen || aborted_; });
+      if (generation_ == my_gen) throw_aborted();
     }
+  }
+
+  /// Fail the team: wake every waiter and make every current and later
+  /// arrive_and_wait() throw TransportError. A rank that failed calls
+  /// this so peers blocked at (or heading for) a collective fail too
+  /// instead of waiting forever for it. Idempotent.
+  void abort() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      aborted_ = true;
+    }
+    cv_.notify_all();
   }
 
   [[nodiscard]] int team_size() const noexcept { return num_threads_; }
 
  private:
+  [[noreturn]] static void throw_aborted() {
+    throw TransportError("barrier aborted: another rank of the team failed");
+  }
+
   const int num_threads_;
   std::mutex mutex_;
   std::condition_variable cv_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
+  bool aborted_ = false;
 };
 
 /// All-reduce over a worker team: every rank contributes a value, every

@@ -32,8 +32,10 @@ constexpr std::uint32_t kCheckpointMagic = 0x50434750u;
 // Version 3: the worker payload lost its push/pull direction byte and the
 // embedded RunStats record its per-superstep direction vector, so a
 // version-2 payload would misparse (version 2 had already dropped
-// RunStats' five pipelined-round fields from version 1).
-constexpr std::uint32_t kCheckpointVersion = 3;
+// RunStats' five pipelined-round fields from version 1). Version 4: the
+// worker payload ends with a length-prefixed program-state section
+// (Worker::save_program_state), which a version-3 payload lacks.
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 // On-disk header, all fields little-endian (the repo targets
 // little-endian hosts; the byteswapped-magic check below catches a

@@ -33,14 +33,6 @@
 
 namespace pregel::runtime {
 
-/// The transport layer failed to move bytes (peer disappeared, malformed
-/// wire message, endpoint unreachable). Distinct from FrameMismatchError,
-/// which means the bytes arrived but a channel misread them.
-class TransportError : public ProtocolError {
- public:
-  using ProtocolError::ProtocolError;
-};
-
 /// Which transport backs a run. kInProcess: one process, workers are
 /// threads, buffer exchange is a matrix swap. kTcp: one process per rank,
 /// buffers cross real sockets.
@@ -198,6 +190,12 @@ class InProcessTransport final : public Transport {
   }
 
   void barrier(int /*rank*/) override { barrier_->arrive_and_wait(); }
+
+  /// Fail every collective of the team — current and later — with
+  /// TransportError (every collective here, the all-reduces included,
+  /// is a round of the one barrier). launch() calls it when a rank
+  /// throws, so the surviving ranks fail instead of hanging.
+  void abort() { barrier_->abort(); }
 
   std::uint64_t allreduce_or(int rank, std::uint64_t local) override {
     return allreduce(rank, local,

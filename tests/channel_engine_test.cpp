@@ -6,18 +6,32 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <future>
 #include <limits>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifndef _WIN32
+#include <unistd.h>
+#endif
 
 #include "algorithms/pagerank.hpp"
 #include "algorithms/runner.hpp"
 #include "algorithms/sv.hpp"
 #include "core/pregel_channel.hpp"
 #include "graph/generators.hpp"
+#include "pregelplus/pp_worker.hpp"
 #include "ref/reference.hpp"
+#include "runtime/checkpoint.hpp"
 
 namespace {
 
@@ -107,6 +121,172 @@ TEST(Engine, MessagesReactivateHaltedVertices) {
   }
   // Token takes one superstep per hop plus the seeding superstep.
   EXPECT_EQ(stats.supersteps, static_cast<int>(kN) + 1);
+}
+
+// ------------------------------------------- the "next superstep" bit ----
+
+/// Every vertex computes once and halts in superstep 1; with the default
+/// "continue" bit the run ends there.
+class HaltAtOnceWorker : public Worker<CounterVertex> {
+ public:
+  void compute(CounterVertex& v) override {
+    v.value().computes++;
+    v.vote_to_halt();
+  }
+};
+
+/// The same program; its "continue" bit alone keeps the team running
+/// through superstep 4.
+class ContinueWorker : public HaltAtOnceWorker {
+ public:
+  [[nodiscard]] bool wants_next_superstep() const override {
+    return step_num() < 4;
+  }
+};
+
+/// The same program on the Pregel+ baseline engine.
+class ContinuePPWorker : public plus::PPWorker<CounterVertex, int> {
+ public:
+  void compute(CounterVertex& v, std::span<const int> /*msgs*/) override {
+    v.value().computes++;
+    v.vote_to_halt();
+  }
+  [[nodiscard]] bool wants_next_superstep() const override {
+    return step_num() < 4;
+  }
+};
+
+template <typename WorkerT>
+void expect_halted_team_runs_to(int supersteps) {
+  constexpr graph::VertexId kN = 16;
+  const auto dg = make_ring(kN, 4);
+  std::vector<int> computes;
+  const auto stats = algo::run_collect<WorkerT>(
+      dg, computes, [](const CounterVertex& v) { return v.value().computes; });
+  EXPECT_EQ(stats.supersteps, supersteps);
+  for (const int c : computes) EXPECT_EQ(c, 1);
+  std::vector<std::uint64_t> active(static_cast<std::size_t>(supersteps), 0);
+  active[0] = kN;  // compute() ran in superstep 1 only
+  EXPECT_EQ(stats.active_per_superstep, active);
+}
+
+TEST(Engine, NextSuperstepBitRunsSupersteps) {
+  expect_halted_team_runs_to<ContinueWorker>(4);
+}
+
+TEST(Engine, NextSuperstepBitRunsPregelPlusSupersteps) {
+  expect_halted_team_runs_to<ContinuePPWorker>(4);
+}
+
+TEST(Engine, DefaultNextSuperstepBitEndsAHaltedTeam) {
+  expect_halted_team_runs_to<HaltAtOnceWorker>(1);
+}
+
+// ------------------------------------- program state in a checkpoint ----
+
+/// Saves two words of program state; restores only one of them when
+/// `short_read` is set.
+class ProgramStateWorker : public Worker<CounterVertex> {
+ public:
+  bool short_read = false;
+
+  void compute(CounterVertex& v) override {
+    v.value().computes++;
+    if (step_num() >= 4) v.vote_to_halt();
+  }
+  void save_program_state(runtime::Buffer& out) const override {
+    out.write<std::uint32_t>(1);
+    out.write<std::uint32_t>(2);
+  }
+  void restore_program_state(runtime::Buffer& in) override {
+    (void)in.read<std::uint32_t>();
+    if (!short_read) (void)in.read<std::uint32_t>();
+  }
+};
+
+TEST(Engine, ProgramStateReadOfTheWrongSizeIsRefused) {
+  const auto dg = make_ring(16, 2);
+  runtime::CheckpointConfig cfg;
+  cfg.every = 2;
+  cfg.dir = "engine_program_state_" + std::to_string(::getpid());
+  std::filesystem::remove_all(cfg.dir);
+  const auto computes = [](const CounterVertex& v) {
+    return v.value().computes;
+  };
+  std::vector<int> got;
+  algo::run_collect<ProgramStateWorker>(
+      dg, got, computes,
+      [&](ProgramStateWorker& w) { w.set_checkpoint(cfg); });
+
+  cfg.every = 0;
+  cfg.resume = true;  // from epoch 2, the newest checkpoint
+  const auto resumed = algo::run_collect<ProgramStateWorker>(
+      dg, got, computes,
+      [&](ProgramStateWorker& w) { w.set_checkpoint(cfg); });
+  EXPECT_EQ(resumed.supersteps, 4);
+  for (const int c : got) EXPECT_EQ(c, 4);
+
+  try {
+    algo::run_collect<ProgramStateWorker>(
+        dg, got, computes, [&](ProgramStateWorker& w) {
+          w.set_checkpoint(cfg);
+          w.short_read = true;
+        });
+    ADD_FAILURE() << "a short program-state read was accepted";
+  } catch (const runtime::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("program state consumed a "
+                                         "different size"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(cfg.dir);
+}
+
+// ------------------------------------------------------ failing rank ------
+
+/// Runs six supersteps; rank 1 alone throws at the start of superstep 3,
+/// while its peers head into that superstep's collectives.
+class RankOneFailsWorker : public Worker<CounterVertex> {
+ public:
+  void begin_superstep() override {
+    if (rank() == 1 && step_num() == 3) {
+      throw std::runtime_error("rank 1 failed at superstep 3");
+    }
+  }
+  void compute(CounterVertex& v) override {
+    msg_.send_message(v.edges()[0].dst, 1);
+    if (step_num() >= 6) v.vote_to_halt();
+  }
+
+ private:
+  CombinedMessage<CounterVertex, int> msg_{this, make_combiner(c_sum, 0),
+                                           "ping"};
+};
+
+TEST(Engine, OneFailingRankFailsTheTeam) {
+  // The run happens on a detached thread so a team that hangs fails this
+  // test (through the watchdog) instead of blocking the suite.
+  auto dg = std::make_shared<const graph::DistributedGraph>(make_ring(64, 4));
+  auto outcome = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> done = outcome->get_future();
+  std::thread([dg, outcome] {
+    try {
+      std::vector<int> sink;
+      algo::run_collect<RankOneFailsWorker>(
+          *dg, sink, [](const CounterVertex& v) { return v.value().computes; });
+      outcome->set_value("no exception");
+    } catch (const std::exception& e) {
+      outcome->set_value(e.what());
+    }
+  }).detach();
+  if (done.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+    std::fprintf(stderr,
+                 "Engine.OneFailingRankFailsTheTeam: the team hung after "
+                 "rank 1 failed\n");
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  EXPECT_EQ(done.get(), "rank 1 failed at superstep 3");
 }
 
 // ---------------------------------------------------------- Aggregator ----

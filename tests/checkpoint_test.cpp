@@ -119,7 +119,7 @@ TEST_F(Checkpoint, LatestValidEpochWalksPastDamage) {
 
 TEST_F(Checkpoint, OlderFormatVersionIsRefusedByName) {
   const std::string dir = scratch_dir("version");
-  for (const std::uint32_t old_version : {1u, 2u}) {
+  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
     const std::string label = "version " + std::to_string(old_version);
     // Fresh files each pass: the previous pass patched epoch 4.
     runtime::write_checkpoint(dir, 0, 2, 2, payload_of("current"));

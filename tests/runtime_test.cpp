@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <climits>
 #include <cstdint>
 #include <functional>
@@ -161,6 +162,48 @@ TEST(Barrier, SingleThreadTeamNeverBlocks) {
   barrier.arrive_and_wait([&] { ++completions; });
   barrier.arrive_and_wait();
   EXPECT_EQ(completions, 1);
+}
+
+TEST(Barrier, AbortReleasesWaitersWithTransportError) {
+  // Ranks 1 and 2 wait for rank 0, which aborts instead of arriving:
+  // both must fail with TransportError (whether the abort finds them
+  // blocked or not yet arrived), and so must every later arrival.
+  constexpr int kThreads = 3;
+  Barrier barrier(kThreads);
+  std::atomic<int> released{0};
+  WorkerTeam::run(kThreads, [&](int rank) {
+    if (rank == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      barrier.abort();
+      return;
+    }
+    try {
+      barrier.arrive_and_wait();
+    } catch (const pregel::runtime::TransportError&) {
+      released.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(released.load(), 2);
+  EXPECT_THROW(barrier.arrive_and_wait(), pregel::runtime::TransportError);
+}
+
+TEST(WorkerTeam, RethrowsTheFirstFailureNotTheAbortItCaused) {
+  // Rank 2 fails first; its on_error abort then fails ranks 0 and 1 at
+  // the barrier. run() must surface rank 2's error, the root cause.
+  constexpr int kThreads = 3;
+  Barrier barrier(kThreads);
+  try {
+    WorkerTeam::run(
+        kThreads,
+        [&](int rank) {
+          if (rank == 2) throw std::runtime_error("rank 2 died");
+          barrier.arrive_and_wait();
+        },
+        [&] { barrier.abort(); });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::exception& e) {
+    EXPECT_STREQ(e.what(), "rank 2 died");
+  }
 }
 
 // ------------------------------------------------------------ AllReducer --
