@@ -48,20 +48,40 @@
 // edge transform f(value, weight) lets the algorithm call publish(value)
 // once per vertex instead of looping its out-edges. The value lands in a
 // per-vertex published column and the vertex joins its chunk's publish
-// list; serialize() expands the lists over a cached index of this rank's
-// out-edges grouped by destination rank (built once per run), folding
-// f(published[src], w) into the same per-rank merge a per-edge
-// send_message(e.dst, f(value, e.weight)) loop would feed. The lists
-// concatenate in chunk order to ascending lidx, so the fold and
-// first-touch order — hence the wire bytes and float bits — are exactly
-// the hand-written loop's, at no per-edge cost in compute. The expansion
-// calls f per edge (once per source when every weight is 1), so f must be
-// a pure function of its arguments.
+// list; serialize() turns the lists into wires by one of two per-run
+// structures over this rank's out-edges, each built on the first
+// superstep that needs it:
+//
+//  * Full publish — every local vertex with out-edges published (PageRank,
+//    any superstep of a static pattern): the gather plan. Per destination
+//    rank it lists the unique receivers in first-touch order and, per
+//    receiver, its senders in (src lidx, edge position) order. serialize
+//    folds each receiver's contributions left to right and writes one
+//    wire per receiver straight into the outbox — no per-edge has/touched
+//    bookkeeping and no reset pass.
+//  * Partial publish (SSSP's frontier): the out-edge index, grouped by
+//    destination rank in (src lidx, edge position) order. serialize folds
+//    f(published[src], w) over the published sources' edges into the same
+//    per-rank merge a per-edge send_message(e.dst, f(value, e.weight))
+//    loop would feed.
+//
+// The lists concatenate in chunk order to ascending lidx, so both give
+// exactly the fold and first-touch order — hence the wire bytes and float
+// bits — of the hand-written loop, at no per-edge cost in compute. f runs
+// per edge (once per source when every weight is 1), so it must be a pure
+// function of its arguments.
+//
+// Every per-message loop (stage-time combining, the merge, the plan
+// gather, delivery) folds through with_fold(): a stock combiner's op is
+// inlined, chosen once per batch; custom combiners call their function.
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -73,7 +93,8 @@
 namespace pregel::core {
 
 template <typename VertexT, typename ValT>
-  requires runtime::TriviallySerializable<ValT>
+  requires runtime::TriviallySerializable<ValT> &&
+           std::is_standard_layout_v<ValT>
 class CombinedMessage : public Channel {
  public:
   /// How a published value turns into the contribution one out-edge
@@ -106,6 +127,9 @@ class CombinedMessage : public Channel {
     edge_fn_ = std::move(f);
     published_.assign(num_local_limit(), ValT{});
     pub_epoch_.assign(num_local_limit(), 0);
+    for (std::uint32_t lidx = 0; lidx < num_local_limit(); ++lidx) {
+      if (!out_edges(lidx).empty()) ++sources_;
+    }
   }
 
   /// Send m to dst; values for the same destination are combined. Safe
@@ -126,7 +150,11 @@ class CombinedMessage : public Channel {
         p.has.assign(n, 0);
       }
       if (p.has[lidx]) {
-        p.vals[lidx] = combiner_(p.vals[lidx], m);
+        // One message, so the op is chosen per call here; the branch is
+        // the same on every call.
+        with_fold(combiner_, [&](auto fold) {
+          p.vals[lidx] = fold(p.vals[lidx], m);
+        });
       } else {
         p.vals[lidx] = m;
         p.has[lidx] = 1;
@@ -191,10 +219,10 @@ class CombinedMessage : public Channel {
     return has_[w().current_local()] != 0;
   }
 
-  /// Fan the per-destination-rank merge + emit over the pool: each
-  /// slot owns a contiguous destination-rank range and writes into its
-  /// ranks' outboxes exclusively, so the bytes are independent of the
-  /// slot count. Serialize runs exactly once per superstep (every channel
+  /// Fan the per-destination-rank emit over the pool: each slot owns a
+  /// contiguous destination-rank range and writes into its ranks'
+  /// outboxes exclusively, so the bytes are independent of the slot
+  /// count. Serialize runs exactly once per superstep (every channel
   /// joins the first round and again() is false), so it also closes the
   /// superstep's publish epoch.
   void serialize() override {
@@ -202,19 +230,26 @@ class CombinedMessage : public Channel {
     std::uint64_t published = 0;
     for (const Shard& s : shards_) published += s.published.size();
     const std::uint64_t sent = staged_items();
-    const bool expand = published != 0;
-    if (expand) {
+    Source source = Source::kSends;
+    if (published != 0) {
       if (sent != 0) {
         throw std::logic_error(
             "CombinedMessage '" + name() +
             "': publish and send_message both used in one superstep");
       }
-      ensure_out_index();
+      if (publishes_every_source(published)) {
+        source = Source::kPlan;
+        ensure_plan();
+        if (plan_unit_) fold_unit_contributions(published);
+      } else {
+        source = Source::kIndex;
+        ensure_out_index();
+      }
     }
     w().run_comm_partitioned(
         published + sent, static_cast<std::uint32_t>(w().num_workers()),
-        nullptr, [this, expand](std::uint32_t begin, std::uint32_t end, int) {
-          emit_ranks(static_cast<int>(begin), static_cast<int>(end), expand);
+        nullptr, [this, source](std::uint32_t begin, std::uint32_t end, int) {
+          emit_ranks(static_cast<int>(begin), static_cast<int>(end), source);
         });
     for (Shard& s : shards_) s.published.clear();
     ++cur_epoch_;
@@ -232,8 +267,10 @@ class CombinedMessage : public Channel {
     w().run_comm_partitioned(
         total, num_local_limit(), &recv_touched_,
         [this](std::uint32_t lo, std::uint32_t hi, int slot) {
-          spans_.for_each(lo, hi, num_local_limit(), name(),
-                          [&](const Wire& wire) { apply(wire, slot); });
+          with_fold(combiner_, [&](auto fold) {
+            spans_.for_each(lo, hi, num_local_limit(), name(),
+                            [&](const Wire& wire) { apply(wire, slot, fold); });
+          });
         });
   }
 
@@ -260,11 +297,31 @@ class CombinedMessage : public Channel {
 
   /// This rank's out-edges into one destination rank, in (src lidx, edge
   /// position) order: CSR rows over the sender's local indices, columns
-  /// in the receiver's.
+  /// in the receiver's. Serves supersteps where only some sources publish.
   struct PeerEdges {
     std::vector<std::uint64_t> offsets;  ///< num_local() + 1
     std::vector<std::uint32_t> dst;      ///< receiver-rank local index
     std::vector<graph::Weight> weights;  ///< empty when every weight is 1
+  };
+
+  /// The same edges regrouped by receiver: the gather plan of a superstep
+  /// where every source publishes. Receivers appear in first-touch order
+  /// of the (src lidx, edge position) scan, and each receiver's run lists
+  /// its senders in that scan's order — the order the per-edge loop folds
+  /// them in.
+  struct GatherPlan {
+    std::vector<std::uint32_t> dst;      ///< unique receiver lidx
+    std::vector<std::uint64_t> run;      ///< dst.size() + 1 offsets into src
+    std::vector<std::uint32_t> src;      ///< sender lidx, grouped by run
+    std::vector<graph::Weight> weights;  ///< parallel to src; empty when
+                                         ///< every weight is 1
+  };
+
+  /// What serialize turns into wires this superstep.
+  enum class Source : std::uint8_t {
+    kSends,  ///< send_message() staging
+    kIndex,  ///< publish lists over the out-edge index
+    kPlan,   ///< every source published: the gather plan
   };
 
   void init_shard(Shard& s) {
@@ -305,8 +362,8 @@ class CombinedMessage : public Channel {
   // Cross-superstep state is exactly the receive side: the combined
   // value + presence flag per local vertex (messages delivered at the
   // end of superstep N, consumed by compute in N+1). Staging shards and
-  // publish lists are empty at the boundary and the out-edge index is
-  // rebuilt on first use, so none of them is persisted.
+  // publish lists are empty at the boundary, and the out-edge index and
+  // gather plan are rebuilt on first use, so none of them is persisted.
 
   void save_state(runtime::Buffer& out) override {
     out.write_vector(slot_);
@@ -327,70 +384,95 @@ class CombinedMessage : public Channel {
     }
   }
 
-  /// Merge every shard's staging for destination ranks [begin, end) —
-  /// the send_message() staging, or with `expand` the publish() lists —
-  /// and emit one combined wire pair per unique destination. Walking
-  /// shards in chunk order makes both the fold sequence (raw logs:
-  /// message by message) and the first-touch wire order exactly the
-  /// sequential ones, so bytes and float bits are independent of the
-  /// thread count and of which slot executed each chunk.
-  void emit_ranks(int begin, int end, bool expand) {
-    for (int to = begin; to < end; ++to) {
-      const auto peer = static_cast<std::size_t>(to);
-      if (!expand && combiner_.exact && shards_.size() == 1) {
-        // Single-shard exact staging: the chunk partial already holds the
-        // final combined values in first-touch order — emit it directly.
-        Partial& p = shards_[0].partial[peer];
-        runtime::Buffer& direct = w().outbox(to);
-        direct.write<std::uint32_t>(
-            static_cast<std::uint32_t>(p.touched.size()));
-        for (const std::uint32_t lidx : p.touched) {
-          direct.write(Wire{lidx, p.vals[lidx]});
-          p.vals[lidx] = combiner_.identity;
-          p.has[lidx] = 0;
+  [[nodiscard]] graph::EdgeSpan out_edges(std::uint32_t lidx) const {
+    return worker_->dgraph().out(w().rank(), lidx);
+  }
+
+  /// Write one wire record at `at` (zeroed bytes of an extended outbox):
+  /// field by field, so the padding between them stays zero and the
+  /// bytes are a function of (lidx, value) alone.
+  static void put_wire(std::byte* at, std::uint32_t lidx, const ValT& value) {
+    std::memcpy(at + offsetof(Wire, lidx), &lidx, sizeof(lidx));
+    std::memcpy(at + offsetof(Wire, value), &value, sizeof(ValT));
+  }
+
+  /// Emit the first-touch list of `m` to `out` as one section, resetting
+  /// each slot for the next superstep.
+  void flush_partial(Partial& m, runtime::Buffer& out) const {
+    out.write<std::uint32_t>(static_cast<std::uint32_t>(m.touched.size()));
+    std::byte* at = out.extend(m.touched.size() * sizeof(Wire));
+    for (const std::uint32_t lidx : m.touched) {
+      put_wire(at, lidx, m.vals[lidx]);
+      at += sizeof(Wire);
+      m.vals[lidx] = combiner_.identity;
+      m.has[lidx] = 0;
+    }
+    m.touched.clear();
+  }
+
+  /// Emit one combined wire pair per unique destination for destination
+  /// ranks [begin, end), from `source`. The combiner's fold is chosen
+  /// once here for the whole range.
+  void emit_ranks(int begin, int end, Source source) {
+    with_fold(combiner_, [&](auto fold) {
+      for (int to = begin; to < end; ++to) {
+        if (source == Source::kPlan) {
+          gather_rank(to, fold);
+        } else {
+          merge_rank(to, source == Source::kIndex, fold);
         }
-        p.touched.clear();
+      }
+    });
+  }
+
+  /// Merge every shard's staging for destination rank `to` — the
+  /// send_message() staging, or with `expand` the publish() lists over the
+  /// out-edge index — and emit the merge. Walking shards in chunk order
+  /// makes both the fold sequence (raw logs: message by message) and the
+  /// first-touch wire order exactly the sequential ones, so bytes and
+  /// float bits are independent of the thread count and of which slot
+  /// executed each chunk.
+  template <typename Fold>
+  void merge_rank(int to, bool expand, Fold fold) {
+    const auto peer = static_cast<std::size_t>(to);
+    if (!expand && combiner_.exact && shards_.size() == 1) {
+      // Single-shard exact staging: the chunk partial already holds the
+      // final combined values in first-touch order — emit it directly.
+      flush_partial(shards_[0].partial[peer], w().outbox(to));
+      return;
+    }
+    Partial& m = merge_[peer];
+    if (m.vals.empty()) {
+      const std::uint32_t n = peer_local_count(to);
+      m.vals.assign(n, combiner_.identity);
+      m.has.assign(n, 0);
+    }
+    for (Shard& shard : shards_) {
+      if (expand) {
+        expand_published(shard.published, out_index_[peer], m, fold);
         continue;
       }
-      Partial& m = merge_[peer];
-      if (m.vals.empty()) {
-        const std::uint32_t n = peer_local_count(to);
-        m.vals.assign(n, combiner_.identity);
-        m.has.assign(n, 0);
+      Partial& p = shard.partial[peer];
+      for (const std::uint32_t lidx : p.touched) {
+        fold_into(m, lidx, p.vals[lidx], fold);
+        p.vals[lidx] = combiner_.identity;
+        p.has[lidx] = 0;
       }
-      for (Shard& shard : shards_) {
-        if (expand) {
-          expand_published(shard.published, out_index_[peer], m);
-          continue;
-        }
-        Partial& p = shard.partial[peer];
-        for (const std::uint32_t lidx : p.touched) {
-          fold_into(m, lidx, p.vals[lidx]);
-          p.vals[lidx] = combiner_.identity;
-          p.has[lidx] = 0;
-        }
-        p.touched.clear();
-        auto& log = shard.log[peer];
-        for (const Wire& wire : log) fold_into(m, wire.lidx, wire.value);
-        log.clear();
-      }
-      runtime::Buffer& out = w().outbox(to);
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(m.touched.size()));
-      for (const std::uint32_t lidx : m.touched) {
-        out.write(Wire{lidx, m.vals[lidx]});
-        m.vals[lidx] = combiner_.identity;
-        m.has[lidx] = 0;
-      }
-      m.touched.clear();
+      p.touched.clear();
+      auto& log = shard.log[peer];
+      for (const Wire& wire : log) fold_into(m, wire.lidx, wire.value, fold);
+      log.clear();
     }
+    flush_partial(m, w().outbox(to));
   }
 
   /// Fold f(published[src], w) over every out-edge of every src in
   /// `published` into one destination rank's merge. The list ascends and
   /// each peer's edges sit in (src lidx, edge position) order, so this is
   /// the fold — and first-touch order — of the per-edge send loop.
+  template <typename Fold>
   void expand_published(const std::vector<std::uint32_t>& published,
-                        const PeerEdges& edges, Partial& m) {
+                        const PeerEdges& edges, Partial& m, Fold fold) {
     for (const std::uint32_t src : published) {
       const std::uint64_t first = edges.offsets[src];
       const std::uint64_t last = edges.offsets[src + 1];
@@ -399,19 +481,81 @@ class CombinedMessage : public Channel {
       if (edges.weights.empty()) {
         const ValT contrib = edge_fn_(value, graph::Weight{1});
         for (std::uint64_t i = first; i < last; ++i) {
-          fold_into(m, edges.dst[i], contrib);
+          fold_into(m, edges.dst[i], contrib, fold);
         }
       } else {
         for (std::uint64_t i = first; i < last; ++i) {
-          fold_into(m, edges.dst[i], edge_fn_(value, edges.weights[i]));
+          fold_into(m, edges.dst[i], edge_fn_(value, edges.weights[i]), fold);
         }
       }
     }
   }
 
-  void fold_into(Partial& m, std::uint32_t lidx, const ValT& v) {
+  /// Emit destination rank `to`'s section straight from the gather plan:
+  /// per receiver, acc = c(src0); acc = fold(acc, c(src_i))... — the fold
+  /// and wire order of expand_published() over a full publish list. With
+  /// unit weights published_ already holds f(value, 1) per source
+  /// (fold_unit_contributions()).
+  template <typename Fold>
+  void gather_rank(int to, Fold fold) {
+    const GatherPlan& plan = plan_[static_cast<std::size_t>(to)];
+    runtime::Buffer& out = w().outbox(to);
+    const std::size_t receivers = plan.dst.size();
+    out.write<std::uint32_t>(static_cast<std::uint32_t>(receivers));
+    std::byte* at = out.extend(receivers * sizeof(Wire));
+    const std::uint32_t* src = plan.src.data();
+    for (std::size_t u = 0; u < receivers; ++u, at += sizeof(Wire)) {
+      std::uint64_t i = plan.run[u];
+      const std::uint64_t last = plan.run[u + 1];
+      ValT acc;
+      if (plan.weights.empty()) {
+        acc = published_[src[i]];
+        for (++i; i < last; ++i) acc = fold(acc, published_[src[i]]);
+      } else {
+        acc = edge_fn_(published_[src[i]], plan.weights[i]);
+        for (++i; i < last; ++i) {
+          acc = fold(acc, edge_fn_(published_[src[i]], plan.weights[i]));
+        }
+      }
+      put_wire(at, plan.dst[u], acc);
+    }
+  }
+
+  /// Whether every local vertex with out-edges is on this superstep's
+  /// publish lists (each vertex publishes at most once, so counting the
+  /// listed vertices that have out-edges decides it).
+  [[nodiscard]] bool publishes_every_source(std::uint64_t published) const {
+    if (published < sources_) return false;
+    std::uint64_t covered = 0;
+    for (const Shard& s : shards_) {
+      for (const std::uint32_t lidx : s.published) {
+        covered += out_edges(lidx).empty() ? 0 : 1;
+      }
+    }
+    return covered == sources_;
+  }
+
+  /// Unit weights: every out-edge of a source carries f(value, 1), so
+  /// compute it once per published source, in place — the column is read
+  /// only by this superstep's gather. Shards are disjoint, so the pool
+  /// splits them.
+  void fold_unit_contributions(std::uint64_t published) {
+    w().run_comm_partitioned(
+        published, static_cast<std::uint32_t>(shards_.size()), nullptr,
+        [this](std::uint32_t lo, std::uint32_t hi, int) {
+          for (std::uint32_t s = lo; s < hi; ++s) {
+            for (const std::uint32_t lidx : shards_[s].published) {
+              published_[lidx] = edge_fn_(published_[lidx], graph::Weight{1});
+            }
+          }
+        });
+  }
+
+  template <typename Fold>
+  static void fold_into(Partial& m, std::uint32_t lidx, const ValT& v,
+                        Fold fold) {
     if (m.has[lidx]) {
-      m.vals[lidx] = combiner_(m.vals[lidx], v);
+      m.vals[lidx] = fold(m.vals[lidx], v);
     } else {
       m.vals[lidx] = v;
       m.has[lidx] = 1;
@@ -421,9 +565,10 @@ class CombinedMessage : public Channel {
 
   /// Receiver-side apply of one in-range wire pair into the delivery
   /// slot's state.
-  void apply(const Wire& wire, int delivery_slot) {
+  template <typename Fold>
+  void apply(const Wire& wire, int delivery_slot, Fold fold) {
     if (has_[wire.lidx]) {
-      slot_[wire.lidx] = combiner_(slot_[wire.lidx], wire.value);
+      slot_[wire.lidx] = fold(slot_[wire.lidx], wire.value);
     } else {
       slot_[wire.lidx] = wire.value;
       has_[wire.lidx] = 1;
@@ -441,7 +586,6 @@ class CombinedMessage : public Channel {
   /// touched.
   void ensure_out_index() {
     if (!out_index_.empty()) return;
-    const int me = w().rank();
     const std::uint32_t n = num_local_limit();
     out_index_.resize(static_cast<std::size_t>(w().num_workers()));
     for (PeerEdges& peer : out_index_) peer.offsets.assign(n + 1, 0);
@@ -450,7 +594,7 @@ class CombinedMessage : public Channel {
     };
     bool unit = true;
     for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
-      for (const graph::Edge e : worker_->dgraph().out(me, lidx)) {
+      for (const graph::Edge e : out_edges(lidx)) {
         ++peer_of(e.dst).offsets[lidx + 1];
         unit = unit && e.weight == 1;
       }
@@ -463,12 +607,70 @@ class CombinedMessage : public Channel {
       if (!unit) peer.weights.reserve(peer.offsets[n]);
     }
     for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
-      for (const graph::Edge e : worker_->dgraph().out(me, lidx)) {
+      for (const graph::Edge e : out_edges(lidx)) {
         PeerEdges& peer = peer_of(e.dst);
         peer.dst.push_back(w().local_of(e.dst));
         if (!unit) peer.weights.push_back(e.weight);
       }
     }
+  }
+
+  /// Build the gather plan once, in two passes over this rank's adjacency
+  /// in (src lidx, edge position) order. The first numbers each
+  /// destination rank's receivers in first-touch order and counts their
+  /// senders; the second drops every edge's sender (and weight) into its
+  /// receiver's run, so runs keep the scan order. Receivers are keyed
+  /// densely as base[owner] + lidx, as ScatterCombine's finalize does;
+  /// the key map is freed on return. Counts sit two slots up in `run`,
+  /// so after the prefix sum run[u + 1] is run u's fill cursor, and the
+  /// fill leaves run[u] at run u's start (the spare last slot is popped).
+  void ensure_plan() {
+    if (!plan_.empty()) return;
+    constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+    const auto workers = static_cast<std::size_t>(w().num_workers());
+    const std::uint32_t n = num_local_limit();
+    std::vector<std::uint64_t> base(workers + 1, 0);
+    for (std::size_t r = 0; r < workers; ++r) {
+      base[r + 1] = base[r] + peer_local_count(static_cast<int>(r));
+    }
+    std::vector<std::uint32_t> run_of(base[workers], kUnseen);
+    plan_.resize(workers);
+    for (GatherPlan& plan : plan_) plan.run.assign(2, 0);
+    bool unit = true;
+    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
+      for (const graph::Edge e : out_edges(lidx)) {
+        const auto to = static_cast<std::size_t>(w().owner_of(e.dst));
+        const std::uint32_t recv = w().local_of(e.dst);
+        GatherPlan& plan = plan_[to];
+        std::uint32_t& run = run_of[base[to] + recv];
+        if (run == kUnseen) {
+          run = static_cast<std::uint32_t>(plan.dst.size());
+          plan.dst.push_back(recv);
+          plan.run.push_back(0);
+        }
+        ++plan.run[run + 2];
+        unit = unit && e.weight == 1;
+      }
+    }
+    for (GatherPlan& plan : plan_) {
+      for (std::size_t u = 1; u < plan.run.size(); ++u) {
+        plan.run[u] += plan.run[u - 1];
+      }
+      plan.src.resize(plan.run.back());
+      if (!unit) plan.weights.resize(plan.run.back());
+    }
+    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
+      for (const graph::Edge e : out_edges(lidx)) {
+        const auto to = static_cast<std::size_t>(w().owner_of(e.dst));
+        GatherPlan& plan = plan_[to];
+        const std::uint32_t run = run_of[base[to] + w().local_of(e.dst)];
+        const std::uint64_t at = plan.run[run + 1]++;
+        plan.src[at] = lidx;
+        if (!unit) plan.weights[at] = e.weight;
+      }
+    }
+    for (GatherPlan& plan : plan_) plan.run.pop_back();
+    plan_unit_ = unit;
   }
 
   Worker<VertexT>* worker_;
@@ -487,8 +689,9 @@ class CombinedMessage : public Channel {
   std::vector<std::vector<std::uint32_t>> recv_touched_;
   detail::WireSpans<Wire> spans_;
 
-  // publish() state: edge_fn_ and the published columns are set up by the
-  // edge-transform constructor, the out-edge index is built on first use
+  // publish() state: edge_fn_, the published columns and the source count
+  // are set up by the edge-transform constructor; the out-edge index and
+  // the gather plan are each built on the first superstep that needs them
   // and kept for the run.
   EdgeFn edge_fn_;
   /// Publish epoch: one per superstep, closed by serialize(). Stamps
@@ -497,7 +700,12 @@ class CombinedMessage : public Channel {
   std::uint32_t cur_epoch_ = 1;
   std::vector<ValT> published_;            ///< one slot per local vertex
   std::vector<std::uint32_t> pub_epoch_;
+  /// Local vertices with at least one out-edge: a superstep whose
+  /// publish lists cover them all is served by the gather plan.
+  std::uint64_t sources_ = 0;
   std::vector<PeerEdges> out_index_;       ///< per destination rank
+  std::vector<GatherPlan> plan_;           ///< per destination rank
+  bool plan_unit_ = false;                 ///< plan_ has no weights
 };
 
 }  // namespace pregel::core

@@ -29,8 +29,8 @@
 // receiver's vertex space and applies positionally (peer order, then
 // payload order).
 //
-// Unlike CombinedMessage::publish() (DESIGN.md section 9), which expands
-// one value per vertex over a static out-edge index but still ships one
+// Unlike CombinedMessage::publish() (DESIGN.md section 9), which gathers
+// one value per vertex over a static per-run plan but still ships one
 // (lidx, value) pair per unique destination, this channel's edge
 // registry is built by add_edge() during compute and, after the
 // handshake, ships one bare value per unique destination: a program whose
@@ -295,26 +295,32 @@ class ScatterCombine : public Channel {
   /// Fold unique-destination runs [r_begin, r_end) into their workers'
   /// payload segments. Run u of worker `to` lands at position
   /// u - uniq_offset_[to]; the fold over a run is the left fold in
-  /// registration order, whichever slot scans it.
+  /// registration order, whichever slot scans it. The combiner's fold is
+  /// chosen once for the whole range.
   void fill_runs(std::size_t r_begin, std::size_t r_end) {
     if (r_begin >= r_end) return;
-    auto rank = static_cast<std::size_t>(
-        std::upper_bound(uniq_offset_.begin(), uniq_offset_.end(), r_begin) -
-        uniq_offset_.begin() - 1);
-    for (std::size_t u = r_begin; u < r_end; ++u) {
-      while (u >= uniq_offset_[rank + 1]) ++rank;
-      std::uint32_t i = run_start_[u];
-      const std::uint32_t i_end = run_start_[u + 1];
-      ValT acc = vals_[src_[i]];
-      for (++i; i < i_end; ++i) acc = combiner_(acc, vals_[src_[i]]);
-      std::memcpy(seg_[rank] + (u - uniq_offset_[rank]) * sizeof(ValT),
-                  &acc, sizeof(ValT));
-    }
+    with_fold(combiner_, [&](auto fold) {
+      auto rank = static_cast<std::size_t>(
+          std::upper_bound(uniq_offset_.begin(), uniq_offset_.end(),
+                           r_begin) -
+          uniq_offset_.begin() - 1);
+      for (std::size_t u = r_begin; u < r_end; ++u) {
+        while (u >= uniq_offset_[rank + 1]) ++rank;
+        std::uint32_t i = run_start_[u];
+        const std::uint32_t i_end = run_start_[u + 1];
+        ValT acc = vals_[src_[i]];
+        for (++i; i < i_end; ++i) acc = fold(acc, vals_[src_[i]]);
+        std::memcpy(seg_[rank] + (u - uniq_offset_[rank]) * sizeof(ValT),
+                    &acc, sizeof(ValT));
+      }
+    });
   }
 
-  void apply(std::uint32_t lidx, const ValT& val, int delivery_slot) {
+  template <typename Fold>
+  void apply(std::uint32_t lidx, const ValT& val, int delivery_slot,
+             Fold fold) {
     if (has_[lidx]) {
-      slot_[lidx] = combiner_(slot_[lidx], val);
+      slot_[lidx] = fold(slot_[lidx], val);
     } else {
       slot_[lidx] = val;
       has_[lidx] = 1;
@@ -325,18 +331,20 @@ class ScatterCombine : public Channel {
 
   void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
     const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
-      const auto& order = recv_order_[static_cast<std::size_t>(from)];
-      const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(ValT)) {
-        const std::uint32_t lidx = order[i];
-        if (lidx < lo || lidx >= hi) continue;
-        ValT val;
-        std::memcpy(&val, p, sizeof(ValT));
-        apply(lidx, val, delivery_slot);
+    with_fold(combiner_, [&](auto fold) {
+      for (int from = 0; from < num_workers; ++from) {
+        const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
+        const auto& order = recv_order_[static_cast<std::size_t>(from)];
+        const std::byte* p = ptr;
+        for (std::uint32_t i = 0; i < n; ++i, p += sizeof(ValT)) {
+          const std::uint32_t lidx = order[i];
+          if (lidx < lo || lidx >= hi) continue;
+          ValT val;
+          std::memcpy(&val, p, sizeof(ValT));
+          apply(lidx, val, delivery_slot, fold);
+        }
       }
-    }
+    });
   }
 
   Worker<VertexT>* worker_;

@@ -193,6 +193,13 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
 
  protected:
   void prepare() override {
+    if constexpr (!runtime::TriviallySerializable<ValueT>) {
+      // Refuse before superstep 1, not at the first checkpoint after N
+      // supersteps of work.
+      if (ckpt_.enabled() || ckpt_.resume) {
+        throw std::logic_error(kCheckpointNeedsTrivialValues);
+      }
+    }
     load_vertices();
     for (Channel* c : channels_) c->initialize();
   }
@@ -223,8 +230,9 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   // The superstep boundary carries forward: the value column, the
   // frontier, the accumulated stats, each channel's receive-side state
   // and the program's own state (save_program_state()). Everything else
-  // (staging shards, publish epochs, the out-edge index) is rebuilt from
-  // scratch by the fresh worker every rank constructs after recovery.
+  // (staging shards, publish epochs, the out-edge index, the gather
+  // plan) is rebuilt from scratch by the fresh worker every rank
+  // constructs after recovery.
   // Channel and program sections are length-prefixed, so a restore that
   // reads a different size than was saved throws ProtocolError.
 
@@ -241,9 +249,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       }
       save_section(out, [&] { save_program_state(out); });
     } else {
-      throw std::logic_error(
-          "checkpointing requires a trivially serializable vertex value "
-          "type");
+      throw std::logic_error(kCheckpointNeedsTrivialValues);
     }
   }
 
@@ -277,13 +283,14 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       restore_section(in, "program state",
                       [&] { restore_program_state(in); });
     } else {
-      throw std::logic_error(
-          "checkpointing requires a trivially serializable vertex value "
-          "type");
+      throw std::logic_error(kCheckpointNeedsTrivialValues);
     }
   }
 
  private:
+  static constexpr const char* kCheckpointNeedsTrivialValues =
+      "checkpointing requires a trivially serializable vertex value type";
+
   /// One length-prefixed checkpoint section: `save` appends it to `out`.
   template <typename Save>
   static void save_section(runtime::Buffer& out, Save&& save) {
@@ -466,24 +473,23 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   }
 
   /// The communication loop of Fig. 4: all channels start the superstep
-  /// active; a channel remains in the loop while any worker's again() says
-  /// so. Every round ends with one collective buffer exchange. Each active
-  /// channel's payloads ride in its own frame lane; the exchange accounts
-  /// the payload bytes per channel and validates the reads.
+  /// active — every rank registers the same channels, so the first
+  /// round's mask needs no agreement — and a channel remains in the loop
+  /// while any worker's again() says so. Every round is one collective
+  /// buffer exchange plus the all-reduce of the next round's mask. Each
+  /// active channel's payloads ride in its own frame lane; the exchange
+  /// accounts the payload bytes per channel and validates the reads.
   ///
   /// Channels fan their serialize and delivery over compute_threads() pool
   /// slots themselves; the result is byte- and result-identical for any
   /// slot count (DESIGN.md §8).
   void communicate() {
-    std::uint64_t local_mask = 0;
+    std::uint64_t mask = 0;
     for (std::size_t i = 0; i < channels_.size(); ++i) {
-      local_mask |= (std::uint64_t{1} << i);
+      mask |= (std::uint64_t{1} << i);
     }
-    while (true) {
-      const std::uint64_t mask =
-          env_.transport->allreduce_or(env_.rank, local_mask);
-      if (mask == 0) break;
-      local_mask = bulk_round(mask);
+    while (mask != 0) {
+      mask = env_.transport->allreduce_or(env_.rank, bulk_round(mask));
     }
   }
 

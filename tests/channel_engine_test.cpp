@@ -31,6 +31,7 @@
 #include "graph/generators.hpp"
 #include "pregelplus/pp_worker.hpp"
 #include "ref/reference.hpp"
+#include "recording_transport.hpp"
 #include "runtime/checkpoint.hpp"
 
 namespace {
@@ -180,6 +181,25 @@ TEST(Engine, NextSuperstepBitRunsPregelPlusSupersteps) {
 
 TEST(Engine, DefaultNextSuperstepBitEndsAHaltedTeam) {
   expect_halted_team_runs_to<HaltAtOnceWorker>(1);
+}
+
+// ------------------------------------------- collectives per superstep --
+
+TEST(Engine, OneRoundSuperstepCostsOneExchangeAndTwoCollectives) {
+  // PageRank's supersteps each run one communication round (message
+  // channel plus aggregator): the exchange, the all-reduce that ends the
+  // round loop, and the quiescence vote. The run adds one start barrier.
+  const auto dg = make_ring(64, 3);
+  const auto records = pregel::testing::run_recorded<algo::PageRankCombined>(
+      dg, [](algo::PageRankCombined& w) {
+        w.iterations = 4;
+        w.set_checkpoint(runtime::CheckpointConfig{});
+      });
+  constexpr std::uint64_t kSupersteps = 5;  // iterations + the halting one
+  for (const pregel::testing::RankRecord& r : records) {
+    EXPECT_EQ(r.exchanges, kSupersteps);
+    EXPECT_EQ(r.collectives, 1 + 2 * kSupersteps);
+  }
 }
 
 // ------------------------------------- program state in a checkpoint ----

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -128,6 +133,48 @@ TEST(MsfShape, ChannelUsesFewerBytesThanPregelPlus) {
   const auto ch = algo::run_only<algo::MsfBoruvka>(dg);
   EXPECT_LT(ch.message_bytes, pp.message_bytes);
   EXPECT_EQ(ch.supersteps, pp.supersteps);  // same schedule, cheaper wires
+}
+
+// ---------------------------------------------------- checkpointing ----
+
+/// MsfBoruvka counting the supersteps it starts, across ranks.
+class CountingMsf : public algo::MsfBoruvka {
+ public:
+  std::atomic<int>* started = nullptr;
+
+  void begin_superstep() override {
+    started->fetch_add(1);
+    algo::MsfBoruvka::begin_superstep();
+  }
+};
+
+TEST(MsfCheckpoint, RefusedBeforeTheFirstSuperstep) {
+  // MsfValue holds a std::vector, so no checkpoint of it can be written:
+  // the run must refuse in prepare(), before any superstep's work, not
+  // at the first checkpoint.
+  const Graph g = graph::grid_road(16, 16, 0, 4);
+  const DistributedGraph dg(g, graph::hash_partition(g.num_vertices(), 2));
+  runtime::CheckpointConfig cfg;
+  cfg.every = 5;
+  cfg.dir = "msf_checkpoint_" + std::to_string(::getpid());
+  std::filesystem::remove_all(cfg.dir);
+  std::atomic<int> started{0};
+  try {
+    algo::run_only<CountingMsf>(dg, [&](CountingMsf& w) {
+      w.set_checkpoint(cfg);
+      w.started = &started;
+    });
+    ADD_FAILURE() << "a checkpointing MSF run was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trivially serializable"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(started.load(), 0);
+  EXPECT_TRUE(!std::filesystem::exists(cfg.dir) ||
+              std::filesystem::is_empty(cfg.dir))
+      << "checkpoint files were written to " << cfg.dir;
+  std::filesystem::remove_all(cfg.dir);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -324,18 +325,60 @@ TEST(ParallelComm, TcpParityWccExactCombiner) {
 
 // ------------------------------------------------------------ unit bits --
 
-TEST(ParallelComm, MakeCombinerDetectsExactFolds) {
-  EXPECT_TRUE(make_combiner(c_min, graph::kInvalidVertex).exact);
-  EXPECT_TRUE((make_combiner(c_max, std::uint64_t{0}).exact));
-  EXPECT_TRUE(make_combiner(c_or, false).exact);
-  EXPECT_TRUE((make_combiner(c_sum, std::int64_t{0}).exact));
-  EXPECT_FALSE(make_combiner(c_sum, 0.0).exact);  // float regroup != exact
-  const auto custom = make_combiner(
-      [](const int& a, const int& b) { return a ^ b; }, 0);
-  EXPECT_FALSE(custom.exact);  // custom functions default to inexact
-  const auto forced = make_combiner(
-      [](const int& a, const int& b) { return a ^ b; }, 0, /*exact=*/true);
-  EXPECT_TRUE(forced.exact);
+/// What make_combiner recorded, and what with_fold folds 3 and 5 to.
+struct CombinerRow {
+  const char* what;
+  CombineOp op;
+  bool exact;
+  double folded;
+};
+
+template <typename T>
+CombinerRow row_of(const char* what, const Combiner<T>& c) {
+  double folded = 0;
+  with_fold(c, [&](auto fold) {
+    folded = static_cast<double>(fold(static_cast<T>(3), static_cast<T>(5)));
+  });
+  return {what, c.op, c.exact, folded};
+}
+
+TEST(ParallelComm, MakeCombinerRecordsStockOpAndExactness) {
+  // exact follows from the op: selections always regroup exactly, sums
+  // only over integers; custom functions are inexact unless told. A
+  // custom function that adds must still fold through fn (so its own
+  // body runs), which the side-effect counter shows.
+  int custom_calls = 0;
+  const auto custom_add = [&custom_calls](const int& a, const int& b) {
+    ++custom_calls;
+    return a + b;
+  };
+  const CombinerRow rows[] = {
+      row_of("c_sum double", make_combiner(c_sum, 0.0)),
+      row_of("c_sum uint64", make_combiner(c_sum, std::uint64_t{0})),
+      row_of("c_min", make_combiner(c_min, graph::kInvalidVertex)),
+      row_of("c_max", make_combiner(c_max, std::uint64_t{0})),
+      row_of("c_or", make_combiner(c_or, false)),
+      row_of("custom add", make_combiner(custom_add, 0)),
+      row_of("custom exact",
+             make_combiner([](const int& a, const int& b) { return a ^ b; },
+                           0, /*exact=*/true)),
+  };
+  const CombinerRow want[] = {
+      {"c_sum double", CombineOp::kSum, false, 8},
+      {"c_sum uint64", CombineOp::kSum, true, 8},
+      {"c_min", CombineOp::kMin, true, 3},
+      {"c_max", CombineOp::kMax, true, 5},
+      {"c_or", CombineOp::kOr, true, 1},
+      {"custom add", CombineOp::kCustom, false, 8},
+      {"custom exact", CombineOp::kCustom, true, 6},
+  };
+  ASSERT_EQ(std::size(rows), std::size(want));
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    EXPECT_EQ(rows[i].op, want[i].op) << want[i].what;
+    EXPECT_EQ(rows[i].exact, want[i].exact) << want[i].what;
+    EXPECT_EQ(rows[i].folded, want[i].folded) << want[i].what;
+  }
+  EXPECT_EQ(custom_calls, 1);
 }
 
 TEST(ParallelComm, ItemRangePartitionsExactly) {

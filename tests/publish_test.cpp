@@ -1,11 +1,12 @@
 // Tests for CombinedMessage::publish() (DESIGN.md section 9): one value
-// per vertex, expanded over the cached out-edge index at serialize time,
-// must be invisible in every observable result — vertex values (bitwise,
-// floats included), bytes per channel, superstep counts and frontier
-// traces — against the hand-written per-edge send_message() loop it
-// stands for, at every thread count and schedule. Misuse (two publishes
-// for one vertex, publish mixed with send_message, publish without an
-// edge transform) throws.
+// per vertex, expanded at serialize time over the gather plan (every
+// source published) or the out-edge index (a frontier published), must
+// be invisible in every observable result — vertex values (bitwise,
+// floats included), the bytes of every exchange round, bytes per channel,
+// superstep counts and frontier traces — against the hand-written
+// per-edge send_message() loop it stands for, at every thread count and
+// schedule. Misuse (two publishes for one vertex, publish mixed with
+// send_message, publish without an edge transform) throws.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "algorithms/sssp.hpp"
 #include "core/pregel_channel.hpp"
 #include "graph/generators.hpp"
+#include "recording_transport.hpp"
 
 namespace {
 
@@ -207,6 +209,192 @@ TEST(Publish, EverySuperstepOpensAFreshEpoch) {
                 mode, [](algo::PageRankCombined& w) { w.iterations = 3; })))
         << mode_name(mode);
   }
+}
+
+// ------------------------------------------------------ wire-byte parity --
+
+/// A graph with every shape the two publish paths must agree on, over 3
+/// ranks (owner = id mod 3) with more than kParallelCommMinItems sources
+/// per rank, so serialize fans out over the pool: zero-out-degree
+/// vertices, duplicate edges, and no edge from rank 0 into rank 2.
+graph::DistributedGraph shapes_dg(bool weighted) {
+  constexpr int kWorkers = 3;
+  graph::RmatOptions opts;
+  opts.num_vertices = 1u << 15;
+  opts.num_edges = 1u << 18;
+  opts.seed = 23;
+  opts.weighted = weighted;
+  opts.max_weight = 50;
+  const graph::Graph rmat = graph::rmat(opts);
+  graph::Graph g(rmat.num_vertices());
+  for (VertexId v = 0; v < rmat.num_vertices(); ++v) {
+    const auto edges = rmat.out(v);
+    for (const graph::Edge& e : edges) {
+      if (v % kWorkers == 0 && e.dst % kWorkers == 2) continue;
+      g.add_edge(v, e.dst, e.weight);
+    }
+    if (v % 11 == 0 && !edges.empty() && edges[0].dst % kWorkers != 2) {
+      g.add_edge(v, edges[0].dst, edges[0].weight);  // a duplicate edge
+    }
+  }
+  return graph::DistributedGraph(
+      g, graph::hash_partition(g.num_vertices(), kWorkers));
+}
+
+template <typename T>
+struct ShapeValue {
+  T x{};
+};
+
+/// One program of the wire-parity matrix, written once: Spec says what a
+/// vertex holds, how it folds messages and when it publishes. With
+/// kPublish it calls publish(); otherwise the per-edge send_message()
+/// loop publish() stands for, on a channel of the same name.
+template <typename Spec, bool kPublish>
+class ShapeWorker : public Worker<Vertex<ShapeValue<typename Spec::T>>> {
+ public:
+  using T = typename Spec::T;
+  using V = Vertex<ShapeValue<T>>;
+
+  void compute(V& v) override {
+    T& x = v.value().x;
+    const int step = this->step_num();
+    bool publish = true;
+    if (step == 1) {
+      x = Spec::init(v.id());  // every vertex publishes: the gather plan
+    } else {
+      publish = Spec::update(step, v.id(), x, msg_.has_message(),
+                             msg_.get_message(), !v.edges().empty());
+    }
+    if (publish) {
+      if constexpr (kPublish) {
+        msg_.publish(x);
+      } else {
+        for (const auto& e : v.edges()) {
+          msg_.send_message(e.dst, Spec::edge(x, e.weight));
+        }
+      }
+    }
+    if (step >= Spec::kActiveSteps) v.vote_to_halt();
+  }
+
+ private:
+  static CombinedMessage<V, T> channel(ShapeWorker* self) {
+    if constexpr (kPublish) {
+      return {self, Spec::combiner(), &Spec::edge, "shape"};
+    } else {
+      return {self, Spec::combiner(), "shape"};
+    }
+  }
+  CombinedMessage<V, T> msg_ = channel(this);
+};
+
+/// Float sum with unit weights. Superstep 1 publishes everywhere, zero
+/// out-degree vertices included; 2-4 publish a frontier (the out-edge
+/// index); 5 publishes every vertex with out-edges (the plan again).
+struct FloatSumSpec {
+  using T = double;
+  static constexpr int kActiveSteps = 6;
+  static Combiner<T> combiner() { return make_combiner(c_sum, 0.0); }
+  static T edge(const T& x, graph::Weight) { return x; }
+  static T init(VertexId id) { return 1.0 / (3.0 + id); }
+  static bool update(int step, VertexId id, T& x, bool has, const T& msg,
+                     bool has_edges) {
+    if (has) x = 0.5 * x + msg;
+    if (step == 5) return has_edges;
+    return step < 5 && (id * 7 + static_cast<VertexId>(step)) % 5 < 2;
+  }
+};
+
+/// Weighted min-label relaxation: superstep 1 publishes everywhere
+/// (the weighted plan), then only improved vertices (the index).
+struct WeightedMinSpec {
+  using T = std::uint64_t;
+  static constexpr int kActiveSteps = 1;
+  static Combiner<T> combiner() {
+    return make_combiner(c_min, std::uint64_t{graph::kInfWeight});
+  }
+  static T edge(const T& x, graph::Weight w) { return x + w; }
+  static T init(VertexId id) { return (id * 2654435761u) % 100003u; }
+  static bool update(int, VertexId, T& x, bool has, const T& msg, bool) {
+    if (!has || msg >= x) return false;
+    x = msg;
+    return true;
+  }
+};
+
+/// A custom combiner whose fold is order-sensitive (neither associative
+/// nor commutative), so any reordering of the fold shows in the bits.
+struct CustomSpec {
+  using T = std::uint64_t;
+  static constexpr int kActiveSteps = 6;
+  static Combiner<T> combiner() {
+    return make_combiner(
+        [](const T& a, const T& b) { return a * 3 + b; }, T{0});
+  }
+  static T edge(const T& x, graph::Weight) { return x; }
+  static T init(VertexId id) { return id * 0x9E3779B97F4A7C15ull + 1; }
+  static bool update(int step, VertexId id, T& x, bool has, const T& msg,
+                     bool has_edges) {
+    if (has) x ^= msg;
+    if (step == 5) return has_edges;
+    return step < 5 && (id * 7 + static_cast<VertexId>(step)) % 5 < 2;
+  }
+};
+
+/// Per-vertex result bits and per-rank round hashes of one run.
+struct WireRun {
+  std::vector<std::uint64_t> values;
+  std::vector<pregel::testing::RankRecord> records;
+};
+
+template <typename WorkerT>
+WireRun wire_run(const graph::DistributedGraph& dg, const Mode& mode) {
+  WireRun run;
+  run.values.assign(dg.num_vertices(), 0);
+  run.records = pregel::testing::run_recorded<WorkerT>(
+      dg, pin<WorkerT>(mode), [&run](WorkerT& w, int) {
+        w.for_each_vertex([&run](const auto& v) {
+          run.values[v.id()] = std::bit_cast<std::uint64_t>(v.value().x);
+        });
+      });
+  return run;
+}
+
+void expect_same_wire_run(const WireRun& got, const WireRun& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.values, want.values) << label;
+  ASSERT_EQ(got.records.size(), want.records.size()) << label;
+  for (std::size_t r = 0; r < want.records.size(); ++r) {
+    EXPECT_EQ(got.records[r].round_hashes, want.records[r].round_hashes)
+        << label << ", rank " << r;
+  }
+}
+
+/// Publish and per-edge sends, across the mode matrix: every round's
+/// bytes and every vertex's bits equal the sequential publish run's.
+template <typename Spec>
+void expect_wire_parity(const graph::DistributedGraph& dg) {
+  const WireRun want = wire_run<ShapeWorker<Spec, true>>(dg, kModes[0]);
+  ASSERT_GT(want.records[0].exchanges, 2u);  // plan and frontier rounds
+  for (const Mode& mode : kModes) {
+    expect_same_wire_run(wire_run<ShapeWorker<Spec, true>>(dg, mode), want,
+                         "publish, " + mode_name(mode));
+    expect_same_wire_run(wire_run<ShapeWorker<Spec, false>>(dg, mode), want,
+                         "per-edge sends, " + mode_name(mode));
+  }
+}
+
+TEST(Publish, FloatSumWireBytesMatchPerEdgeSends) {
+  expect_wire_parity<FloatSumSpec>(shapes_dg(/*weighted=*/false));
+}
+
+TEST(Publish, WeightedMinWireBytesMatchPerEdgeSends) {
+  expect_wire_parity<WeightedMinSpec>(shapes_dg(/*weighted=*/true));
+}
+
+TEST(Publish, CustomCombinerWireBytesMatchPerEdgeSends) {
+  expect_wire_parity<CustomSpec>(shapes_dg(/*weighted=*/false));
 }
 
 // ------------------------------------------------------------ guard rails --
