@@ -205,31 +205,22 @@ BENCHMARK(Skew_Star_RequestRespond)
     ->UseManualTime()
     ->Iterations(1);
 
-// -------------------------------- extension: mirror vs scatter broadcast --
+// -------------------------------------- scatter-combine PR broadcast ----
 
-/// Sender-centric (mirror) vs receiver-centric (scatter) combining on the
-/// same static PageRank broadcast: mirroring ships one value per (vertex,
-/// worker), scatter one per (worker, unique destination).
+/// Receiver-centric combining on the static PageRank broadcast: one value
+/// per (worker, unique destination).
 void Broadcast_ScatterCombine_PR(benchmark::State& s) {
   bench::run_case<algo::PageRankScatter>(
       s, __func__, wiki(), [](algo::PageRankScatter& w) { w.iterations = 10; });
-}
-void Broadcast_MirrorScatter_PR(benchmark::State& s) {
-  bench::run_case<algo::PageRankMirror>(
-      s, __func__, wiki(), [](algo::PageRankMirror& w) { w.iterations = 10; });
 }
 BENCHMARK(Broadcast_ScatterCombine_PR)
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime()
     ->Iterations(1);
-BENCHMARK(Broadcast_MirrorScatter_PR)
-    ->Unit(benchmark::kMillisecond)
-    ->UseManualTime()
-    ->Iterations(1);
 
-// ------------------------- extension: weighted propagation on SSSP --------
+// --------------------------- Propagation with f = dist + w on SSSP -------
 
-/// The weighted propagation channel collapses SSSP's O(diameter)
+/// Propagation with a per-edge f collapses SSSP's O(diameter)
 /// supersteps into one communication phase — most visible on the
 /// high-diameter road network.
 PGCH_CACHED_DG(road, bench::hash_dg(bench::usa_graph()))

@@ -4,18 +4,25 @@
 //   1. build (or load) a graph,
 //   2. partition it across workers,
 //   3. write a Worker subclass whose channels are member objects,
-//   4. launch() and collect per-vertex results.
+//   4. launch it and collect per-vertex results (algo::run_collect; as
+//      one rank of a TCP team it all-gathers the whole array, and rank 0
+//      prints the report).
+//
+// Exits 1 when the rank mass does not sum to 1 (within 1e-6), so a run
+// doubles as a check of the result.
 //
 // Usage: quickstart [num_vertices | graph_path] [num_workers]
 // (graph_path: edge-list text or binary snapshot, see tools/graph_convert)
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "algorithms/runner.hpp"
 #include "core/pregel_channel.hpp"
 #include "example_common.hpp"
 #include "graph/distributed.hpp"
@@ -87,13 +94,12 @@ int main(int argc, char** argv) {
   const graph::DistributedGraph dg(
       g, graph::hash_partition(g.num_vertices(), workers));
 
-  std::vector<double> ranks(g.num_vertices(), 0.0);
-  const auto stats = launch<PageRankWorker>(
-      dg, /*configure=*/nullptr,
-      /*collect=*/[&](const PageRankWorker& w, int) {
-        w.for_each_vertex(
-            [&](const VertexT& v) { ranks[v.id()] = v.value().page_rank; });
-      });
+  std::vector<double> ranks;
+  const auto stats = algo::run_collect<PageRankWorker>(
+      dg, ranks, [](const VertexT& v) { return v.value().page_rank; });
+  const double mass = std::accumulate(ranks.begin(), ranks.end(), 0.0);
+  const bool mass_ok = std::abs(mass - 1.0) <= 1e-6;
+  if (LaunchConfig::from_env().rank != 0) return mass_ok ? 0 : 1;
 
   std::printf("PageRank over %u vertices / %llu edges on %d workers\n",
               g.num_vertices(),
@@ -111,7 +117,7 @@ int main(int argc, char** argv) {
     std::printf("  v%u=%.3e", order[static_cast<std::size_t>(i)],
                 ranks[order[static_cast<std::size_t>(i)]]);
   }
-  std::printf("\n  total mass: %.6f (should be ~1)\n",
-              std::accumulate(ranks.begin(), ranks.end(), 0.0));
-  return 0;
+  std::printf("\n  total mass: %.6f %s\n", mass,
+              mass_ok ? "(OK)" : "(FAILED: should be 1)");
+  return mass_ok ? 0 : 1;
 }

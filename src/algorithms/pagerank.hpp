@@ -94,39 +94,4 @@ class PageRankScatter : public Worker<PRVertex> {
   Aggregator<PRVertex, double> agg_{this, detail::sum_combiner(), "sink"};
 };
 
-/// PageRank over the MirrorScatter channel — mirroring (Pregel+'s ghost
-/// mode) expressed as a channel: one value per (vertex, worker) instead
-/// of one per unique destination. Program text is identical to the
-/// scatter version; only the channel type differs.
-class PageRankMirror : public Worker<PRVertex> {
- public:
-  int iterations = 30;
-
-  void compute(PRVertex& v) override {
-    const double n = static_cast<double>(get_vnum());
-    if (step_num() == 1) {
-      v.value().rank = 1.0 / n;
-      for (const auto& e : v.edges()) msg_.add_edge(e.dst);
-    } else {
-      const double s = agg_.result() / n;
-      v.value().rank = 0.15 / n + 0.85 * (msg_.get_message() + s);
-    }
-    if (step_num() <= iterations) {
-      const auto edges = v.edges();
-      if (!edges.empty()) {
-        msg_.set_message(v.value().rank /
-                         static_cast<double>(edges.size()));
-      } else {
-        agg_.add(v.value().rank);
-      }
-    } else {
-      v.vote_to_halt();
-    }
-  }
-
- private:
-  MirrorScatter<PRVertex, double> msg_{this, detail::sum_combiner(), "pr"};
-  Aggregator<PRVertex, double> agg_{this, detail::sum_combiner(), "sink"};
-};
-
 }  // namespace pregel::algo

@@ -52,8 +52,11 @@ void allgather_results(runtime::Transport& transport, int rank,
 /// Under the TCP transport (PGCH_TRANSPORT=tcp) this process computes one
 /// rank, and the per-vertex results are all-gathered over the control
 /// lane afterwards, so `out` is the complete global array on every rank —
-/// examples verify against their references unchanged. (OutT must be
-/// trivially serializable for the gather; every current caller's is.)
+/// examples verify against their references unchanged. The all-gather
+/// runs inside the same recovery loop as the run (core::run_tcp_rank), so
+/// a rank lost mid-run is respawned and resumed here as in core::launch.
+/// (OutT must be trivially serializable for the gather; every current
+/// caller's is.)
 template <typename WorkerT, typename OutT, typename Extract>
 runtime::RunStats run_collect(
     const graph::DistributedGraph& dg, std::vector<OutT>& out,
@@ -68,11 +71,13 @@ runtime::RunStats run_collect(
   const core::LaunchConfig config = core::LaunchConfig::from_env();
   if (config.transport == runtime::TransportKind::kTcp) {
     if constexpr (runtime::TriviallySerializable<OutT>) {
-      const auto transport = core::connect_tcp(config, dg.num_workers());
-      const runtime::RunStats stats = core::launch_distributed<WorkerT>(
-          dg, *transport, config.rank, configure, collect);
-      allgather_results(*transport, config.rank, dg, out);
-      return stats;
+      return core::run_tcp_rank(
+          config, dg.num_workers(), [&](runtime::Transport& transport) {
+            const runtime::RunStats stats = core::launch_distributed<WorkerT>(
+                dg, transport, config.rank, configure, collect);
+            allgather_results(transport, config.rank, dg, out);
+            return stats;
+          });
     } else {
       // Falling through to a plain distributed run would silently return
       // `out` with only this rank's entries filled.

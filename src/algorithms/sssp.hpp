@@ -50,8 +50,8 @@ class Sssp : public Worker<SsspVertex> {
       "dist"};
 };
 
-/// SSSP on the weighted propagation channel (the full Fig. 7 model:
-/// f = dist + w, h = min): the whole label-correcting relaxation runs to
+/// SSSP on the propagation channel with Fig. 7's per-edge f
+/// (f = dist + w, h = min): the whole label-correcting relaxation runs to
 /// a global fixpoint inside superstep 1's communication phase, so the
 /// algorithm needs two supersteps regardless of graph diameter — the
 /// propagation-channel story applied to a weighted problem.
@@ -70,7 +70,7 @@ class SsspPropagation : public Worker<SsspVertex> {
   }
 
  private:
-  PropagationW<SsspVertex, std::uint64_t> prop_{
+  Propagation<SsspVertex, std::uint64_t> prop_{
       this,
       make_combiner(c_min, std::uint64_t{graph::kInfWeight}),
       [](const std::uint64_t& dist, graph::Weight w) { return dist + w; },

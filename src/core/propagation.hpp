@@ -8,6 +8,15 @@
 // global fixpoint. The algorithm above it then converges in O(1)
 // supersteps instead of O(diameter).
 //
+// The channel is the whole Fig. 7 model:
+//     a_i  <- f(e_i, v_i)          (per-edge contribution)
+//     u'   <- fold(h, u, a)        (commutative combine)
+// Constructed without f it is the paper's Table II channel, f = identity
+// ("without considering the edge weights"), and stores no weights.
+// Constructed with f(value, weight) every add_edge() also records the
+// edge's weight — e.g. single-source shortest paths with f = dist + w and
+// h = min (algorithms/sssp.hpp, SsspPropagation).
+//
 // Requirements on the combiner h: commutative and *monotone-idempotent*
 // in the sense that re-applying already-seen values must not change a
 // converged result (min/max/or are the intended instances) — the same
@@ -24,6 +33,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,16 +48,25 @@ template <typename VertexT, typename ValT>
   requires runtime::TriviallySerializable<ValT>
 class Propagation : public Channel {
  public:
+  /// f(source value, edge weight) -> contribution to the target.
+  using EdgeFn = std::function<ValT(const ValT&, graph::Weight)>;
+
+  /// The Table II channel: values propagate unchanged (f = identity).
   Propagation(Worker<VertexT>* w, Combiner<ValT> combiner,
+              std::string name = "propagation")
+      : Propagation(w, std::move(combiner), EdgeFn{}, std::move(name)) {}
+
+  /// The weighted model: an edge carries f(source value, edge weight).
+  Propagation(Worker<VertexT>* w, Combiner<ValT> combiner, EdgeFn f,
               std::string name = "propagation")
       : Channel(w, std::move(name)),
         worker_(w),
         combiner_(std::move(combiner)),
+        edge_fn_(std::move(f)),
         vals_(w->num_local(), combiner_.identity),
         in_queue_(w->num_local(), 0),
-        local_adj_(w->num_local()),
-        remote_adj_(w->num_local()),
         staged_remote_(static_cast<std::size_t>(w->num_workers())) {
+    on_edges([&](auto& edges) { edges.resize(w->num_local()); });
     // Remote updates are staged in flat per-peer slot arrays (the receiver
     // local-index space is known), so combining a pending update is an
     // array write, not a hash lookup.
@@ -60,14 +79,13 @@ class Propagation : public Channel {
   }
 
   /// Register an outgoing edge of the current vertex (typically in
-  /// superstep 1, mirroring the adjacency list).
-  void add_edge(KeyT dst) {
-    const std::uint32_t src = w().current_local();
-    if (w().owner_of(dst) == w().rank()) {
-      local_adj_[src].push_back(w().local_of(dst));
+  /// superstep 1, mirroring the adjacency list). The weight is kept only
+  /// when the channel has an f.
+  void add_edge(KeyT dst, graph::Weight weight = 1) {
+    if (edge_fn_) {
+      weighted_.add(w(), dst, weight);
     } else {
-      remote_adj_[src].push_back(
-          RemoteEdge{w().owner_of(dst), w().local_of(dst)});
+      plain_.add(w(), dst, NoWeight{});
     }
   }
 
@@ -76,8 +94,8 @@ class Propagation : public Channel {
   /// that cross color classes — clear and re-add before re-seeding. Must
   /// be called while the propagation is quiescent (queue drained).
   void clear_edges() {
-    for (auto& l : local_adj_) l.clear();
-    for (auto& r : remote_adj_) r.clear();
+    plain_.clear();
+    weighted_.clear();
   }
 
   /// Seed (overwrite) the current vertex's value and mark it active for
@@ -109,7 +127,7 @@ class Propagation : public Channel {
   /// Sequential drain, payload write-out fanned over the pool (see
   /// header note).
   void serialize() override {
-    drain();
+    on_edges([this](const auto& edges) { drain(edges); });
     emit();
   }
 
@@ -137,30 +155,124 @@ class Propagation : public Channel {
   // ---- checkpoint/restore ------------------------------------------------
   // At the superstep boundary the propagation is quiescent (queue
   // drained, nothing staged), so what outlives it is the converged values
-  // get_value() reads next superstep and the registered edges.
+  // get_value() reads next superstep and the registered edges (with their
+  // weights, when the channel has an f). Restore trusts none of it:
+  // drain() indexes vals_, staged_remote_ and the peer slot arrays with
+  // these edges.
 
   void save_state(runtime::Buffer& out) override {
     out.write_vector(vals_);
-    for (const auto& adj : local_adj_) out.write_vector(adj);
-    for (const auto& adj : remote_adj_) out.write_vector(adj);
+    on_edges([&](const auto& edges) { edges.save(out); });
   }
 
   void restore_state(runtime::Buffer& in) override {
     vals_ = in.read_vector<ValT>();
-    if (vals_.size() != local_adj_.size()) {
+    if (vals_.size() != w().num_local()) {
       throw runtime::ProtocolError(
-          "Propagation restore: checkpoint shape does not match this "
-          "rank's vertex count");
+          name() + " restore: checkpoint shape does not match this rank's "
+          "vertex count");
     }
-    for (auto& adj : local_adj_) adj = in.read_vector<std::uint32_t>();
-    for (auto& adj : remote_adj_) adj = in.read_vector<RemoteEdge>();
+    on_edges([&](auto& edges) { edges.restore(in, w(), name()); });
   }
 
  private:
-  struct RemoteEdge {
-    int owner;
-    std::uint32_t lidx;
+  /// The weight slot of an edge registered without f: takes no space.
+  struct NoWeight {};
+
+  /// Every vertex's registered edges, split by owner. W is the weight an
+  /// edge carries: graph::Weight with f, NoWeight without (so an
+  /// unweighted edge is the bare local index or (owner, local index)).
+  template <typename W>
+  struct Edges {
+    struct Local {
+      std::uint32_t lidx;
+      [[no_unique_address]] W weight;
+    };
+    struct Remote {
+      int owner;
+      std::uint32_t lidx;
+      [[no_unique_address]] W weight;
+    };
+    std::vector<std::vector<Local>> local;
+    std::vector<std::vector<Remote>> remote;
+
+    void resize(std::uint32_t num_local) {
+      local.resize(num_local);
+      remote.resize(num_local);
+    }
+
+    void add(const WorkerBase& w, KeyT dst, W weight) {
+      const std::uint32_t src = w.current_local();
+      if (w.owner_of(dst) == w.rank()) {
+        local[src].push_back(Local{w.local_of(dst), weight});
+      } else {
+        remote[src].push_back(
+            Remote{w.owner_of(dst), w.local_of(dst), weight});
+      }
+    }
+
+    void clear() {
+      for (auto& l : local) l.clear();
+      for (auto& r : remote) r.clear();
+    }
+
+    void save(runtime::Buffer& out) const {
+      for (const auto& l : local) out.write_vector(l);
+      for (const auto& r : remote) out.write_vector(r);
+    }
+
+    void restore(runtime::Buffer& in, const WorkerBase& w,
+                 const std::string& name) {
+      const auto refuse = [&](const std::string& why) {
+        throw runtime::ProtocolError(name + " restore: " + why);
+      };
+      const auto check_index = [&](std::uint32_t lidx, std::uint32_t n) {
+        if (lidx >= n) {
+          refuse("edge names local index " + std::to_string(lidx) +
+                 ", outside the " + std::to_string(n) + "-vertex slice");
+        }
+      };
+      for (auto& l : local) {
+        l = in.read_vector<Local>();
+        for (const Local& e : l) check_index(e.lidx, w.num_local());
+      }
+      for (auto& r : remote) {
+        r = in.read_vector<Remote>();
+        for (const Remote& e : r) {
+          if (e.owner < 0 || e.owner >= w.num_workers()) {
+            refuse("edge names rank " + std::to_string(e.owner) +
+                   ", outside the " + std::to_string(w.num_workers()) +
+                   "-rank team");
+          }
+          check_index(e.lidx, w.dgraph().num_local(e.owner));
+        }
+      }
+    }
   };
+  // The unweighted checkpoint layout: a bare u32 per local edge and an
+  // (int, u32) pair per remote one.
+  static_assert(sizeof(typename Edges<NoWeight>::Local) ==
+                sizeof(std::uint32_t));
+  static_assert(sizeof(typename Edges<NoWeight>::Remote) ==
+                sizeof(int) + sizeof(std::uint32_t));
+
+  /// Runs fn on the edge set in use: weighted_ with f, else plain_.
+  template <typename Fn>
+  void on_edges(Fn&& fn) {
+    if (edge_fn_) {
+      fn(weighted_);
+    } else {
+      fn(plain_);
+    }
+  }
+
+  /// The contribution an edge carries: the value itself without f.
+  [[nodiscard]] const ValT& along(const ValT& v, NoWeight) const {
+    return v;
+  }
+  [[nodiscard]] ValT along(const ValT& v, graph::Weight weight) const {
+    return edge_fn_(v, weight);
+  }
 
   void push(std::uint32_t lidx) {
     if (!in_queue_[lidx]) {
@@ -170,30 +282,32 @@ class Propagation : public Channel {
   }
 
   /// Local propagation to fixpoint: drain the worker-local queue, moving
-  /// values along local edges directly and accumulating (combined)
+  /// contributions along local edges directly and accumulating (combined)
   /// updates for remote vertices. FIFO order matters: a BFS-like sweep
   /// spreads labels level by level, while a stack would push one label
   /// deep into a region and then redo the whole region when a better
   /// label arrives (exponential redundant work on skewed graphs).
-  void drain() {
+  template <typename W>
+  void drain(const Edges<W>& edges) {
     while (head_ < queue_.size()) {
       const std::uint32_t u = queue_[head_++];
       in_queue_[u] = 0;
       const ValT uv = vals_[u];
-      for (const std::uint32_t t : local_adj_[u]) {
-        const ValT nv = combiner_(vals_[t], uv);
-        if (nv != vals_[t]) {
-          vals_[t] = nv;
-          push(t);
-          worker_->activate_local(t);  // atomic frontier word-OR
+      for (const auto& e : edges.local[u]) {
+        const ValT nv = combiner_(vals_[e.lidx], along(uv, e.weight));
+        if (nv != vals_[e.lidx]) {
+          vals_[e.lidx] = nv;
+          push(e.lidx);
+          worker_->activate_local(e.lidx);  // atomic frontier word-OR
         }
       }
-      for (const RemoteEdge& e : remote_adj_[u]) {
+      for (const auto& e : edges.remote[u]) {
         auto& acc = staged_remote_[static_cast<std::size_t>(e.owner)];
         if (acc.has[e.lidx]) {
-          acc.vals[e.lidx] = combiner_(acc.vals[e.lidx], uv);
+          acc.vals[e.lidx] =
+              combiner_(acc.vals[e.lidx], along(uv, e.weight));
         } else {
-          acc.vals[e.lidx] = uv;
+          acc.vals[e.lidx] = along(uv, e.weight);
           acc.has[e.lidx] = 1;
           acc.touched.push_back(e.lidx);
         }
@@ -250,13 +364,14 @@ class Propagation : public Channel {
 
   Worker<VertexT>* worker_;
   Combiner<ValT> combiner_;
+  EdgeFn edge_fn_;  ///< empty: f = identity, no weights kept
 
   std::vector<ValT> vals_;
   std::vector<std::uint8_t> in_queue_;
   std::vector<std::uint32_t> queue_;  ///< FIFO: [head_, size) is pending
   std::size_t head_ = 0;
-  std::vector<std::vector<std::uint32_t>> local_adj_;
-  std::vector<std::vector<RemoteEdge>> remote_adj_;
+  Edges<NoWeight> plain_;          ///< sized without f, else empty
+  Edges<graph::Weight> weighted_;  ///< sized with f, else empty
 
   /// Pending combined updates for one destination worker, indexed by the
   /// receiver's local index.

@@ -605,8 +605,8 @@ runtime::RunStats launch_distributed(
 }
 
 /// Build and connect the TCP transport a LaunchConfig describes (rank
-/// endpoints, full-mesh handshake). Used by launch() and by callers that
-/// need the transport to outlive the run (e.g. result all-gathers).
+/// endpoints, full-mesh handshake). Used by run_tcp_rank() and by callers
+/// that drive the transport themselves.
 inline std::unique_ptr<runtime::TcpTransport> connect_tcp(
     const LaunchConfig& config, int num_workers) {
   const int world = config.world_size > 0 ? config.world_size : num_workers;
@@ -623,6 +623,42 @@ inline std::unique_ptr<runtime::TcpTransport> connect_tcp(
   for (int r = 0; r < world; ++r) peers.push_back(config.endpoint_of(r));
   transport->connect_mesh(peers, config.connect_timeout_s);
   return transport;
+}
+
+/// Run this process's rank of a TCP team: connect the mesh, then
+/// `run(transport)`, which returns the rank's RunStats. Everything `run`
+/// does — the superstep loop and any collective after it, such as a
+/// result all-gather — sits inside the one recovery loop.
+///
+/// Survivor-side recovery (DESIGN.md section 12): when a peer dies
+/// mid-run the transport surfaces a TransportError. With recovery
+/// attempts configured (PGCH_RECOVERY_ATTEMPTS — pgch_launch sets it
+/// alongside --max-restarts), this rank tears the dead mesh down,
+/// requests a checkpoint restore from the engine it is about to rebuild
+/// (PGCH_RESUME=auto — process-local, one process per rank under kTcp),
+/// re-runs the mesh handshake (waiting for the supervisor's respawned
+/// rank), and replays from the last committed epoch the surviving team
+/// agrees on.
+template <typename Run>
+runtime::RunStats run_tcp_rank(const LaunchConfig& config, int num_workers,
+                               Run&& run) {
+  for (int attempt = 0;; ++attempt) {
+    try {
+      const auto transport = connect_tcp(config, num_workers);
+      return run(*transport);
+    } catch (const runtime::TransportError& e) {
+      if (attempt >= config.recovery_attempts) throw;
+      std::fprintf(stderr,
+                   "[pgch] rank %d: transport failure (%s); rejoining the "
+                   "team (attempt %d of %d)\n",
+                   config.rank, e.what(), attempt + 1,
+                   config.recovery_attempts);
+      std::fflush(stderr);
+#ifndef _WIN32
+      ::setenv("PGCH_RESUME", "auto", 1);
+#endif
+    }
+  }
 }
 
 /// Run WorkerT over a distributed graph under an explicit LaunchConfig.
@@ -646,33 +682,10 @@ runtime::RunStats launch(
   const int num_workers = dg.num_workers();
 
   if (config.transport == runtime::TransportKind::kTcp) {
-    // Survivor-side recovery (DESIGN.md section 12): when a peer dies
-    // mid-run the transport surfaces a TransportError. With recovery
-    // attempts configured (PGCH_RECOVERY_ATTEMPTS — pgch_launch sets it
-    // alongside --max-restarts), this rank tears the dead mesh down,
-    // requests a checkpoint restore from the engine it is about to
-    // rebuild (PGCH_RESUME=auto — process-local, one process per rank
-    // under kTcp), re-runs the mesh handshake (waiting for the
-    // supervisor's respawned rank), and replays from the last committed
-    // epoch the surviving team agrees on.
-    for (int attempt = 0;; ++attempt) {
-      try {
-        const auto transport = connect_tcp(config, num_workers);
-        return launch_distributed<WorkerT>(dg, *transport, config.rank,
-                                           configure, collect);
-      } catch (const runtime::TransportError& e) {
-        if (attempt >= config.recovery_attempts) throw;
-        std::fprintf(stderr,
-                     "[pgch] rank %d: transport failure (%s); rejoining the "
-                     "team (attempt %d of %d)\n",
-                     config.rank, e.what(), attempt + 1,
-                     config.recovery_attempts);
-        std::fflush(stderr);
-#ifndef _WIN32
-        ::setenv("PGCH_RESUME", "auto", 1);
-#endif
-      }
-    }
+    return run_tcp_rank(config, num_workers, [&](runtime::Transport& t) {
+      return launch_distributed<WorkerT>(dg, t, config.rank, configure,
+                                         collect);
+    });
   }
 
   runtime::InProcessTransport transport(num_workers);

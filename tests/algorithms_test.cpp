@@ -177,6 +177,69 @@ INSTANTIATE_TEST_SUITE_P(Graphs, SsspSuite,
                                             ::testing::Values(1, 3, 4)),
                          sssp_case_name);
 
+// --------------------------------------------- SSSP on Propagation (f) ---
+
+class SsspPropSuite : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  Graph make_graph() const {
+    switch (std::get<0>(GetParam())) {
+      case 0:
+        return graph::grid_road(25, 25, 60, 17);
+      case 1:
+        return graph::rmat({.num_vertices = 1 << 10,
+                            .num_edges = 1 << 13,
+                            .seed = 23,
+                            .weighted = true,
+                            .max_weight = 40});
+      default:
+        return graph::chain(300).symmetrized();
+    }
+  }
+  int workers() const { return std::get<1>(GetParam()); }
+};
+
+TEST_P(SsspPropSuite, MatchesDijkstra) {
+  const Graph g = make_graph();
+  const DistributedGraph dg(
+      g, graph::hash_partition(g.num_vertices(), workers()));
+  const auto expect = ref::sssp(g, 0);
+  std::vector<std::uint64_t> got;
+  const auto stats = algo::run_collect<algo::SsspPropagation>(
+      dg, got, [](const algo::SsspVertex& v) { return v.value().dist; },
+      [](algo::SsspPropagation& w) { w.source = 0; });
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(got[v], expect[v]) << "vertex " << v;
+  }
+  EXPECT_EQ(stats.supersteps, 2);  // diameter-independent
+}
+
+TEST_P(SsspPropSuite, AgreesWithMessagePassingSssp) {
+  const Graph g = make_graph();
+  const VertexId src = g.num_vertices() / 3;
+  const DistributedGraph dg(
+      g, graph::hash_partition(g.num_vertices(), workers()));
+  std::vector<std::uint64_t> a, b;
+  algo::run_collect<algo::Sssp>(
+      dg, a, [](const algo::SsspVertex& v) { return v.value().dist; },
+      [src](algo::Sssp& w) { w.source = src; });
+  algo::run_collect<algo::SsspPropagation>(
+      dg, b, [](const algo::SsspVertex& v) { return v.value().dist; },
+      [src](algo::SsspPropagation& w) { w.source = src; });
+  EXPECT_EQ(a, b);
+}
+
+std::string sssp_prop_name(
+    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+  static const char* kinds[] = {"road", "rmatw", "chain"};
+  return std::string(kinds[std::get<0>(info.param)]) + "_w" +
+         std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(Graphs, SsspPropSuite,
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Values(1, 2, 4)),
+                         sssp_prop_name);
+
 // ------------------------------------------------------- PointerJumping ---
 
 class PointerJumpingSuite

@@ -773,6 +773,146 @@ TEST(Engine, PropagationConvergesInOneSuperstepPair) {
   EXPECT_GT(stats.comm_rounds, 4u);
 }
 
+struct PathValue {
+  std::uint64_t dist = graph::kInfWeight;
+};
+using PathVertex = Vertex<PathValue>;
+
+/// Weighted min-propagation over a chain with known weights: distance to
+/// vertex i must be the prefix sum, converged within one superstep pair.
+class WeightedChainWorker : public Worker<PathVertex> {
+ public:
+  void compute(PathVertex& v) override {
+    if (step_num() == 1) {
+      for (const auto& e : v.edges()) prop_.add_edge(e.dst, e.weight);
+      if (v.id() == 0) prop_.set_value(0);
+      return;
+    }
+    v.value().dist = prop_.get_value();
+    v.vote_to_halt();
+  }
+
+ private:
+  Propagation<PathVertex, std::uint64_t> prop_{
+      this,
+      make_combiner(c_min, std::uint64_t{graph::kInfWeight}),
+      [](const std::uint64_t& d, graph::Weight w) { return d + w; },
+      "wprop"};
+};
+
+TEST(Engine, PropagationPrefixSumsOnWeightedChain) {
+  constexpr graph::VertexId kN = 64;
+  graph::Graph g(kN);
+  for (graph::VertexId v = 0; v + 1 < kN; ++v) g.add_edge(v, v + 1, v + 1);
+  const graph::DistributedGraph dg(g, graph::hash_partition(kN, 4));
+  std::vector<std::uint64_t> dist;
+  const auto stats = algo::run_collect<WeightedChainWorker>(
+      dg, dist, [](const PathVertex& v) { return v.value().dist; });
+  std::uint64_t expect = 0;
+  for (graph::VertexId v = 0; v < kN; ++v) {
+    EXPECT_EQ(dist[v], expect) << "vertex " << v;
+    expect += v + 1;
+  }
+  EXPECT_EQ(stats.supersteps, 2);
+}
+
+TEST(Engine, PropagationUnreachedVerticesKeepIdentity) {
+  graph::Graph g(10);
+  g.add_edge(0, 1, 5);  // 2..9 unreachable
+  const graph::DistributedGraph dg(g, graph::hash_partition(10, 3));
+  std::vector<std::uint64_t> dist;
+  algo::run_collect<WeightedChainWorker>(
+      dg, dist, [](const PathVertex& v) { return v.value().dist; });
+  EXPECT_EQ(dist[0], 0u);
+  EXPECT_EQ(dist[1], 5u);
+  for (graph::VertexId v = 2; v < 10; ++v) {
+    EXPECT_EQ(dist[v], static_cast<std::uint64_t>(graph::kInfWeight));
+  }
+}
+
+/// A weighted Propagation's edge checkpoint records.
+struct ForgedLocalEdge {
+  std::uint32_t lidx;
+  graph::Weight weight;
+};
+struct ForgedRemoteEdge {
+  int owner;
+  std::uint32_t lidx;
+  graph::Weight weight;
+};
+
+/// Feeds a weighted Propagation's restore_state() hand-built checkpoint
+/// sections — well-formed bytes that a checksum would pass — whose vertex
+/// 0 carries the given edges. Records, per section, the refusal's text
+/// ("" when the section was accepted).
+class ForgedRestoreWorker : public Worker<PathVertex> {
+ public:
+  std::vector<std::string> outcomes;
+
+  ForgedRestoreWorker() {
+    const std::uint32_t n = num_local();
+    const int peer = 1 - rank();  // a 2-rank team
+    const std::uint32_t peer_n = dgraph().num_local(peer);
+    try_section({{n - 1, 1}}, {{peer, peer_n - 1, 1}});  // in range
+    try_section({{n, 1}}, {});
+    try_section({}, {{num_workers(), 0, 1}});
+    try_section({}, {{-1, 0, 1}});
+    try_section({}, {{peer, peer_n, 1}});
+  }
+
+  void compute(PathVertex& v) override { v.vote_to_halt(); }
+
+ private:
+  void try_section(const std::vector<ForgedLocalEdge>& local,
+                   const std::vector<ForgedRemoteEdge>& remote) {
+    const std::uint32_t n = num_local();
+    runtime::Buffer in;
+    in.write_vector(std::vector<std::uint64_t>(n, graph::kInfWeight));
+    for (std::uint32_t u = 0; u < n; ++u) {
+      in.write_vector(u == 0 ? local : std::vector<ForgedLocalEdge>{});
+    }
+    for (std::uint32_t u = 0; u < n; ++u) {
+      in.write_vector(u == 0 ? remote : std::vector<ForgedRemoteEdge>{});
+    }
+    try {
+      prop_.restore_state(in);
+      outcomes.emplace_back();
+    } catch (const runtime::ProtocolError& e) {
+      outcomes.emplace_back(e.what());
+    }
+  }
+
+  Propagation<PathVertex, std::uint64_t> prop_{
+      this,
+      make_combiner(c_min, std::uint64_t{graph::kInfWeight}),
+      [](const std::uint64_t& d, graph::Weight w) { return d + w; },
+      "wprop"};
+};
+
+TEST(Engine, PropagationRestoreRefusesOutOfRangeEdges) {
+  const auto dg = make_ring(16, 2);
+  std::vector<std::string> outcomes;
+  launch<ForgedRestoreWorker>(
+      dg, /*configure=*/nullptr, [&](const ForgedRestoreWorker& w, int rank) {
+        if (rank == 0) outcomes = w.outcomes;
+      });
+  ASSERT_EQ(outcomes.size(), 5u);
+  EXPECT_EQ(outcomes[0], "");
+  EXPECT_NE(outcomes[1].find("local index 8, outside the 8-vertex slice"),
+            std::string::npos)
+      << outcomes[1];
+  EXPECT_NE(outcomes[2].find("rank 2, outside the 2-rank team"),
+            std::string::npos)
+      << outcomes[2];
+  EXPECT_NE(outcomes[3].find("rank -1"), std::string::npos) << outcomes[3];
+  EXPECT_NE(outcomes[4].find("local index 8, outside the 8-vertex slice"),
+            std::string::npos)
+      << outcomes[4];
+  for (std::size_t i = 1; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].rfind("wprop restore: ", 0), 0u) << outcomes[i];
+  }
+}
+
 // ----------------------------------------------- channel byte accounting --
 
 TEST(Engine, PerChannelByteAccountingIsConsistent) {

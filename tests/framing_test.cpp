@@ -222,18 +222,19 @@ TEST(FrameFaults, ShortReadingChannelThrowsFrameMismatch) {
   EXPECT_THROW(algo::run_only<ShortReadWorker>(dg), FrameMismatchError);
 }
 
-/// A CombinedMessage whose serialize() forges one well-framed wire per
-/// peer naming a local index past the receiver's slice. Every rank
-/// forges, so every rank's delivery throws.
-template <typename VertexT>
-class ForgedIndexChannel : public CombinedMessage<VertexT, std::uint32_t> {
+/// A (lidx, value)-record channel — CombinedMessage or Propagation —
+/// whose serialize() forges one well-framed wire per peer naming a local
+/// index past the receiver's slice. Every rank forges, so every rank's
+/// delivery throws.
+template <typename Base>
+class ForgedIndexChannel : public Base {
  public:
-  explicit ForgedIndexChannel(Worker<VertexT>* w)
-      : CombinedMessage<VertexT, std::uint32_t>(
-            w, make_combiner(c_min, std::uint32_t{~0u}), "forged") {}
+  template <typename WorkerT>
+  explicit ForgedIndexChannel(WorkerT* w)
+      : Base(w, make_combiner(c_min, std::uint32_t{~0u}), "forged") {}
 
   void serialize() override {
-    struct Wire {  // CombinedMessage's (lidx, value) record layout
+    struct Wire {  // the (lidx, value) record layout both channels share
       std::uint32_t lidx;
       std::uint32_t value;
     };
@@ -245,18 +246,20 @@ class ForgedIndexChannel : public CombinedMessage<VertexT, std::uint32_t> {
   }
 };
 
+template <template <typename, typename> class Base>
 class ForgedIndexWorker : public Worker<NopVertex> {
  public:
   void compute(NopVertex& v) override { v.vote_to_halt(); }
 
  private:
-  ForgedIndexChannel<NopVertex> bad_{this};
+  ForgedIndexChannel<Base<NopVertex, std::uint32_t>> bad_{this};
 };
 
-TEST(FrameFaults, ForgedOutOfRangeIndexThrowsProtocolError) {
+template <template <typename, typename> class Base>
+void expect_out_of_range_index_rejected() {
   const auto dg = make_ring(8, 2);
   try {
-    algo::run_only<ForgedIndexWorker>(dg);
+    algo::run_only<ForgedIndexWorker<Base>>(dg);
     FAIL() << "a forged out-of-range local index was accepted";
   } catch (const ProtocolError& e) {
     const std::string what = e.what();
@@ -265,50 +268,47 @@ TEST(FrameFaults, ForgedOutOfRangeIndexThrowsProtocolError) {
   }
 }
 
-/// A tagged broadcast channel (ScatterCombine or MirrorScatter) whose
-/// serialize() forges one well-framed section per peer under a tag byte
-/// the channel never writes, followed by an empty value count.
-template <typename Base>
-class ForgedTagChannel : public Base {
+TEST(FrameFaults, ForgedOutOfRangeIndexThrowsProtocolError) {
+  expect_out_of_range_index_rejected<CombinedMessage>();
+  expect_out_of_range_index_rejected<Propagation>();
+}
+
+/// A ScatterCombine whose serialize() forges one well-framed section per
+/// peer under a tag byte the channel never writes, followed by an empty
+/// value count.
+class ForgedTagChannel : public ScatterCombine<NopVertex, std::uint32_t> {
  public:
-  template <typename WorkerT>
-  explicit ForgedTagChannel(WorkerT* w)
-      : Base(w, make_combiner(c_min, std::uint32_t{~0u}), "forged") {}
+  explicit ForgedTagChannel(Worker<NopVertex>* w)
+      : ScatterCombine(w, make_combiner(c_min, std::uint32_t{~0u}),
+                       "forged") {}
 
   void serialize() override {
-    for (int to = 0; to < this->w().num_workers(); ++to) {
-      Buffer& out = this->w().outbox(to);
+    for (int to = 0; to < w().num_workers(); ++to) {
+      Buffer& out = w().outbox(to);
       out.write<std::uint8_t>(9);
       out.write<std::uint32_t>(0);
     }
   }
 };
 
-template <template <typename, typename> class Base>
 class ForgedTagWorker : public Worker<NopVertex> {
  public:
   void compute(NopVertex& v) override { v.vote_to_halt(); }
 
  private:
-  ForgedTagChannel<Base<NopVertex, std::uint32_t>> bad_{this};
+  ForgedTagChannel bad_{this};
 };
 
-template <template <typename, typename> class Base>
-void expect_unknown_tag_rejected() {
+TEST(FrameFaults, ForgedWireTagThrowsProtocolError) {
   const auto dg = make_ring(8, 2);
   try {
-    algo::run_only<ForgedTagWorker<Base>>(dg);
+    algo::run_only<ForgedTagWorker>(dg);
     FAIL() << "a forged wire tag was read as a values payload";
   } catch (const ProtocolError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("forged"), std::string::npos) << what;
     EXPECT_NE(what.find("tag"), std::string::npos) << what;
   }
-}
-
-TEST(FrameFaults, ForgedWireTagThrowsProtocolError) {
-  expect_unknown_tag_rejected<ScatterCombine>();
-  expect_unknown_tag_rejected<MirrorScatter>();
 }
 
 // -------------------------------------------------------- kMaxChannels ----

@@ -143,13 +143,6 @@ TEST(ParallelComm, ScatterCombineSegmentedSerialize) {
       [](algo::PageRankScatter& w) { w.iterations = 6; });
 }
 
-TEST(ParallelComm, MirrorScatterSegmentedSerialize) {
-  const auto dg = rmat_dg(4);
-  run_matrix<algo::PageRankMirror, std::uint64_t>(
-      dg, [](const algo::PRVertex& v) { return bits(v.value().rank); },
-      [](algo::PageRankMirror& w) { w.iterations = 6; });
-}
-
 TEST(ParallelComm, PropagationSequentialDeliveryFallback) {
   // Propagation fans only its payload write-out over the pool; delivery
   // stays sequential (its BFS queue order feeds the next round's bytes).

@@ -4,8 +4,10 @@
 //
 // This binary is both the test driver and the per-rank worker: invoked
 // with --child it runs a deterministic PageRank as one rank of the team
-// and writes its slice of the results to a file; the gtest side spawns
-// pgch_launch pointing back at this very binary. The parity tests assert
+// through core::launch and writes its slice of the results to a file;
+// with --child-collect it runs through algo::run_collect and writes the
+// all-gathered global array. The gtest side spawns pgch_launch pointing
+// back at this very binary. The parity tests assert
 // the strongest property checkpoint/restore offers: a run that crashed,
 // respawned and resumed produces byte-for-byte the same per-rank result
 // files (vertex ids, values, superstep count) as a run with no fault.
@@ -30,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algorithms/runner.hpp"
 #include "core/pregel_channel.hpp"
 #include "graph/distributed.hpp"
 #include "graph/generators.hpp"
@@ -83,7 +86,9 @@ class ChildPageRank : public core::Worker<VertexT> {
       this, core::make_combiner(core::c_sum, 0.0)};
 };
 
-int run_child() {
+/// `collect_all`: run through algo::run_collect and record every vertex
+/// (the all-gathered array); otherwise core::launch and this rank's slice.
+int run_child(bool collect_all) {
   const core::LaunchConfig config = core::LaunchConfig::from_env();
   const char* out_prefix = std::getenv("PGCH_TEST_OUT");
   if (out_prefix == nullptr) {
@@ -103,13 +108,22 @@ int run_child() {
   std::vector<std::pair<std::uint32_t, double>> rows;
   runtime::RunStats stats;
   try {
-    stats = core::launch<ChildPageRank>(
-        dg, config, /*configure=*/nullptr,
-        /*collect=*/[&](const ChildPageRank& w, int) {
-          w.for_each_vertex([&](const VertexT& v) {
-            rows.emplace_back(v.id(), v.value().page_rank);
+    if (collect_all) {
+      std::vector<double> ranks;
+      stats = algo::run_collect<ChildPageRank>(
+          dg, ranks, [](const VertexT& v) { return v.value().page_rank; });
+      for (std::uint32_t id = 0; id < ranks.size(); ++id) {
+        rows.emplace_back(id, ranks[id]);
+      }
+    } else {
+      stats = core::launch<ChildPageRank>(
+          dg, config, /*configure=*/nullptr,
+          /*collect=*/[&](const ChildPageRank& w, int) {
+            w.for_each_vertex([&](const VertexT& v) {
+              rows.emplace_back(v.id(), v.value().page_rank);
+            });
           });
-        });
+    }
   } catch (const runtime::TransportError& e) {
     std::fprintf(stderr, "recovery_test --child rank %d: %s\n", config.rank,
                  e.what());
@@ -160,18 +174,20 @@ struct LaunchResult {
   double seconds = 0.0;
 };
 
-/// Run `pgch_launch <flags> -- <this binary> --child` with `env` prefixed
+/// Run `pgch_launch <flags> -- <this binary> <child>` with `env` prefixed
 /// (shell "K=V K=V" form), capturing the combined output and wall time.
 LaunchResult run_launcher(const std::string& env, const std::string& flags,
-                          const std::string& log_path) {
+                          const std::string& log_path,
+                          const std::string& child = "--child") {
 #ifndef PGCH_LAUNCH_BIN
   (void)env;
   (void)flags;
   (void)log_path;
+  (void)child;
   return {};
 #else
   const std::string cmd = "env " + env + " " + PGCH_LAUNCH_BIN + " " + flags +
-                          " -- " + g_self + " --child > " + log_path +
+                          " -- " + g_self + " " + child + " > " + log_path +
                           " 2>&1";
   const auto start = std::chrono::steady_clock::now();
   const int rc = std::system(cmd.c_str());
@@ -233,43 +249,52 @@ class Artifacts {
 
 TEST(Recovery, ExitFaultRespawnsAndMatchesFailureFreeRunBitwise) {
   REQUIRE_LAUNCHER();
-  const Artifacts artifacts("exit");
-  const std::string& id = artifacts.id();
+  // core::launch and algo::run_collect (whose result all-gather must sit
+  // inside the same recovery loop) recover alike.
+  const std::pair<const char*, const char*> modes[] = {
+      {"--child", "exit"}, {"--child-collect", "exit_collect"}};
+  for (const auto& [child, name] : modes) {
+    SCOPED_TRACE(child);
+    const Artifacts artifacts(name);
+    const std::string& id = artifacts.id();
 
-  // Reference: same checkpoint cadence, no fault.
-  const LaunchResult ok = run_launcher(
-      "PGCH_TEST_OUT=" + id + "_ok",
-      "-n 2 --port-base " + std::to_string(next_port_base()) +
-          " --checkpoint-dir " + id + "_ok_ckpt --checkpoint-every 2",
-      id + "_ok.log");
-  ASSERT_EQ(ok.exit_code, 0) << ok.log;
+    // Reference: same checkpoint cadence, no fault.
+    const LaunchResult ok = run_launcher(
+        "PGCH_TEST_OUT=" + id + "_ok",
+        "-n 2 --port-base " + std::to_string(next_port_base()) +
+            " --checkpoint-dir " + id + "_ok_ckpt --checkpoint-every 2",
+        id + "_ok.log", child);
+    ASSERT_EQ(ok.exit_code, 0) << ok.log;
 
-  // Fault run: rank 1 hard-exits at the start of superstep 5; one
-  // restart allowed. Heartbeats on, to exercise the beacon-skip path in
-  // a full run — they must not perturb the results.
-  const LaunchResult faulty = run_launcher(
-      "PGCH_TEST_OUT=" + id + "_ft PGCH_FAULT=rank=1,superstep=5,kind=exit "
-      "PGCH_HEARTBEAT_MS=50",
-      "-n 2 --port-base " + std::to_string(next_port_base()) +
-          " --checkpoint-dir " + id + "_ft_ckpt --checkpoint-every 2 "
-          "--max-restarts 1",
-      id + "_ft.log");
-  ASSERT_EQ(faulty.exit_code, 0) << faulty.log;
-  EXPECT_NE(faulty.log.find("rank 1 exited with code 43"), std::string::npos)
-      << faulty.log;
-  EXPECT_NE(faulty.log.find("respawning rank 1"), std::string::npos)
-      << faulty.log;
+    // Fault run: rank 1 hard-exits at the start of superstep 5; one
+    // restart allowed. Heartbeats on, to exercise the beacon-skip path in
+    // a full run — they must not perturb the results.
+    const LaunchResult faulty = run_launcher(
+        "PGCH_TEST_OUT=" + id +
+            "_ft PGCH_FAULT=rank=1,superstep=5,kind=exit "
+            "PGCH_HEARTBEAT_MS=50",
+        "-n 2 --port-base " + std::to_string(next_port_base()) +
+            " --checkpoint-dir " + id + "_ft_ckpt --checkpoint-every 2 "
+            "--max-restarts 1",
+        id + "_ft.log", child);
+    ASSERT_EQ(faulty.exit_code, 0) << faulty.log;
+    EXPECT_NE(faulty.log.find("rank 1 exited with code 43"),
+              std::string::npos)
+        << faulty.log;
+    EXPECT_NE(faulty.log.find("respawning rank 1"), std::string::npos)
+        << faulty.log;
 
-  // The recovered run's per-rank result files — vertex ids, values and
-  // superstep count — must be byte-for-byte the failure-free ones.
-  for (int rank = 0; rank < 2; ++rank) {
-    const std::string suffix = "_r" + std::to_string(rank) + ".bin";
-    const std::string expect = slurp(id + "_ok" + suffix);
-    const std::string got = slurp(id + "_ft" + suffix);
-    ASSERT_FALSE(expect.empty());
-    EXPECT_EQ(got, expect) << "rank " << rank
-                           << " diverged after recovery\n"
-                           << faulty.log;
+    // The recovered run's per-rank result files — vertex ids, values and
+    // superstep count — must be byte-for-byte the failure-free ones.
+    for (int rank = 0; rank < 2; ++rank) {
+      const std::string suffix = "_r" + std::to_string(rank) + ".bin";
+      const std::string expect = slurp(id + "_ok" + suffix);
+      const std::string got = slurp(id + "_ft" + suffix);
+      ASSERT_FALSE(expect.empty());
+      EXPECT_EQ(got, expect) << "rank " << rank
+                             << " diverged after recovery\n"
+                             << faulty.log;
+    }
   }
 }
 
@@ -362,7 +387,12 @@ TEST(Launcher, MalformedIntegerFlagsExitWithUsageError) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string_view(argv[1]) == "--child") return run_child();
+  if (argc > 1 && std::string_view(argv[1]) == "--child") {
+    return run_child(/*collect_all=*/false);
+  }
+  if (argc > 1 && std::string_view(argv[1]) == "--child-collect") {
+    return run_child(/*collect_all=*/true);
+  }
 #ifndef _WIN32
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);

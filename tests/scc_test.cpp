@@ -18,6 +18,7 @@
 #include "algorithms/pp_scc.hpp"
 #include "algorithms/runner.hpp"
 #include "algorithms/scc.hpp"
+#include "algorithms/sssp.hpp"
 #include "graph/distributed.hpp"
 #include "graph/generators.hpp"
 #include "ref/reference.hpp"
@@ -183,6 +184,8 @@ TEST(SccShape, ChannelUsesFewerBytesThanPregelPlus) {
 
 // ------------------------------------------------- checkpoint resume ---
 
+VertexId scc_label(const algo::SccVertex& v) { return v.value().scc; }
+
 /// Removes its checkpoint directories when the test ends.
 class SccCheckpoint : public ::testing::Test {
  protected:
@@ -198,19 +201,18 @@ class SccCheckpoint : public ::testing::Test {
   /// Run WorkerT to completion with checkpoints every `every` supersteps,
   /// then resume a fresh team from the newest one: results, superstep
   /// count and per-channel bytes must equal the uninterrupted run's.
-  template <typename WorkerT>
-  void expect_resume_replays(const DistributedGraph& dg, int every) {
+  template <typename WorkerT, typename OutT = VertexId,
+            typename Extract = decltype(&scc_label)>
+  void expect_resume_replays(const DistributedGraph& dg, int every,
+                             Extract extract = &scc_label) {
     const std::string label = "every " + std::to_string(every);
-    const auto extract = [](const algo::SccVertex& v) {
-      return v.value().scc;
-    };
-    std::vector<VertexId> want;
+    std::vector<OutT> want;
     const runtime::RunStats full = algo::run_collect<WorkerT>(dg, want, extract);
 
     runtime::CheckpointConfig cfg;
     cfg.every = every;
     cfg.dir = scratch_dir(std::to_string(dirs_.size()));
-    std::vector<VertexId> got;
+    std::vector<OutT> got;
     algo::run_collect<WorkerT>(dg, got, extract,
                                [&](WorkerT& w) { w.set_checkpoint(cfg); });
     ASSERT_EQ(got, want) << label;
@@ -258,6 +260,12 @@ TEST_F(SccCheckpoint, ResumeReplaysTheUninterruptedRun) {
   for (const int every : {2, 3}) {
     expect_resume_replays<algo::SccPropagation>(dg, every);
   }
+  // A Propagation with f carries its edge weights through the checkpoint:
+  // the resumed superstep 2 reads the distances superstep 1 converged.
+  const Graph road = graph::grid_road(20, 20, 60, 5);
+  expect_resume_replays<algo::SsspPropagation, std::uint64_t>(
+      DistributedGraph(road, graph::hash_partition(road.num_vertices(), 2)),
+      1, [](const algo::SsspVertex& v) { return v.value().dist; });
 }
 
 }  // namespace

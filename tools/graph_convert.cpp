@@ -13,9 +13,8 @@
 // --stats adds the snapshot's format version and per-array file offsets
 // (with their 64-byte-alignment status — the property the zero-copy mmap
 // loader needs), plus the out- and in-degree percentiles (p50/p90/p99/max)
-// — the numbers that show how hub-heavy the graph is (MirrorScatter vs
-// ScatterCombine) and predict how skewed a range partition of the id
-// space will be.
+// — the numbers that show how hub-heavy the graph is and predict how
+// skewed a range partition of the id space will be.
 //
 // --rmat feeds CI and smoke tests that need a power-law snapshot without
 // the bench harness (the asan job builds with benches off). Its arguments
