@@ -566,6 +566,70 @@ TEST(Engine, ScatterCombineFoldsInRegistrationOrder) {
   }
 }
 
+/// One rank's round hashes folded into one FNV-1a word (the count rides
+/// along), so a whole run's wire bytes pin as one constant per rank.
+std::uint64_t digest(const pregel::testing::RankRecord& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint64_t round : r.round_hashes) {
+    h = (h ^ round) * 1099511628211ull;
+  }
+  return (h ^ r.round_hashes.size()) * 1099511628211ull;
+}
+
+/// Every rank's round digests of WorkerT on one fixed R-MAT at 1, 2 and 4
+/// ranks, each the same at 1 thread, 3 threads and 3 stealing threads:
+/// the concatenation, rank by rank, team size by team size.
+template <typename WorkerT>
+std::vector<std::uint64_t> scatter_wire_digests(bool symmetric) {
+  graph::RmatOptions opts;
+  opts.num_vertices = 1u << 12;
+  opts.num_edges = 1u << 15;
+  opts.seed = 42;
+  graph::Graph g = graph::rmat(opts);
+  if (symmetric) g = g.symmetrized();
+  std::vector<std::uint64_t> digests;
+  for (const int workers : {1, 2, 4}) {
+    const graph::DistributedGraph dg(
+        g, graph::hash_partition(g.num_vertices(), workers));
+    std::vector<std::uint64_t> first;
+    for (const auto& [threads, steal] :
+         {std::pair{1, false}, {3, false}, {3, true}}) {
+      const auto records = pregel::testing::run_recorded<WorkerT>(
+          dg, [threads, steal](WorkerT& w) {
+            w.set_compute_threads(threads);
+            w.set_steal(steal);
+          });
+      std::vector<std::uint64_t> mode;
+      for (const auto& r : records) mode.push_back(digest(r));
+      if (first.empty()) {
+        first = mode;
+      } else {
+        EXPECT_EQ(mode, first) << "workers=" << workers
+                               << " threads=" << threads
+                               << (steal ? " steal" : "");
+      }
+    }
+    digests.insert(digests.end(), first.begin(), first.end());
+  }
+  return digests;
+}
+
+TEST(Engine, ScatterCombineWireBytesArePinned) {
+  // Integer values only, so the constants do not depend on float codegen.
+  EXPECT_EQ(scatter_wire_digests<algo::SvBoth>(/*symmetric=*/true),
+            (std::vector<std::uint64_t>{
+                2876086513638670082ull, 18169727100234104191ull,
+                1085163603139433817ull, 18213968422700699087ull,
+                1622455004990212566ull, 14606858911215191388ull,
+                13975606055007114189ull}));
+  EXPECT_EQ(scatter_wire_digests<ScatterFoldOrderWorker>(/*symmetric=*/false),
+            (std::vector<std::uint64_t>{
+                15012741601447669612ull, 11629686653304394722ull,
+                11677735563820175053ull, 8955123827104009833ull,
+                12133820815902573143ull, 2403248825290359816ull,
+                8065651939293825435ull}));
+}
+
 TEST(Engine, ScatterCombineRefusesEdgeCountsPast32Bits) {
   const std::size_t limit = std::numeric_limits<std::uint32_t>::max();
   EXPECT_NO_THROW(detail::check_scatter_edge_count(limit, "nbr"));
