@@ -20,8 +20,7 @@
 //    slice) per (chunk, destination rank) pair that sends at all, lazily
 //    allocated and reused for the whole run — while per-superstep work
 //    (merge + reset, via the touched lists) stays O(unique
-//    destinations). A future hash-partial mode is the knob to pull if
-//    chunk-count x slice-size dense arrays ever dominate on huge graphs.
+//    destinations).
 //  * Inexact combiners (floating-point sums) keep per-chunk raw message
 //    logs; the merge replays them message by message in chunk order, which
 //    is exactly the sequential fold (chunks are contiguous and
@@ -53,7 +52,8 @@
 // superstep that needs it:
 //
 //  * Full publish — every local vertex with out-edges published (PageRank,
-//    any superstep of a static pattern): the gather plan. Per destination
+//    any superstep of a static pattern): the static gather
+//    (static_gather.hpp, shared with ScatterCombine). Per destination
 //    rank it lists the unique receivers in first-touch order and, per
 //    receiver, its senders in (src lidx, edge position) order. serialize
 //    folds each receiver's contributions left to right and writes one
@@ -71,7 +71,7 @@
 // per edge (once per source when every weight is 1), so it must be a pure
 // function of its arguments.
 //
-// Every per-message loop (stage-time combining, the merge, the plan
+// Every per-message loop (stage-time combining, the merge, the static
 // gather, delivery) folds through with_fold(): a stock combiner's op is
 // inlined, chosen once per batch; custom combiners call their function.
 
@@ -86,6 +86,7 @@
 #include <vector>
 
 #include "core/channel.hpp"
+#include "core/static_gather.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
 #include "graph/csr.hpp"
@@ -230,27 +231,27 @@ class CombinedMessage : public Channel {
     std::uint64_t published = 0;
     for (const Shard& s : shards_) published += s.published.size();
     const std::uint64_t sent = staged_items();
-    Source source = Source::kSends;
-    if (published != 0) {
-      if (sent != 0) {
-        throw std::logic_error(
-            "CombinedMessage '" + name() +
-            "': publish and send_message both used in one superstep");
-      }
-      if (publishes_every_source(published)) {
-        source = Source::kPlan;
-        ensure_plan();
-        if (plan_unit_) fold_unit_contributions(published);
-      } else {
-        source = Source::kIndex;
-        ensure_out_index();
-      }
+    if (published != 0 && sent != 0) {
+      throw std::logic_error(
+          "CombinedMessage '" + name() +
+          "': publish and send_message both used in one superstep");
     }
-    w().run_comm_partitioned(
-        published + sent, static_cast<std::uint32_t>(w().num_workers()),
-        nullptr, [this, source](std::uint32_t begin, std::uint32_t end, int) {
-          emit_ranks(static_cast<int>(begin), static_cast<int>(end), source);
-        });
+    if (published != 0 && publishes_every_source(published)) {
+      gather_published(published);
+    } else {
+      const bool expand = published != 0;
+      if (expand) ensure_out_index();
+      w().run_comm_partitioned(
+          published + sent, static_cast<std::uint32_t>(w().num_workers()),
+          nullptr, [this, expand](std::uint32_t begin, std::uint32_t end, int) {
+            with_fold(combiner_, [&](auto fold) {
+              for (auto to = static_cast<int>(begin);
+                   to < static_cast<int>(end); ++to) {
+                merge_rank(to, expand, fold);
+              }
+            });
+          });
+    }
     for (Shard& s : shards_) s.published.clear();
     ++cur_epoch_;
   }
@@ -304,26 +305,6 @@ class CombinedMessage : public Channel {
     std::vector<graph::Weight> weights;  ///< empty when every weight is 1
   };
 
-  /// The same edges regrouped by receiver: the gather plan of a superstep
-  /// where every source publishes. Receivers appear in first-touch order
-  /// of the (src lidx, edge position) scan, and each receiver's run lists
-  /// its senders in that scan's order — the order the per-edge loop folds
-  /// them in.
-  struct GatherPlan {
-    std::vector<std::uint32_t> dst;      ///< unique receiver lidx
-    std::vector<std::uint64_t> run;      ///< dst.size() + 1 offsets into src
-    std::vector<std::uint32_t> src;      ///< sender lidx, grouped by run
-    std::vector<graph::Weight> weights;  ///< parallel to src; empty when
-                                         ///< every weight is 1
-  };
-
-  /// What serialize turns into wires this superstep.
-  enum class Source : std::uint8_t {
-    kSends,  ///< send_message() staging
-    kIndex,  ///< publish lists over the out-edge index
-    kPlan,   ///< every source published: the gather plan
-  };
-
   void init_shard(Shard& s) {
     const auto workers = static_cast<std::size_t>(w().num_workers());
     s.partial.resize(workers);
@@ -363,7 +344,7 @@ class CombinedMessage : public Channel {
   // value + presence flag per local vertex (messages delivered at the
   // end of superstep N, consumed by compute in N+1). Staging shards and
   // publish lists are empty at the boundary, and the out-edge index and
-  // gather plan are rebuilt on first use, so none of them is persisted.
+  // static gather are rebuilt on first use, so none of them is persisted.
 
   void save_state(runtime::Buffer& out) override {
     out.write_vector(slot_);
@@ -408,21 +389,6 @@ class CombinedMessage : public Channel {
       m.has[lidx] = 0;
     }
     m.touched.clear();
-  }
-
-  /// Emit one combined wire pair per unique destination for destination
-  /// ranks [begin, end), from `source`. The combiner's fold is chosen
-  /// once here for the whole range.
-  void emit_ranks(int begin, int end, Source source) {
-    with_fold(combiner_, [&](auto fold) {
-      for (int to = begin; to < end; ++to) {
-        if (source == Source::kPlan) {
-          gather_rank(to, fold);
-        } else {
-          merge_rank(to, source == Source::kIndex, fold);
-        }
-      }
-    });
   }
 
   /// Merge every shard's staging for destination rank `to` — the
@@ -491,34 +457,52 @@ class CombinedMessage : public Channel {
     }
   }
 
-  /// Emit destination rank `to`'s section straight from the gather plan:
-  /// per receiver, acc = c(src0); acc = fold(acc, c(src_i))... — the fold
-  /// and wire order of expand_published() over a full publish list. With
-  /// unit weights published_ already holds f(value, 1) per source
+  /// Every source published: write each destination rank's section
+  /// straight from the static gather, one (lidx, left fold of its
+  /// senders' contributions) wire per receiver in first-touch order — the
+  /// fold and wire order of expand_published() over a full publish list.
+  /// With unit weights published_ holds f(value, 1) per source
   /// (fold_unit_contributions()).
-  template <typename Fold>
-  void gather_rank(int to, Fold fold) {
-    const GatherPlan& plan = plan_[static_cast<std::size_t>(to)];
-    runtime::Buffer& out = w().outbox(to);
-    const std::size_t receivers = plan.dst.size();
-    out.write<std::uint32_t>(static_cast<std::uint32_t>(receivers));
-    std::byte* at = out.extend(receivers * sizeof(Wire));
-    const std::uint32_t* src = plan.src.data();
-    for (std::size_t u = 0; u < receivers; ++u, at += sizeof(Wire)) {
-      std::uint64_t i = plan.run[u];
-      const std::uint64_t last = plan.run[u + 1];
-      ValT acc;
-      if (plan.weights.empty()) {
-        acc = published_[src[i]];
-        for (++i; i < last; ++i) acc = fold(acc, published_[src[i]]);
-      } else {
-        acc = edge_fn_(published_[src[i]], plan.weights[i]);
-        for (++i; i < last; ++i) {
-          acc = fold(acc, edge_fn_(published_[src[i]], plan.weights[i]));
-        }
-      }
-      put_wire(at, plan.dst[u], acc);
+  void gather_published(std::uint64_t published) {
+    if (!gather_.built()) {
+      gather_.build(w().dgraph(), ReceiverOrder::kFirstTouch,
+                    [this](auto&& visit) {
+                      for (std::uint32_t lidx = 0; lidx < num_local_limit();
+                           ++lidx) {
+                        for (const graph::Edge e : out_edges(lidx)) {
+                          visit(lidx, e.dst, e.weight);
+                        }
+                      }
+                    });
     }
+    if (gather_.unit()) fold_unit_contributions(published);
+    std::vector<std::byte*> seg(static_cast<std::size_t>(w().num_workers()));
+    for (int to = 0; to < w().num_workers(); ++to) {
+      runtime::Buffer& out = w().outbox(to);
+      const std::size_t receivers = gather_.receivers(to);
+      out.write<std::uint32_t>(static_cast<std::uint32_t>(receivers));
+      seg[static_cast<std::size_t>(to)] = out.extend(receivers * sizeof(Wire));
+    }
+    const auto emit = [&seg](int to, std::size_t at, std::uint32_t lidx,
+                             const ValT& acc) {
+      put_wire(seg[static_cast<std::size_t>(to)] + at * sizeof(Wire), lidx,
+               acc);
+    };
+    with_fold(combiner_, [&](auto fold) {
+      if (gather_.unit()) {
+        gather_.fold_runs(
+            w(), fold,
+            [this](std::uint32_t src, std::uint64_t) { return published_[src]; },
+            emit);
+      } else {
+        gather_.fold_runs(
+            w(), fold,
+            [this](std::uint32_t src, std::uint64_t i) {
+              return edge_fn_(published_[src], gather_.weight(i));
+            },
+            emit);
+      }
+    });
   }
 
   /// Whether every local vertex with out-edges is on this superstep's
@@ -615,64 +599,6 @@ class CombinedMessage : public Channel {
     }
   }
 
-  /// Build the gather plan once, in two passes over this rank's adjacency
-  /// in (src lidx, edge position) order. The first numbers each
-  /// destination rank's receivers in first-touch order and counts their
-  /// senders; the second drops every edge's sender (and weight) into its
-  /// receiver's run, so runs keep the scan order. Receivers are keyed
-  /// densely as base[owner] + lidx, as ScatterCombine's finalize does;
-  /// the key map is freed on return. Counts sit two slots up in `run`,
-  /// so after the prefix sum run[u + 1] is run u's fill cursor, and the
-  /// fill leaves run[u] at run u's start (the spare last slot is popped).
-  void ensure_plan() {
-    if (!plan_.empty()) return;
-    constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
-    const auto workers = static_cast<std::size_t>(w().num_workers());
-    const std::uint32_t n = num_local_limit();
-    std::vector<std::uint64_t> base(workers + 1, 0);
-    for (std::size_t r = 0; r < workers; ++r) {
-      base[r + 1] = base[r] + peer_local_count(static_cast<int>(r));
-    }
-    std::vector<std::uint32_t> run_of(base[workers], kUnseen);
-    plan_.resize(workers);
-    for (GatherPlan& plan : plan_) plan.run.assign(2, 0);
-    bool unit = true;
-    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
-      for (const graph::Edge e : out_edges(lidx)) {
-        const auto to = static_cast<std::size_t>(w().owner_of(e.dst));
-        const std::uint32_t recv = w().local_of(e.dst);
-        GatherPlan& plan = plan_[to];
-        std::uint32_t& run = run_of[base[to] + recv];
-        if (run == kUnseen) {
-          run = static_cast<std::uint32_t>(plan.dst.size());
-          plan.dst.push_back(recv);
-          plan.run.push_back(0);
-        }
-        ++plan.run[run + 2];
-        unit = unit && e.weight == 1;
-      }
-    }
-    for (GatherPlan& plan : plan_) {
-      for (std::size_t u = 1; u < plan.run.size(); ++u) {
-        plan.run[u] += plan.run[u - 1];
-      }
-      plan.src.resize(plan.run.back());
-      if (!unit) plan.weights.resize(plan.run.back());
-    }
-    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
-      for (const graph::Edge e : out_edges(lidx)) {
-        const auto to = static_cast<std::size_t>(w().owner_of(e.dst));
-        GatherPlan& plan = plan_[to];
-        const std::uint32_t run = run_of[base[to] + w().local_of(e.dst)];
-        const std::uint64_t at = plan.run[run + 1]++;
-        plan.src[at] = lidx;
-        if (!unit) plan.weights[at] = e.weight;
-      }
-    }
-    for (GatherPlan& plan : plan_) plan.run.pop_back();
-    plan_unit_ = unit;
-  }
-
   Worker<VertexT>* worker_;
   Combiner<ValT> combiner_;
 
@@ -691,8 +617,8 @@ class CombinedMessage : public Channel {
 
   // publish() state: edge_fn_, the published columns and the source count
   // are set up by the edge-transform constructor; the out-edge index and
-  // the gather plan are each built on the first superstep that needs them
-  // and kept for the run.
+  // the static gather are each built on the first superstep that needs
+  // them and kept for the run.
   EdgeFn edge_fn_;
   /// Publish epoch: one per superstep, closed by serialize(). Stamps
   /// distinguish "published THIS superstep" from stale values (0 = never)
@@ -701,11 +627,10 @@ class CombinedMessage : public Channel {
   std::vector<ValT> published_;            ///< one slot per local vertex
   std::vector<std::uint32_t> pub_epoch_;
   /// Local vertices with at least one out-edge: a superstep whose
-  /// publish lists cover them all is served by the gather plan.
+  /// publish lists cover them all is served by the static gather.
   std::uint64_t sources_ = 0;
   std::vector<PeerEdges> out_index_;       ///< per destination rank
-  std::vector<GatherPlan> plan_;           ///< per destination rank
-  bool plan_unit_ = false;                 ///< plan_ has no weights
+  StaticGather gather_;
 };
 
 }  // namespace pregel::core

@@ -149,10 +149,19 @@ class EngineBase {
     while (true) {
       ++step_;
       maybe_inject_fault();
-      const std::uint64_t sent_before = env_.exchange->sent_bytes(env_.rank);
+      const runtime::Exchange& ex = *env_.exchange;
+      const std::uint64_t bytes0 = ex.sent_bytes(env_.rank);
+      const std::uint64_t batches0 = ex.sent_batches(env_.rank);
+      const std::uint64_t frames0 = ex.frame_overhead_bytes(env_.rank);
       const bool any_local_active = superstep();
-      stats_.bytes_per_superstep.push_back(
-          env_.exchange->sent_bytes(env_.rank) - sent_before);
+      // Accumulated per superstep, like every other counter a checkpoint
+      // carries: a resumed run's exchange starts at zero, so its totals
+      // are the restored ones plus the replayed supersteps'.
+      const std::uint64_t bytes = ex.sent_bytes(env_.rank) - bytes0;
+      stats_.bytes_per_superstep.push_back(bytes);
+      stats_.message_bytes += bytes;
+      stats_.message_batches += ex.sent_batches(env_.rank) - batches0;
+      stats_.frame_bytes += ex.frame_overhead_bytes(env_.rank) - frames0;
       if (!env_.transport->vote_any(
               env_.rank, any_local_active || wants_next_superstep())) {
         break;
@@ -163,8 +172,6 @@ class EngineBase {
 
     stats_.seconds = std::chrono::duration<double>(t1 - t0).count();
     stats_.supersteps = step_;
-    stats_.message_bytes = env_.exchange->sent_bytes(env_.rank);
-    stats_.message_batches = env_.exchange->sent_batches(env_.rank);
     // This rank's contribution to the per-rank compute-time vector; the
     // stats folds (in-process loop, TCP gather) concatenate these in
     // ascending rank order, so the merged record's max/mean is the
@@ -176,7 +183,6 @@ class EngineBase {
     stats_.rank_compute_seconds.assign(
         1, compute_cpu_seconds_ > 0.0 ? compute_cpu_seconds_
                                       : stats_.compute_seconds);
-    finish_stats();
     return stats_;
   }
 
@@ -201,9 +207,6 @@ class EngineBase {
   /// still has locally active work; the quiescence vote folds that across
   /// the team.
   virtual bool superstep() = 0;
-
-  /// Hook for engine-specific stats finalization after the loop.
-  virtual void finish_stats() {}
 
   /// Pregel's master-compute "continue" bit: a program whose next
   /// superstep starts work no message announces (a phase change that

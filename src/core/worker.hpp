@@ -222,10 +222,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     return any_active_vertex();
   }
 
-  void finish_stats() override {
-    stats_.frame_bytes = env_.exchange->frame_overhead_bytes(env_.rank);
-  }
-
   // ---- checkpoint/restore (DESIGN.md section 12) -------------------------
   // The superstep boundary carries forward: the value column, the
   // frontier, the accumulated stats, each channel's receive-side state

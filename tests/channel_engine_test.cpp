@@ -630,18 +630,6 @@ TEST(Engine, ScatterCombineWireBytesArePinned) {
                 8065651939293825435ull}));
 }
 
-TEST(Engine, ScatterCombineRefusesEdgeCountsPast32Bits) {
-  const std::size_t limit = std::numeric_limits<std::uint32_t>::max();
-  EXPECT_NO_THROW(detail::check_scatter_edge_count(limit, "nbr"));
-  try {
-    detail::check_scatter_edge_count(limit + 1, "nbr");
-    FAIL() << "2^32 edges accepted";
-  } catch (const std::length_error& e) {
-    EXPECT_NE(std::string(e.what()).find("nbr"), std::string::npos)
-        << e.what();
-  }
-}
-
 /// Degenerate edge sets for the one-time destination grouping, each run
 /// through the scatter-composed S-V (min combiner) and PageRank (float
 /// sum) programs against the sequential references.

@@ -10,12 +10,14 @@
 // back at this very binary. The parity tests assert
 // the strongest property checkpoint/restore offers: a run that crashed,
 // respawned and resumed produces byte-for-byte the same per-rank result
-// files (vertex ids, values, superstep count) as a run with no fault.
+// files (superstep count, message counters, vertex ids, values) as a run
+// with no fault.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -86,6 +88,10 @@ class ChildPageRank : public core::Worker<VertexT> {
       this, core::make_combiner(core::c_sum, 0.0)};
 };
 
+/// The team stats a child writes after its rank and row count: supersteps,
+/// message bytes, message batches, frame bytes.
+constexpr std::size_t kCounters = 4;
+
 /// `collect_all`: run through algo::run_collect and record every vertex
 /// (the all-gathered array); otherwise core::launch and this rank's slice.
 int run_child(bool collect_all) {
@@ -143,10 +149,12 @@ int run_child(bool collect_all) {
   }
   const auto rank32 = static_cast<std::uint32_t>(config.rank);
   const auto count = static_cast<std::uint32_t>(rows.size());
-  const auto steps = static_cast<std::uint64_t>(stats.supersteps);
+  const std::uint64_t header[kCounters] = {
+      static_cast<std::uint64_t>(stats.supersteps), stats.message_bytes,
+      stats.message_batches, stats.frame_bytes};
   std::fwrite(&rank32, sizeof(rank32), 1, f);
   std::fwrite(&count, sizeof(count), 1, f);
-  std::fwrite(&steps, sizeof(steps), 1, f);
+  std::fwrite(header, sizeof(header), 1, f);
   for (const auto& [id, pr] : rows) {
     std::fwrite(&id, sizeof(id), 1, f);
     std::fwrite(&pr, sizeof(pr), 1, f);
@@ -208,6 +216,17 @@ std::string slurp(const std::string& path) {
   std::stringstream ss;
   ss << f.rdbuf();
   return ss.str();
+}
+
+/// The stats header of a child's result file (see run_child()).
+std::vector<std::uint64_t> counters(const std::string& file) {
+  constexpr std::size_t kAt = 2 * sizeof(std::uint32_t);
+  constexpr std::size_t kBytes = kCounters * sizeof(std::uint64_t);
+  std::vector<std::uint64_t> out(kCounters, 0);
+  if (file.size() >= kAt + kBytes) {
+    std::memcpy(out.data(), file.data() + kAt, kBytes);
+  }
+  return out;
 }
 
 /// A test's unique file prefix. Every log, result file and checkpoint
@@ -284,13 +303,17 @@ TEST(Recovery, ExitFaultRespawnsAndMatchesFailureFreeRunBitwise) {
     EXPECT_NE(faulty.log.find("respawning rank 1"), std::string::npos)
         << faulty.log;
 
-    // The recovered run's per-rank result files — vertex ids, values and
-    // superstep count — must be byte-for-byte the failure-free ones.
+    // The recovered run's per-rank result files — superstep count,
+    // message bytes, batches and frame bytes, vertex ids and values — must
+    // be byte-for-byte the failure-free ones.
     for (int rank = 0; rank < 2; ++rank) {
       const std::string suffix = "_r" + std::to_string(rank) + ".bin";
       const std::string expect = slurp(id + "_ok" + suffix);
       const std::string got = slurp(id + "_ft" + suffix);
       ASSERT_FALSE(expect.empty());
+      EXPECT_EQ(counters(got), counters(expect))
+          << "rank " << rank << ": supersteps, message bytes, batches, "
+          << "frame bytes";
       EXPECT_EQ(got, expect) << "rank " << rank
                              << " diverged after recovery\n"
                              << faulty.log;

@@ -200,7 +200,7 @@ class SccCheckpoint : public ::testing::Test {
 
   /// Run WorkerT to completion with checkpoints every `every` supersteps,
   /// then resume a fresh team from the newest one: results, superstep
-  /// count and per-channel bytes must equal the uninterrupted run's.
+  /// count and every byte counter must equal the uninterrupted run's.
   template <typename WorkerT, typename OutT = VertexId,
             typename Extract = decltype(&scc_label)>
   void expect_resume_replays(const DistributedGraph& dg, int every,
@@ -226,8 +226,19 @@ class SccCheckpoint : public ::testing::Test {
     EXPECT_EQ(got, want) << label;
     EXPECT_EQ(resumed.supersteps, full.supersteps) << label;
     EXPECT_EQ(resumed.bytes_by_channel, full.bytes_by_channel) << label;
+    EXPECT_EQ(resumed.message_bytes, full.message_bytes) << label;
+    EXPECT_EQ(resumed.message_batches, full.message_batches) << label;
+    EXPECT_EQ(resumed.frame_bytes, full.frame_bytes) << label;
     EXPECT_EQ(resumed.active_per_superstep, full.active_per_superstep)
         << label;
+    for (const runtime::RunStats* stats : {&full, &resumed}) {
+      std::uint64_t channels = 0;
+      for (const auto& [name, bytes] : stats->bytes_by_channel) {
+        channels += bytes;
+      }
+      EXPECT_EQ(channels + stats->frame_bytes, stats->message_bytes)
+          << label;
+    }
   }
 
  private:
