@@ -78,7 +78,7 @@ class BlockWorker : public core::EngineBase,
       return;
     }
     staged_[static_cast<std::size_t>(env_.dg->owner(dst))].push_back(
-        Wire{env_.dg->local_index(dst), m});
+        Record::pack(env_.dg->local_index(dst), m));
   }
 
  protected:
@@ -111,10 +111,9 @@ class BlockWorker : public core::EngineBase,
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;
-    MsgT value;
-  };
+  /// Messages ship as packed (lidx, value) records through the channel
+  /// engine's codec (channel.hpp's WireRecord).
+  using Record = core::detail::WireRecord<MsgT>;
 
   void load() {
     this->init_columns(*env_.dg, env_.rank);
@@ -154,7 +153,7 @@ class BlockWorker : public core::EngineBase,
     if (combiner_) {
       for (const auto& [dst, val] : combine_staged_) {
         staged_[static_cast<std::size_t>(env_.dg->owner(dst))].push_back(
-            Wire{env_.dg->local_index(dst), val});
+            Record::pack(env_.dg->local_index(dst), val));
       }
       combine_staged_.clear();
     }
@@ -163,7 +162,7 @@ class BlockWorker : public core::EngineBase,
       auto& batch = staged_[static_cast<std::size_t>(to)];
       out.write<std::uint32_t>(static_cast<std::uint32_t>(batch.size()));
       if (!batch.empty()) {
-        out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
+        out.write_bytes(batch.data(), batch.size() * Record::kBytes);
         batch.clear();
       }
     }
@@ -185,28 +184,28 @@ class BlockWorker : public core::EngineBase,
         total, n, &recv_touched_,
         [this, n](std::uint32_t lo, std::uint32_t hi, int slot) {
           wire_spans_.for_each(lo, hi, n, "BlockWorker",
-                               [&](const Wire& wire) { deliver(wire, slot); });
+                               [&](const Record& r) { deliver(r, slot); });
         });
     stats_.serialize_seconds += seconds_between(s0, s1);
     stats_.exchange_seconds += seconds_between(s1, s2);
     stats_.deliver_seconds += seconds_between(s2, Clock::now());
   }
 
-  void deliver(const Wire& wire, int delivery_slot) {
-    auto& box = incoming_[wire.lidx];
+  void deliver(const Record& r, int delivery_slot) {
+    auto& box = incoming_[r.lidx];
     if (combiner_ && !box.empty()) {
-      box[0] = (*combiner_)(box[0], wire.value);
+      box[0] = (*combiner_)(box[0], r.value);
     } else {
       if (box.empty()) {
         recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(
-            wire.lidx);
+            r.lidx);
       }
-      box.push_back(wire.value);
+      box.push_back(r.value);
     }
     // Wake the block: concurrent delivery slots may wake the same block
     // from different vertex ranges, so the store is atomic (relaxed — the
     // pool's join orders it before the next superstep's reads).
-    std::atomic_ref<std::uint8_t>(block_active_[lidx_block_[wire.lidx]])
+    std::atomic_ref<std::uint8_t>(block_active_[lidx_block_[r.lidx]])
         .store(1, std::memory_order_relaxed);
   }
 
@@ -217,11 +216,11 @@ class BlockWorker : public core::EngineBase,
 
   std::optional<core::Combiner<MsgT>> combiner_;
   std::unordered_map<KeyT, MsgT> combine_staged_;
-  std::vector<std::vector<Wire>> staged_;
+  std::vector<std::vector<typename Record::Packed>> staged_;
   std::vector<std::vector<MsgT>> incoming_;
   std::vector<std::vector<std::uint32_t>> recv_touched_{1};  ///< per slot
   /// Raw wire span per peer (round-scoped delivery scratch).
-  core::detail::WireSpans<Wire> wire_spans_{num_workers()};
+  core::detail::WireSpans<MsgT> wire_spans_{num_workers()};
 };
 
 }  // namespace pregel::blogel

@@ -6,6 +6,8 @@
 // inside each superstep (Fig. 4). Optimizations are implemented as
 // channels, so composing optimizations = allocating several channels.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -57,42 +59,88 @@ inline void check_local_index(std::uint64_t lidx, std::uint64_t num_local,
   }
 }
 
-/// One round's peer sections of raw (lidx, value) wire records — the
-/// single delivery loop of the per-message channels and the baseline
-/// engines. read() records a section (u32 count, then the records) and
-/// skips it; for_each(lo, hi, ...) visits every record whose lidx falls
-/// in [lo, hi), in peer order and then payload order. That is the
-/// range-partitioned shape run_comm_partitioned fans out, and with one
-/// slot ([0, num_local)) the plain sequential scan.
-template <typename Wire>
+/// The packed (lidx, value) wire record every per-message channel and
+/// both baseline engines ship: the u32 index (the receiver's local index,
+/// or a vertex id) and then the value, kBytes = 4 + sizeof(ValT) bytes with
+/// no padding between or after them. put() and get() copy field by field
+/// with memcpy, so neither end needs an aligned address. The struct itself
+/// is the decoded form (its in-memory layout may be padded); Packed is
+/// kBytes of record, for staging already-encoded records in a vector whose
+/// data() is a ready wire section.
+template <typename ValT>
+struct WireRecord {
+  std::uint32_t lidx;
+  ValT value;
+
+  static constexpr std::size_t kBytes = sizeof(std::uint32_t) + sizeof(ValT);
+  using Packed = std::array<std::byte, kBytes>;
+  static_assert(sizeof(Packed) == kBytes);
+
+  static void put(std::byte* at, std::uint32_t lidx, const ValT& value) {
+    std::memcpy(at, &lidx, sizeof(lidx));
+    std::memcpy(at + sizeof(lidx), &value, sizeof(ValT));
+  }
+
+  [[nodiscard]] static Packed pack(std::uint32_t lidx, const ValT& value) {
+    Packed p;
+    put(p.data(), lidx, value);
+    return p;
+  }
+
+  [[nodiscard]] static WireRecord get(const std::byte* at) {
+    WireRecord r;
+    std::memcpy(&r.lidx, at, sizeof(r.lidx));
+    std::memcpy(&r.value, at + sizeof(r.lidx), sizeof(ValT));
+    return r;
+  }
+
+  /// The next record of `in`, bounds- and frame-checked like any read.
+  [[nodiscard]] static WireRecord read(runtime::Buffer& in) {
+    Packed p;
+    in.read_bytes(p.data(), kBytes);
+    return get(p.data());
+  }
+};
+
+/// One round's peer sections of packed WireRecord<ValT>s — the single
+/// delivery loop of the per-message channels and the baseline engines.
+/// read() records a section (u32 count, then the records) and skips it;
+/// for_each(lo, hi, ...) visits every record whose lidx falls in [lo, hi),
+/// in peer order and then payload order. That is the range-partitioned
+/// shape run_comm_partitioned fans out, and with one slot ([0,
+/// num_local)) the plain sequential scan.
+template <typename ValT>
 class WireSpans {
  public:
+  using Record = WireRecord<ValT>;
+
   explicit WireSpans(int peers) : spans_(static_cast<std::size_t>(peers)) {}
 
-  /// Record peer `from`'s section of `in`; returns its record count.
+  /// Record peer `from`'s section of `in`; returns its record count. A
+  /// count claiming more records than the frame holds throws
+  /// ProtocolError (skip() is bounds- and frame-checked).
   std::uint32_t read(runtime::Buffer& in, int from) {
     const auto n = in.read<std::uint32_t>();
     spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-    in.skip(std::size_t{n} * sizeof(Wire));
+    in.skip(std::size_t{n} * Record::kBytes);
     return n;
   }
 
-  /// fn(wire) for every recorded wire with lidx in [lo, hi). Any lidx at
-  /// or past `num_local` throws a ProtocolError naming `owner` (the slot
-  /// whose range ends at num_local sees every such record).
+  /// fn(record) for every recorded record with lidx in [lo, hi). Any lidx
+  /// at or past `num_local` throws a ProtocolError naming `owner` (the
+  /// slot whose range ends at num_local sees every such record).
   template <typename Fn>
   void for_each(std::uint32_t lo, std::uint32_t hi, std::uint32_t num_local,
                 std::string_view owner, Fn&& fn) const {
     for (const auto& [ptr, n] : spans_) {
       const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-        Wire wire;
-        std::memcpy(&wire, p, sizeof(Wire));
-        if (wire.lidx < lo || wire.lidx >= hi) {
-          check_local_index(wire.lidx, num_local, owner);
+      for (std::uint32_t i = 0; i < n; ++i, p += Record::kBytes) {
+        const Record r = Record::get(p);
+        if (r.lidx < lo || r.lidx >= hi) {
+          check_local_index(r.lidx, num_local, owner);
           continue;
         }
-        fn(wire);
+        fn(r);
       }
     }
   }

@@ -36,9 +36,9 @@
 //
 // serialize() merges per destination rank — in parallel over contiguous
 // destination-rank ranges when the engine runs the comm phase with
-// threads — and emits one combined (lidx, value) pair per unique
-// destination in first-touch order, which is itself independent of the
-// thread count. Delivery range-partitions the local vertex space; each
+// threads — and emits one combined packed (lidx, value) record
+// (channel.hpp's WireRecord) per unique destination in first-touch order,
+// which is itself independent of the thread count. Delivery range-partitions the local vertex space; each
 // slot scans the peer inboxes in peer order and applies only its own
 // range, preserving the sequential per-vertex application order without
 // atomics on values.
@@ -77,7 +77,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -162,7 +161,7 @@ class CombinedMessage : public Channel {
         p.touched.push_back(lidx);
       }
     } else {
-      shard.log[to].push_back(Wire{lidx, m});
+      shard.log[to].push_back(Record{lidx, m});
     }
   }
 
@@ -270,16 +269,13 @@ class CombinedMessage : public Channel {
         [this](std::uint32_t lo, std::uint32_t hi, int slot) {
           with_fold(combiner_, [&](auto fold) {
             spans_.for_each(lo, hi, num_local_limit(), name(),
-                            [&](const Wire& wire) { apply(wire, slot, fold); });
+                            [&](const Record& r) { apply(r, slot, fold); });
           });
         });
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;
-    ValT value;
-  };
+  using Record = detail::WireRecord<ValT>;
 
   /// One slot's pending combined values for one destination rank.
   struct Partial {
@@ -292,7 +288,7 @@ class CombinedMessage : public Channel {
   /// destination rank, plus the chunk's publish() list.
   struct Shard {
     std::vector<Partial> partial;          ///< exact combiners
-    std::vector<std::vector<Wire>> log;    ///< inexact combiners
+    std::vector<std::vector<Record>> log;  ///< inexact combiners
     std::vector<std::uint32_t> published;  ///< publish() list, lidx asc
   };
 
@@ -369,22 +365,14 @@ class CombinedMessage : public Channel {
     return worker_->dgraph().out(w().rank(), lidx);
   }
 
-  /// Write one wire record at `at` (zeroed bytes of an extended outbox):
-  /// field by field, so the padding between them stays zero and the
-  /// bytes are a function of (lidx, value) alone.
-  static void put_wire(std::byte* at, std::uint32_t lidx, const ValT& value) {
-    std::memcpy(at + offsetof(Wire, lidx), &lidx, sizeof(lidx));
-    std::memcpy(at + offsetof(Wire, value), &value, sizeof(ValT));
-  }
-
   /// Emit the first-touch list of `m` to `out` as one section, resetting
   /// each slot for the next superstep.
   void flush_partial(Partial& m, runtime::Buffer& out) const {
     out.write<std::uint32_t>(static_cast<std::uint32_t>(m.touched.size()));
-    std::byte* at = out.extend(m.touched.size() * sizeof(Wire));
+    std::byte* at = out.extend(m.touched.size() * Record::kBytes);
     for (const std::uint32_t lidx : m.touched) {
-      put_wire(at, lidx, m.vals[lidx]);
-      at += sizeof(Wire);
+      Record::put(at, lidx, m.vals[lidx]);
+      at += Record::kBytes;
       m.vals[lidx] = combiner_.identity;
       m.has[lidx] = 0;
     }
@@ -426,7 +414,7 @@ class CombinedMessage : public Channel {
       }
       p.touched.clear();
       auto& log = shard.log[peer];
-      for (const Wire& wire : log) fold_into(m, wire.lidx, wire.value, fold);
+      for (const Record& r : log) fold_into(m, r.lidx, r.value, fold);
       log.clear();
     }
     flush_partial(m, w().outbox(to));
@@ -481,12 +469,13 @@ class CombinedMessage : public Channel {
       runtime::Buffer& out = w().outbox(to);
       const std::size_t receivers = gather_.receivers(to);
       out.write<std::uint32_t>(static_cast<std::uint32_t>(receivers));
-      seg[static_cast<std::size_t>(to)] = out.extend(receivers * sizeof(Wire));
+      seg[static_cast<std::size_t>(to)] =
+          out.extend(receivers * Record::kBytes);
     }
     const auto emit = [&seg](int to, std::size_t at, std::uint32_t lidx,
                              const ValT& acc) {
-      put_wire(seg[static_cast<std::size_t>(to)] + at * sizeof(Wire), lidx,
-               acc);
+      Record::put(seg[static_cast<std::size_t>(to)] + at * Record::kBytes,
+                  lidx, acc);
     };
     with_fold(combiner_, [&](auto fold) {
       if (gather_.unit()) {
@@ -547,19 +536,19 @@ class CombinedMessage : public Channel {
     }
   }
 
-  /// Receiver-side apply of one in-range wire pair into the delivery
+  /// Receiver-side apply of one in-range record into the delivery
   /// slot's state.
   template <typename Fold>
-  void apply(const Wire& wire, int delivery_slot, Fold fold) {
-    if (has_[wire.lidx]) {
-      slot_[wire.lidx] = fold(slot_[wire.lidx], wire.value);
+  void apply(const Record& r, int delivery_slot, Fold fold) {
+    if (has_[r.lidx]) {
+      slot_[r.lidx] = fold(slot_[r.lidx], r.value);
     } else {
-      slot_[wire.lidx] = wire.value;
-      has_[wire.lidx] = 1;
+      slot_[r.lidx] = r.value;
+      has_[r.lidx] = 1;
       recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(
-          wire.lidx);
+          r.lidx);
     }
-    worker_->activate_local(wire.lidx);  // atomic frontier word-OR
+    worker_->activate_local(r.lidx);  // atomic frontier word-OR
   }
 
   /// Build the out-edge index once (the CSR is immutable): a counting
@@ -613,7 +602,7 @@ class CombinedMessage : public Channel {
   // next serialize; order across slots is irrelevant) and the per-peer
   // payload spans of the round being delivered.
   std::vector<std::vector<std::uint32_t>> recv_touched_;
-  detail::WireSpans<Wire> spans_;
+  detail::WireSpans<ValT> spans_;
 
   // publish() state: edge_fn_, the published columns and the source count
   // are set up by the edge-transform constructor; the out-edge index and

@@ -5,7 +5,8 @@
 // the previous superstep.
 //
 // Staging is sharded per (compute chunk, destination rank): a send is one
-// push into the shard of the chunk the caller is running, and serialize()
+// push of a packed (lidx, value) record (channel.hpp's WireRecord) into
+// the shard of the chunk the caller is running, and serialize()
 // concatenates the shards in chunk order — the sequential message order,
 // since compute chunks are contiguous and ascending, regardless of which
 // thread executed each chunk — fanning the per-destination-rank
@@ -47,7 +48,7 @@ class DirectMessage : public Channel {
     Shard& shard =
         shards_[static_cast<std::size_t>(detail::t_compute_chunk)];
     shard[static_cast<std::size_t>(w().owner_of(dst))].push_back(
-        Wire{w().local_of(dst), m});
+        Record::pack(w().local_of(dst), m));
   }
 
   void begin_compute(int num_chunks) override {
@@ -94,7 +95,7 @@ class DirectMessage : public Channel {
         total, n, &recv_touched_,
         [this, n](std::uint32_t lo, std::uint32_t hi, int slot) {
           spans_.for_each(lo, hi, n, name(),
-                          [&](const Wire& wire) { apply(wire, slot); });
+                          [&](const Record& r) { apply(r, slot); });
         });
   }
 
@@ -120,13 +121,11 @@ class DirectMessage : public Channel {
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;  ///< receiver's local index (ids are 32-bit too)
-    ValT value;
-  };
+  using Record = detail::WireRecord<ValT>;
 
-  /// One compute chunk's staged wires, bucketed by destination rank.
-  using Shard = std::vector<std::vector<Wire>>;
+  /// One compute chunk's staged records, bucketed by destination rank and
+  /// already packed, so each batch is a ready wire section.
+  using Shard = std::vector<std::vector<typename Record::Packed>>;
 
   void init_shard(Shard& s) {
     s.resize(static_cast<std::size_t>(w().num_workers()));
@@ -153,27 +152,27 @@ class DirectMessage : public Channel {
       for (Shard& s : shards_) {
         auto& batch = s[peer];
         if (!batch.empty()) {
-          out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
+          out.write_bytes(batch.data(), batch.size() * Record::kBytes);
           batch.clear();
         }
       }
     }
   }
 
-  void apply(const Wire& wire, int delivery_slot) {
-    if (incoming_[wire.lidx].empty()) {
+  void apply(const Record& r, int delivery_slot) {
+    if (incoming_[r.lidx].empty()) {
       recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(
-          wire.lidx);
+          r.lidx);
     }
-    incoming_[wire.lidx].push_back(wire.value);
-    worker_->activate_local(wire.lidx);  // atomic frontier word-OR
+    incoming_[r.lidx].push_back(r.value);
+    worker_->activate_local(r.lidx);  // atomic frontier word-OR
   }
 
   Worker<VertexT>* worker_;
   std::vector<Shard> shards_;                 ///< per compute chunk
   std::vector<std::vector<ValT>> incoming_;   ///< per local vertex
   std::vector<std::vector<std::uint32_t>> recv_touched_;  ///< per slot
-  detail::WireSpans<Wire> spans_;
+  detail::WireSpans<ValT> spans_;
 };
 
 }  // namespace pregel::core

@@ -32,7 +32,6 @@
 // the wire (not the fixpoint).
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -65,7 +64,8 @@ class Propagation : public Channel {
         edge_fn_(std::move(f)),
         vals_(w->num_local(), combiner_.identity),
         in_queue_(w->num_local(), 0),
-        staged_remote_(static_cast<std::size_t>(w->num_workers())) {
+        staged_remote_(static_cast<std::size_t>(w->num_workers())),
+        spans_(w->num_workers()) {
     on_edges([&](auto& edges) { edges.resize(w->num_local()); });
     // Remote updates are staged in flat per-peer slot arrays (the receiver
     // local-index space is known), so combining a pending update is an
@@ -134,20 +134,17 @@ class Propagation : public Channel {
   void deserialize() override {
     const int num_workers = w().num_workers();
     for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto lidx = in.read<std::uint32_t>();
-        const auto val = in.read<ValT>();
-        detail::check_local_index(lidx, vals_.size(), name());
-        const ValT nv = combiner_(vals_[lidx], val);
-        if (nv != vals_[lidx]) {
-          vals_[lidx] = nv;
-          push(lidx);
-          worker_->activate_local(lidx);
-        }
-      }
+      spans_.read(w().inbox(from), from);
     }
+    const std::uint32_t n = w().num_local();
+    spans_.for_each(0, n, n, name(), [this](const Record& r) {
+      const ValT nv = combiner_(vals_[r.lidx], r.value);
+      if (nv != vals_[r.lidx]) {
+        vals_[r.lidx] = nv;
+        push(r.lidx);
+        worker_->activate_local(r.lidx);
+      }
+    });
   }
 
   bool again() override { return head_ < queue_.size(); }
@@ -333,7 +330,7 @@ class Propagation : public Channel {
       out.write<std::uint32_t>(
           static_cast<std::uint32_t>(acc.touched.size()));
       seg_[static_cast<std::size_t>(to)] =
-          out.extend(acc.touched.size() * kEntryBytes);
+          out.extend(acc.touched.size() * Record::kBytes);
       total += acc.touched.size();
     }
     w().run_comm_partitioned(
@@ -348,10 +345,8 @@ class Propagation : public Channel {
       auto& acc = staged_remote_[static_cast<std::size_t>(to)];
       std::byte* p = seg_[static_cast<std::size_t>(to)];
       for (const std::uint32_t lidx : acc.touched) {
-        std::memcpy(p, &lidx, sizeof(std::uint32_t));
-        std::memcpy(p + sizeof(std::uint32_t), &acc.vals[lidx],
-                    sizeof(ValT));
-        p += kEntryBytes;
+        Record::put(p, lidx, acc.vals[lidx]);
+        p += Record::kBytes;
         acc.vals[lidx] = combiner_.identity;
         acc.has[lidx] = 0;
       }
@@ -359,8 +354,7 @@ class Propagation : public Channel {
     }
   }
 
-  static constexpr std::size_t kEntryBytes =
-      sizeof(std::uint32_t) + sizeof(ValT);
+  using Record = detail::WireRecord<ValT>;
 
   Worker<VertexT>* worker_;
   Combiner<ValT> combiner_;
@@ -385,6 +379,8 @@ class Propagation : public Channel {
   /// Payload segment base per destination rank (round-scoped scratch of
   /// the write-out).
   std::vector<std::byte*> seg_;
+  /// Per-peer record sections of the round being delivered.
+  detail::WireSpans<ValT> spans_;
 
   // Parallel compute staging for the shared seed queue (see
   // Channel::begin_compute).

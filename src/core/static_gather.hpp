@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/engine_base.hpp"
@@ -37,69 +38,65 @@ class StaticGather {
  public:
   /// Group the edges `for_each_edge(visit)` yields, as visit(sender lidx,
   /// receiver global id, weight), by receiver. `for_each_edge` is called
-  /// twice and must yield the same edges in the same order. The first
-  /// pass numbers each rank's receivers in first-touch order and counts
-  /// their senders, the second drops every sender (and weight) into its
-  /// receiver's run. O(E + V) time plus a transient V-entry key map.
+  /// twice and must yield the same edges in the same order; each pass keys
+  /// every edge once into a V-entry map (key = the owner's base plus the
+  /// receiver's local index). Pass 1 counts senders per key; the layout
+  /// turns each count into its run and the key into the run's index; pass
+  /// 2 drops every sender (and weight) into its receiver's run. O(E + V)
+  /// time plus the transient key map (and, for kFirstTouch, the U keys in
+  /// first-touch order).
   template <typename ForEachEdge>
   void build(const graph::DistributedGraph& dg, ReceiverOrder order,
              ForEachEdge&& for_each_edge) {
-    constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
     const auto workers = static_cast<std::size_t>(dg.num_workers());
     std::vector<std::uint64_t> base(workers + 1, 0);
     for (std::size_t r = 0; r < workers; ++r) {
       base[r + 1] = base[r] + dg.num_local(static_cast<int>(r));
     }
-    const auto key = [&](graph::VertexId dst) {
-      return base[static_cast<std::size_t>(dg.owner(dst))] +
-             dg.local_index(dst);
-    };
+    const bool first_touch = order == ReceiverOrder::kFirstTouch;
 
-    // Pass 1: run_of[key] = the receiver's first-touch number in its rank.
-    std::vector<std::uint32_t> run_of(base[workers], kUnseen);
-    std::vector<std::vector<std::uint32_t>> touched(workers);
-    std::vector<std::vector<std::uint64_t>> count(workers);
+    // Pass 1: key_map[k] = receiver k's sender count. `first` lists the
+    // keys in first-touch order; reserving a slot per key costs address
+    // space only, as pages past the receiver count are never touched.
+    std::vector<std::uint32_t> key_map(base[workers], 0);
+    std::vector<std::uint32_t> first;
+    if (first_touch) first.reserve(base[workers]);
     bool unit = true;
     for_each_edge([&](std::uint32_t, graph::VertexId dst, graph::Weight w) {
-      const auto to = static_cast<std::size_t>(dg.owner(dst));
-      const std::uint32_t lidx = dg.local_index(dst);
-      std::uint32_t& run = run_of[base[to] + lidx];
-      if (run == kUnseen) {
-        run = static_cast<std::uint32_t>(touched[to].size());
-        touched[to].push_back(lidx);
-        count[to].push_back(0);
+      const std::uint64_t k =
+          base[static_cast<std::size_t>(dg.owner(dst))] + dg.local_index(dst);
+      const std::uint32_t senders = ++key_map[k];
+      if (senders == 1 && first_touch) {
+        first.push_back(static_cast<std::uint32_t>(k));
+      } else if (senders == 0) {
+        throw std::length_error(
+            "StaticGather: a receiver has 2^32 or more senders on one rank");
       }
-      ++count[to][run];
       unit = unit && w == 1;
     });
 
-    // Lay the runs out rank by rank in `order`; run_of becomes the global
-    // run index and run_[u] the end of run u - 1.
+    // Lay the runs out rank by rank in `order` (kFirstTouch filters the
+    // first-touch keys once per rank); key_map[k] becomes the global run
+    // index and run_[u] the start of run u.
     rank_run_.assign(workers + 1, 0);
     dst_.clear();
     run_.assign(1, 0);
-    const auto place = [&](std::uint64_t k, std::uint32_t lidx,
-                           std::uint64_t senders) {
-      run_of[k] = static_cast<std::uint32_t>(dst_.size());
-      dst_.push_back(lidx);
-      run_.push_back(run_.back() + senders);
-    };
     for (std::size_t to = 0; to < workers; ++to) {
-      if (order == ReceiverOrder::kFirstTouch) {
-        for (std::size_t t = 0; t < touched[to].size(); ++t) {
-          place(base[to] + touched[to][t], touched[to][t], count[to][t]);
+      const auto place = [&](std::uint64_t k) {
+        dst_.push_back(static_cast<std::uint32_t>(k - base[to]));
+        run_.push_back(run_.back() + key_map[k]);
+        key_map[k] = static_cast<std::uint32_t>(dst_.size() - 1);
+      };
+      if (first_touch) {
+        for (const std::uint32_t k : first) {
+          if (k >= base[to] && k < base[to + 1]) place(k);
         }
       } else {
         for (std::uint64_t k = base[to]; k < base[to + 1]; ++k) {
-          if (run_of[k] != kUnseen) {
-            place(k, static_cast<std::uint32_t>(k - base[to]),
-                  count[to][run_of[k]]);
-          }
+          if (key_map[k] != 0) place(k);
         }
       }
       rank_run_[to + 1] = dst_.size();
-      std::vector<std::uint32_t>().swap(touched[to]);
-      std::vector<std::uint64_t>().swap(count[to]);
     }
 
     // Pass 2: run_[u] is run u's fill cursor; afterwards it holds run
@@ -109,7 +106,9 @@ class StaticGather {
     if (!unit) weights_.resize(run_.back());
     for_each_edge([&](std::uint32_t src, graph::VertexId dst,
                       graph::Weight w) {
-      const std::uint64_t at = run_[run_of[key(dst)]]++;
+      const std::uint64_t at =
+          run_[key_map[base[static_cast<std::size_t>(dg.owner(dst))] +
+                       dg.local_index(dst)]]++;
       src_[at] = src;
       if (!unit) weights_[at] = w;
     });

@@ -86,6 +86,24 @@ class WorkerBase : public EngineBase {
  public:
   WorkerBase() : EngineBase("Worker") {}
 
+  /// EngineBase::run(), then the RunStats byte invariant of every
+  /// channel-engine run: each byte this rank exchanged is some channel's
+  /// payload or a frame header. A run that breaks it miscounts its
+  /// message volume, so it throws rather than report the numbers.
+  runtime::RunStats run() {
+    runtime::RunStats stats = EngineBase::run();
+    std::uint64_t payload = 0;
+    for (const auto& [name, bytes] : stats.bytes_by_channel) payload += bytes;
+    if (payload + stats.frame_bytes != stats.message_bytes) {
+      throw std::logic_error(
+          "Worker: channel payload bytes (" + std::to_string(payload) +
+          ") + frame bytes (" + std::to_string(stats.frame_bytes) +
+          ") != message bytes (" + std::to_string(stats.message_bytes) +
+          ")");
+    }
+    return stats;
+  }
+
   // ---- graph mapping ----------------------------------------------------
   [[nodiscard]] int owner_of(VertexId v) const { return env_.dg->owner(v); }
   [[nodiscard]] std::uint32_t local_of(VertexId v) const {

@@ -116,7 +116,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       return;
     }
     staged_[static_cast<std::size_t>(env_.dg->owner(dst))].push_back(
-        Wire{env_.dg->local_index(dst), m});
+        Record::pack(env_.dg->local_index(dst), m));
   }
 
   /// Send m to every out-neighbor of v. In ghost mode, high-degree
@@ -185,14 +185,11 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;
-    MsgT value;
-  };
-  struct GhostWire {
-    VertexId src;
-    MsgT value;
-  };
+  // Every (u32, value) record ships packed through the channel engine's
+  // codec (channel.hpp's WireRecord): plain messages carry the receiver's
+  // local index, ghost broadcasts and reqresp responses a vertex id.
+  using Record = core::detail::WireRecord<MsgT>;
+  using RespRecord = core::detail::WireRecord<RespT>;
 
   static int check_slot(int slot) {
     if (slot < 0 || slot >= kNumAggSlots) {
@@ -258,7 +255,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
     for (int to = 0; to < num_workers(); ++to) {
       if (!mirrors[static_cast<std::size_t>(to)].empty()) {
         staged_ghost_[static_cast<std::size_t>(to)].push_back(
-            GhostWire{v.id(), m});
+            Record::pack(v.id(), m));
       }
     }
   }
@@ -278,7 +275,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       // Sender-side combining: bucket the map by owner.
       for (const auto& [dst, val] : combine_staged_) {
         staged_[static_cast<std::size_t>(env_.dg->owner(dst))].push_back(
-            Wire{env_.dg->local_index(dst), val});
+            Record::pack(env_.dg->local_index(dst), val));
       }
       combine_staged_.clear();
     }
@@ -287,7 +284,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       auto& batch = staged_[static_cast<std::size_t>(to)];
       out.write<std::uint32_t>(static_cast<std::uint32_t>(batch.size()));
       if (!batch.empty()) {
-        out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
+        out.write_bytes(batch.data(), batch.size() * Record::kBytes);
         batch.clear();
       }
       // Ghost registrations.
@@ -302,7 +299,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       auto& ghosts = staged_ghost_[static_cast<std::size_t>(to)];
       out.write<std::uint32_t>(static_cast<std::uint32_t>(ghosts.size()));
       if (!ghosts.empty()) {
-        out.write_bytes(ghosts.data(), ghosts.size() * sizeof(GhostWire));
+        out.write_bytes(ghosts.data(), ghosts.size() * Record::kBytes);
         ghosts.clear();
       }
       // Aggregator partials.
@@ -331,9 +328,9 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       } else {
         const auto n = in.read<std::uint32_t>();
         for (std::uint32_t i = 0; i < n; ++i) {
-          const auto wire = in.read<Wire>();
-          core::detail::check_local_index(wire.lidx, num_local(), "PPWorker");
-          deliver(wire, 0);
+          const Record r = Record::read(in);
+          core::detail::check_local_index(r.lidx, num_local(), "PPWorker");
+          deliver(r, 0);
         }
       }
       const auto nreg = in.read<std::uint32_t>();
@@ -343,15 +340,15 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       }
       const auto nghost = in.read<std::uint32_t>();
       for (std::uint32_t i = 0; i < nghost; ++i) {
-        const auto gw = in.read<GhostWire>();
+        const Record gr = Record::read(in);  // lidx = the broadcaster's id
         // Hash lookup per broadcast — the ghost-mode receiver cost.
-        const auto it = mirror_table_.find(gw.src);
+        const auto it = mirror_table_.find(gr.lidx);
         if (it == mirror_table_.end()) {
           throw std::logic_error("PPWorker: ghost value before registration");
         }
         for (const std::uint32_t lidx : it->second) {
           core::detail::check_local_index(lidx, num_local(), "PPWorker");
-          deliver(Wire{lidx, gw.value}, 0);
+          deliver(Record{lidx, gr.value}, 0);
         }
       }
       for (int s = 0; s < kNumAggSlots; ++s) {
@@ -366,7 +363,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
           [this, n](std::uint32_t lo, std::uint32_t hi, int slot) {
             wire_spans_.for_each(
                 lo, hi, n, "PPWorker",
-                [&](const Wire& wire) { deliver(wire, slot); });
+                [&](const Record& r) { deliver(r, slot); });
           });
     }
     stats_.serialize_seconds += seconds_between(s0, s1);
@@ -374,18 +371,18 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
     stats_.deliver_seconds += seconds_between(s2, Clock::now());
   }
 
-  void deliver(const Wire& wire, int delivery_slot) {
-    auto& box = incoming_[wire.lidx];
+  void deliver(const Record& r, int delivery_slot) {
+    auto& box = incoming_[r.lidx];
     if (combiner_ && !box.empty()) {
-      box[0] = (*combiner_)(box[0], wire.value);
+      box[0] = (*combiner_)(box[0], r.value);
     } else {
       if (box.empty()) {
         recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(
-            wire.lidx);
+            r.lidx);
       }
-      box.push_back(wire.value);
+      box.push_back(r.value);
     }
-    this->active_.set(wire.lidx);  // message arrival re-activates
+    this->active_.set(r.lidx);  // message arrival re-activates
   }
 
   // Round 2 (reqresp): deduplicated request id lists.
@@ -426,7 +423,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
         core::detail::check_local_index(lidx, num_local(), "PPWorker");
         // Pregel+ ships the requested vertex's *id* back with each value.
         const VertexT v = this->local_vertex(lidx);
-        replies.push_back(RespWire{v.id(), respond(v)});
+        replies.push_back(RespRecord::pack(v.id(), respond(v)));
       }
     }
     stats_.serialize_seconds += seconds_between(s0, s1);
@@ -443,7 +440,7 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       auto& replies = pending_replies_[static_cast<std::size_t>(to)];
       out.write<std::uint32_t>(static_cast<std::uint32_t>(replies.size()));
       if (!replies.empty()) {
-        out.write_bytes(replies.data(), replies.size() * sizeof(RespWire));
+        out.write_bytes(replies.data(), replies.size() * RespRecord::kBytes);
         replies.clear();
       }
     }
@@ -456,8 +453,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       auto& in = env_.exchange->inbox(env_.rank, from);
       const auto n = in.read<std::uint32_t>();
       for (std::uint32_t i = 0; i < n; ++i) {
-        const auto rw = in.read<RespWire>();
-        responses_[rw.id] = rw.value;  // hash insert per response
+        const RespRecord rr = RespRecord::read(in);  // lidx = the vertex id
+        responses_[rr.lidx] = rr.value;  // hash insert per response
       }
     }
     stats_.serialize_seconds += seconds_between(s0, s1);
@@ -472,35 +469,31 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
     VertexId src;
     std::vector<std::uint32_t> neighbors;
   };
-  struct RespWire {
-    VertexId id;
-    RespT value;
-  };
 
   // Vertex state (values + frontier) lives in core::VertexColumns.
 
   // Messaging state.
   std::optional<core::Combiner<MsgT>> combiner_;
   std::unordered_map<KeyT, MsgT> combine_staged_;
-  std::vector<std::vector<Wire>> staged_;
+  std::vector<std::vector<typename Record::Packed>> staged_;
   std::vector<std::vector<MsgT>> incoming_;
   std::vector<std::vector<std::uint32_t>> recv_touched_{1};  ///< per slot
   /// Raw wire span per peer (round-scoped delivery scratch).
-  core::detail::WireSpans<Wire> wire_spans_{num_workers()};
+  core::detail::WireSpans<MsgT> wire_spans_{num_workers()};
 
   // Ghost mode state.
   bool ghost_ = false;
   std::uint32_t ghost_threshold_ = 16;
   std::vector<std::vector<std::vector<std::uint32_t>>> ghost_neighbors_;
   std::vector<std::vector<Registration>> staged_reg_;
-  std::vector<std::vector<GhostWire>> staged_ghost_;
+  std::vector<std::vector<typename Record::Packed>> staged_ghost_;
   std::unordered_map<VertexId, std::vector<std::uint32_t>> mirror_table_;
 
   // Reqresp mode state.
   bool reqresp_ = false;
   std::vector<KeyT> req_staged_;
   std::vector<std::vector<KeyT>> sent_requests_;
-  std::vector<std::vector<RespWire>> pending_replies_;
+  std::vector<std::vector<typename RespRecord::Packed>> pending_replies_;
   std::unordered_map<KeyT, RespT> responses_;
 
   // Aggregators.

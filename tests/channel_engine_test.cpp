@@ -25,7 +25,9 @@
 #endif
 
 #include "algorithms/pagerank.hpp"
+#include "algorithms/pp_simple.hpp"
 #include "algorithms/runner.hpp"
+#include "algorithms/sssp.hpp"
 #include "algorithms/sv.hpp"
 #include "core/pregel_channel.hpp"
 #include "graph/generators.hpp"
@@ -576,6 +578,39 @@ std::uint64_t digest(const pregel::testing::RankRecord& r) {
   return (h ^ r.round_hashes.size()) * 1099511628211ull;
 }
 
+/// Run WorkerT on `dg` at 1 thread, 3 threads and 3 stealing threads:
+/// every rank's round digest must be the same in all three modes.
+/// Returns the digests, rank by rank, and the 1-thread run's team stats.
+template <typename WorkerT>
+std::vector<std::uint64_t> mode_digests(const graph::DistributedGraph& dg,
+                                        runtime::RunStats* stats = nullptr) {
+  std::vector<std::uint64_t> first;
+  for (const auto& [threads, steal] :
+       {std::pair{1, false}, {3, false}, {3, true}}) {
+    const auto records = pregel::testing::run_recorded<WorkerT>(
+        dg, [threads, steal](WorkerT& w) {
+          w.set_compute_threads(threads);
+          if constexpr (requires { w.set_steal(steal); }) w.set_steal(steal);
+        });
+    std::vector<std::uint64_t> mode;
+    for (const auto& r : records) mode.push_back(digest(r));
+    if (!first.empty()) {
+      EXPECT_EQ(mode, first) << "workers=" << dg.num_workers()
+                             << " threads=" << threads
+                             << (steal ? " steal" : "");
+      continue;
+    }
+    first = mode;
+    if (stats != nullptr) {
+      *stats = records[0].stats;
+      for (std::size_t r = 1; r < records.size(); ++r) {
+        stats->merge_from(records[r].stats);
+      }
+    }
+  }
+  return first;
+}
+
 /// Every rank's round digests of WorkerT on one fixed R-MAT at 1, 2 and 4
 /// ranks, each the same at 1 thread, 3 threads and 3 stealing threads:
 /// the concatenation, rank by rank, team size by team size.
@@ -591,24 +626,7 @@ std::vector<std::uint64_t> scatter_wire_digests(bool symmetric) {
   for (const int workers : {1, 2, 4}) {
     const graph::DistributedGraph dg(
         g, graph::hash_partition(g.num_vertices(), workers));
-    std::vector<std::uint64_t> first;
-    for (const auto& [threads, steal] :
-         {std::pair{1, false}, {3, false}, {3, true}}) {
-      const auto records = pregel::testing::run_recorded<WorkerT>(
-          dg, [threads, steal](WorkerT& w) {
-            w.set_compute_threads(threads);
-            w.set_steal(steal);
-          });
-      std::vector<std::uint64_t> mode;
-      for (const auto& r : records) mode.push_back(digest(r));
-      if (first.empty()) {
-        first = mode;
-      } else {
-        EXPECT_EQ(mode, first) << "workers=" << workers
-                               << " threads=" << threads
-                               << (steal ? " steal" : "");
-      }
-    }
+    const auto first = mode_digests<WorkerT>(dg);
     digests.insert(digests.end(), first.begin(), first.end());
   }
   return digests;
@@ -981,6 +999,173 @@ TEST(Engine, PerChannelByteAccountingIsConsistent) {
   EXPECT_EQ(channel_total + stats.frame_bytes, stats.message_bytes);
   EXPECT_GT(stats.frame_bytes, 0u);
   EXPECT_GT(stats.message_bytes, 0u);
+}
+
+// ------------------------------------------------- packed wire records --
+
+/// Every vertex sends a 64-bit value along every out-edge through a
+/// DirectMessage for kSendSteps supersteps, then halts: kSendSteps * E
+/// records.
+struct WideValue {
+  std::uint64_t sum = 0;
+};
+using WideVertex = Vertex<WideValue>;
+
+class WideDirectWorker : public Worker<WideVertex> {
+ public:
+  static constexpr int kSendSteps = 3;
+
+  void compute(WideVertex& v) override {
+    for (const std::uint64_t m : msg_.get_iterator()) v.value().sum += m;
+    if (step_num() > kSendSteps) {
+      v.vote_to_halt();
+      return;
+    }
+    const std::uint64_t m = (std::uint64_t{v.id()} << 32) |
+                            static_cast<std::uint64_t>(step_num());
+    for (const auto& e : v.edges()) msg_.send_message(e.dst, m);
+  }
+
+ private:
+  DirectMessage<WideVertex, std::uint64_t> msg_{this, "wide"};
+};
+
+/// SSSP from the R-MAT's widest hub, so the frontier reaches far.
+class HubSssp : public algo::Sssp {
+ public:
+  HubSssp() { source = kHub; }
+  static inline VertexId kHub = 0;
+};
+
+/// One team size's packed-record volume: `sections` u32 record counts
+/// (one per round, sender and receiver) and `records` 12-byte records.
+struct PackedVolume {
+  int workers;
+  std::uint64_t sections;
+  std::uint64_t records;
+  std::uint64_t registration_bytes = 0;  ///< Pregel+ ghost mode only
+};
+
+/// The receivers (distinct destination vertices) of each rank's
+/// out-edges, summed over the ranks: the records one superstep of a full
+/// publish, or of the Pregel+ combiner, ships.
+std::uint64_t unique_receivers(const graph::DistributedGraph& dg) {
+  std::uint64_t total = 0;
+  for (int r = 0; r < dg.num_workers(); ++r) {
+    std::vector<std::uint8_t> seen(dg.num_vertices(), 0);
+    for (std::uint32_t lidx = 0; lidx < dg.num_local(r); ++lidx) {
+      for (const graph::Edge e : dg.out(r, lidx)) {
+        total += seen[e.dst] == 0 ? 1 : 0;
+        seen[e.dst] = 1;
+      }
+    }
+  }
+  return total;
+}
+
+/// Pregel+ ghost mode (threshold 16) PageRank's volume per team size:
+/// supersteps 1-30 ship each rank's combined low-degree receivers plus
+/// one ghost record per (hub, mirror rank); superstep 1 also registers
+/// each (hub, mirror rank) as its id, a u32 count and the mirrored lidxs.
+PackedVolume ghost_volume(const graph::DistributedGraph& dg) {
+  const int workers = dg.num_workers();
+  std::uint64_t per_step = 0;
+  std::uint64_t registration_bytes = 0;
+  for (int r = 0; r < workers; ++r) {
+    std::vector<std::uint8_t> seen(dg.num_vertices(), 0);
+    for (std::uint32_t lidx = 0; lidx < dg.num_local(r); ++lidx) {
+      const graph::EdgeSpan edges = dg.out(r, lidx);
+      if (edges.size() < 16) {
+        for (const graph::Edge e : edges) {
+          per_step += seen[e.dst] == 0 ? 1 : 0;
+          seen[e.dst] = 1;
+        }
+        continue;
+      }
+      std::vector<std::uint64_t> mirrored(static_cast<std::size_t>(workers));
+      for (const graph::Edge e : edges) {
+        ++mirrored[static_cast<std::size_t>(dg.owner(e.dst))];
+      }
+      for (const std::uint64_t n : mirrored) {
+        if (n == 0) continue;
+        ++per_step;
+        registration_bytes += 4 + 4 + 4 * n;
+      }
+    }
+  }
+  const auto w = static_cast<std::uint64_t>(workers);
+  return {workers, 31 * w * w, 30 * per_step, registration_bytes};
+}
+
+TEST(Engine, PackedWireRecordSizesArePinned) {
+  // Every (lidx, value) record is 4 + 8 bytes with 8-byte values: no
+  // padding. A Pregel+ round additionally ships, per sender and receiver,
+  // the registration and ghost counts and the 40 aggregator bytes.
+  constexpr std::uint64_t kCount = 4;
+  constexpr std::uint64_t kRecord = 12;
+  constexpr std::uint64_t kPregelPlusSection = kCount + 4 + 4 + 40;
+  graph::RmatOptions opts;
+  opts.num_vertices = 1u << 12;
+  opts.num_edges = 1u << 15;
+  opts.seed = 42;
+  opts.weighted = true;
+  opts.max_weight = 100;
+  const graph::Graph g = graph::rmat(opts);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (g.out_degree(v) > g.out_degree(HubSssp::kHub)) HubSssp::kHub = v;
+  }
+  const auto check = [&](const char* program, const PackedVolume& want,
+                         std::uint64_t bytes) {
+    EXPECT_EQ(bytes, kCount * want.sections + kRecord * want.records +
+                         want.registration_bytes)
+        << program << " workers=" << want.workers;
+  };
+  const std::vector<PackedVolume> pagerank = {
+      {1, 31, 75690}, {2, 124, 122220}, {4, 496, 189300}};
+  const std::vector<PackedVolume> sssp = {
+      {1, 12, 10886}, {2, 48, 15988}, {4, 192, 22711}};
+  const std::vector<PackedVolume> direct = {
+      {1, 4, 97974}, {2, 16, 97974}, {4, 64, 97974}};
+  const std::vector<PackedVolume> pp_basic = {
+      {1, 31, 75690}, {2, 124, 122220}, {4, 496, 189300}};
+  const std::vector<PackedVolume> pp_ghost = {{1, 31, 59250, 98100},
+                                              {2, 124, 92370, 101204},
+                                              {4, 496, 143190, 107396}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const int workers = pagerank[i].workers;
+    const graph::DistributedGraph dg(
+        g, graph::hash_partition(g.num_vertices(), workers));
+    runtime::RunStats stats;
+    // PageRank publishes every source in supersteps 1-30; superstep 31
+    // sends an empty section per rank pair. Pregel+ combines the same
+    // messages per receiver, so it ships the same records.
+    const std::uint64_t publish_records = 30 * unique_receivers(dg);
+    mode_digests<algo::PageRankCombined>(dg, &stats);
+    check("PageRankCombined", pagerank[i], stats.bytes_by_channel.at("pr"));
+    EXPECT_EQ(pagerank[i].records, publish_records) << workers;
+    mode_digests<HubSssp>(dg, &stats);
+    check("Sssp", sssp[i], stats.bytes_by_channel.at("dist"));
+    EXPECT_EQ(sssp[i].sections,
+              static_cast<std::uint64_t>(stats.supersteps) * workers * workers)
+        << workers;
+    mode_digests<WideDirectWorker>(dg, &stats);
+    check("DirectMessage", direct[i], stats.bytes_by_channel.at("wide"));
+    EXPECT_EQ(direct[i].records, WideDirectWorker::kSendSteps * g.num_edges())
+        << workers;
+    mode_digests<algo::PPPageRank>(dg, &stats);
+    check("PPPageRank", pp_basic[i],
+          stats.message_bytes -
+              (kPregelPlusSection - kCount) * pp_basic[i].sections);
+    EXPECT_EQ(pp_basic[i].records, publish_records) << workers;
+    mode_digests<algo::PPPageRankGhost>(dg, &stats);
+    check("PPPageRankGhost", pp_ghost[i],
+          stats.message_bytes -
+              (kPregelPlusSection - kCount) * pp_ghost[i].sections);
+    const PackedVolume ghost = ghost_volume(dg);
+    EXPECT_EQ(pp_ghost[i].records, ghost.records) << workers;
+    EXPECT_EQ(pp_ghost[i].registration_bytes, ghost.registration_bytes)
+        << workers;
+  }
 }
 
 }  // namespace

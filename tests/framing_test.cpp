@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -222,44 +224,55 @@ TEST(FrameFaults, ShortReadingChannelThrowsFrameMismatch) {
   EXPECT_THROW(algo::run_only<ShortReadWorker>(dg), FrameMismatchError);
 }
 
-/// A (lidx, value)-record channel — CombinedMessage or Propagation —
-/// whose serialize() forges one well-framed wire per peer naming a local
-/// index past the receiver's slice. Every rank forges, so every rank's
-/// delivery throws.
-template <typename Base>
-class ForgedIndexChannel : public Base {
+/// A (lidx, value)-record channel — CombinedMessage, DirectMessage or
+/// Propagation over ValT — whose serialize() forges one well-framed
+/// section of packed records per peer. Kind::kIndex writes one record
+/// naming a local index past the receiver's slice; Kind::kTruncated
+/// writes one valid record under a count claiming two. Every rank forges,
+/// so every rank's delivery throws.
+enum class Forgery { kIndex, kTruncated };
+
+template <typename Base, typename ValT, Forgery kKind>
+class ForgedRecordChannel : public Base {
  public:
   template <typename WorkerT>
-  explicit ForgedIndexChannel(WorkerT* w)
-      : Base(w, make_combiner(c_min, std::uint32_t{~0u}), "forged") {}
+    requires std::constructible_from<Base, WorkerT*, std::string>
+  explicit ForgedRecordChannel(WorkerT* w) : Base(w, "forged") {}
+
+  template <typename WorkerT>
+    requires(!std::constructible_from<Base, WorkerT*, std::string>)
+  explicit ForgedRecordChannel(WorkerT* w)
+      : Base(w, make_combiner(c_min, std::numeric_limits<ValT>::max()),
+             "forged") {}
 
   void serialize() override {
-    struct Wire {  // the (lidx, value) record layout both channels share
-      std::uint32_t lidx;
-      std::uint32_t value;
-    };
+    using Record = detail::WireRecord<ValT>;
+    const bool truncated = kKind == Forgery::kTruncated;
     for (int to = 0; to < this->w().num_workers(); ++to) {
       Buffer& out = this->w().outbox(to);
-      out.write<std::uint32_t>(1);
-      out.write(Wire{this->w().dgraph().num_local(to) + 5, 1});
+      out.write<std::uint32_t>(truncated ? 2 : 1);
+      const std::uint32_t lidx =
+          truncated ? 0 : this->w().dgraph().num_local(to) + 5;
+      Record::put(out.extend(Record::kBytes), lidx, ValT{1});
     }
   }
 };
 
-template <template <typename, typename> class Base>
-class ForgedIndexWorker : public Worker<NopVertex> {
+template <template <typename, typename> class Base, typename ValT,
+          Forgery kKind>
+class ForgedRecordWorker : public Worker<NopVertex> {
  public:
   void compute(NopVertex& v) override { v.vote_to_halt(); }
 
  private:
-  ForgedIndexChannel<Base<NopVertex, std::uint32_t>> bad_{this};
+  ForgedRecordChannel<Base<NopVertex, ValT>, ValT, kKind> bad_{this};
 };
 
-template <template <typename, typename> class Base>
+template <template <typename, typename> class Base, typename ValT>
 void expect_out_of_range_index_rejected() {
   const auto dg = make_ring(8, 2);
   try {
-    algo::run_only<ForgedIndexWorker<Base>>(dg);
+    algo::run_only<ForgedRecordWorker<Base, ValT, Forgery::kIndex>>(dg);
     FAIL() << "a forged out-of-range local index was accepted";
   } catch (const ProtocolError& e) {
     const std::string what = e.what();
@@ -269,8 +282,26 @@ void expect_out_of_range_index_rejected() {
 }
 
 TEST(FrameFaults, ForgedOutOfRangeIndexThrowsProtocolError) {
-  expect_out_of_range_index_rejected<CombinedMessage>();
-  expect_out_of_range_index_rejected<Propagation>();
+  expect_out_of_range_index_rejected<CombinedMessage, std::uint32_t>();
+  expect_out_of_range_index_rejected<Propagation, std::uint32_t>();
+  // 8-byte values: packed 12-byte records.
+  expect_out_of_range_index_rejected<CombinedMessage, std::uint64_t>();
+  expect_out_of_range_index_rejected<DirectMessage, std::uint64_t>();
+}
+
+TEST(FrameFaults, TruncatedRecordSectionThrowsProtocolError) {
+  const auto dg = make_ring(8, 2);
+  using algo::run_only;
+  EXPECT_THROW(
+      (run_only<ForgedRecordWorker<CombinedMessage, std::uint64_t,
+                                   Forgery::kTruncated>>(dg)),
+      ProtocolError);
+  EXPECT_THROW((run_only<ForgedRecordWorker<DirectMessage, std::uint64_t,
+                                            Forgery::kTruncated>>(dg)),
+               ProtocolError);
+  EXPECT_THROW((run_only<ForgedRecordWorker<Propagation, std::uint32_t,
+                                            Forgery::kTruncated>>(dg)),
+               ProtocolError);
 }
 
 /// A ScatterCombine whose serialize() forges one well-framed section per

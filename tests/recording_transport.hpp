@@ -4,7 +4,8 @@
 // forwarded to an InProcessTransport, and each rank's exchanges and
 // collectives are counted. Each exchange also records one FNV-1a hash
 // over the rank's outboxes (peer order, frame headers included), so two
-// runs whose per-round hash lists match sent byte-identical rounds.
+// runs whose per-round hash lists match sent byte-identical rounds. The
+// rank's RunStats ride along.
 //
 // run_recorded() is core::launch()'s in-process body with the ranks'
 // transport wrapped.
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/worker.hpp"
@@ -29,6 +31,7 @@ struct RankRecord {
   std::uint64_t exchanges = 0;
   std::uint64_t collectives = 0;  ///< barrier, all-reduces, gather, bcast
   std::vector<std::uint64_t> round_hashes;  ///< one per exchange
+  runtime::RunStats stats;  ///< what the rank's run() returned
 };
 
 class RecordingTransport final : public runtime::Transport {
@@ -113,14 +116,20 @@ std::vector<RankRecord> run_recorded(
     const std::function<void(WorkerT&, int)>& collect = nullptr) {
   RecordingTransport transport(dg.num_workers());
   runtime::Exchange exchange(transport);
+  std::vector<runtime::RunStats> stats(
+      static_cast<std::size_t>(dg.num_workers()));
   runtime::WorkerTeam::run(
       dg.num_workers(),
       [&](int rank) {
-        core::detail::run_rank<WorkerT>(dg, exchange, transport, rank,
-                                        configure, collect);
+        stats[static_cast<std::size_t>(rank)] = core::detail::run_rank<WorkerT>(
+            dg, exchange, transport, rank, configure, collect);
       },
       [&transport] { transport.abort(); });
-  return transport.records();
+  std::vector<RankRecord> records = transport.records();
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    records[r].stats = std::move(stats[r]);
+  }
+  return records;
 }
 
 }  // namespace pregel::testing
