@@ -143,8 +143,8 @@ class ScatterCombine : public Channel {
       const std::size_t uniq = gather_.receivers(to);
       out.write<std::uint32_t>(static_cast<std::uint32_t>(uniq));
       if (handshake) {
-        std::memcpy(out.extend(uniq * sizeof(std::uint32_t)),
-                    gather_.receiver_lidx(to), uniq * sizeof(std::uint32_t));
+        out.write_bytes(gather_.receiver_lidx(to),
+                        uniq * sizeof(std::uint32_t));
       }
       seg[static_cast<std::size_t>(to)] = out.extend(uniq * sizeof(ValT));
     }
