@@ -1114,10 +1114,17 @@ TEST(Engine, PackedWireRecordSizesArePinned) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (g.out_degree(v) > g.out_degree(HubSssp::kHub)) HubSssp::kHub = v;
   }
+  // One section per round, sender and receiver; every program here runs
+  // one round per superstep.
+  runtime::RunStats stats;
   const auto check = [&](const char* program, const PackedVolume& want,
                          std::uint64_t bytes) {
     EXPECT_EQ(bytes, kCount * want.sections + kRecord * want.records +
                          want.registration_bytes)
+        << program << " workers=" << want.workers;
+    const auto w = static_cast<std::uint64_t>(want.workers);
+    EXPECT_EQ(want.sections,
+              static_cast<std::uint64_t>(stats.supersteps) * w * w)
         << program << " workers=" << want.workers;
   };
   const std::vector<PackedVolume> pagerank = {
@@ -1135,7 +1142,6 @@ TEST(Engine, PackedWireRecordSizesArePinned) {
     const int workers = pagerank[i].workers;
     const graph::DistributedGraph dg(
         g, graph::hash_partition(g.num_vertices(), workers));
-    runtime::RunStats stats;
     // PageRank publishes every source in supersteps 1-30; superstep 31
     // sends an empty section per rank pair. Pregel+ combines the same
     // messages per receiver, so it ships the same records.
@@ -1145,9 +1151,6 @@ TEST(Engine, PackedWireRecordSizesArePinned) {
     EXPECT_EQ(pagerank[i].records, publish_records) << workers;
     mode_digests<HubSssp>(dg, &stats);
     check("Sssp", sssp[i], stats.bytes_by_channel.at("dist"));
-    EXPECT_EQ(sssp[i].sections,
-              static_cast<std::uint64_t>(stats.supersteps) * workers * workers)
-        << workers;
     mode_digests<WideDirectWorker>(dg, &stats);
     check("DirectMessage", direct[i], stats.bytes_by_channel.at("wide"));
     EXPECT_EQ(direct[i].records, WideDirectWorker::kSendSteps * g.num_edges())
@@ -1162,6 +1165,7 @@ TEST(Engine, PackedWireRecordSizesArePinned) {
           stats.message_bytes -
               (kPregelPlusSection - kCount) * pp_ghost[i].sections);
     const PackedVolume ghost = ghost_volume(dg);
+    EXPECT_EQ(pp_ghost[i].sections, ghost.sections) << workers;
     EXPECT_EQ(pp_ghost[i].records, ghost.records) << workers;
     EXPECT_EQ(pp_ghost[i].registration_bytes, ghost.registration_bytes)
         << workers;
